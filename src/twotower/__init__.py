@@ -5,77 +5,32 @@ one shared space; a margin-augmented contrastive objective with analytic
 gradients and an AdamW loop trains them; exact cosine top-k search answers
 text queries against an indexed image corpus; and an IR metrics suite
 (MAP, MAR, MAF1, Top-k accuracy) scores the results.
+
+The top level exports the pipeline and what the demos use. Everything
+else is importable from its submodule (``twotower.data``, ``.linalg``,
+``.loss``, ``.model``, ``.retrieval``, ``.train``, ``.metrics``), and the
+command line lives in ``twotower.cli``.
 """
 
 from . import errors
 from .data import (
-    Batch,
-    CaptionRecord,
     EmbeddingStore,
-    Pair,
-    PairedDataset,
-    SplitMix64,
     augment_dataset,
-    build_pairs,
-    jitter_augment,
     load_embeddings,
-    load_manifest,
-    make_batches,
     save_embeddings,
-    save_manifest,
-    shuffled,
     synth_dataset,
 )
-from .linalg import (
-    cosine_similarity_matrix,
-    l2_normalize_rows,
-    matmul,
-    softmax_rows,
-)
-from .loss import (
-    Gradients,
-    LossConfig,
-    LossOutput,
-    contrastive_loss,
-    loss_backward,
-    similarity_logits,
-)
+from .loss import LossConfig, contrastive_loss, loss_backward
 from .metrics import (
-    MetricsReport,
     QueryJudgment,
     average_precision,
     average_recall,
     evaluate_run,
     f1_per_query,
     format_table,
-    topk_hit,
 )
-from .model import (
-    DualEncoderModel,
-    ProjectionHead,
-    init_model,
-    load_checkpoint,
-    model_fingerprint,
-    project,
-    save_checkpoint,
-)
-from .retrieval import (
-    RankedResult,
-    RetrievalIndex,
-    batch_query,
-    build_index,
-    load_index,
-    query,
-    save_index,
-)
-from .train import (
-    OptimizerState,
-    TrainConfig,
-    TrainReport,
-    adamw_step,
-    evaluate_loss,
-    lr_at,
-    train,
-)
+from .model import init_model, load_checkpoint
+from .retrieval import batch_query, build_index, load_index, query
+from .train import TrainConfig, train
 
 __version__ = "0.1.0"

@@ -44,10 +44,8 @@ from .data import (
 from .errors import (
     ConfigError,
     DataFormatError,
-    DegenerateRowError,
     DivergenceError,
     FingerprintMismatchError,
-    ShapeError,
     TwoTowerError,
 )
 from .loss import LossConfig
@@ -515,9 +513,6 @@ _ERROR_EXITS = (
     (FingerprintMismatchError, EXIT_FINGERPRINT),
     (DivergenceError, EXIT_DIVERGENCE),
     (ConfigError, EXIT_USAGE),
-    (DataFormatError, EXIT_DATA),
-    (DegenerateRowError, EXIT_DATA),
-    (ShapeError, EXIT_DATA),
     (TwoTowerError, EXIT_DATA),
     (FileNotFoundError, EXIT_DATA),
     (IsADirectoryError, EXIT_DATA),

@@ -27,25 +27,6 @@ def as_matrix(x, name="matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape and finiteness checking.
-
-    Raises ShapeError naming both shapes when the inner dimensions differ,
-    and ValueError if the product overflows to non-finite values.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not np.isfinite(out).all():
-        raise ValueError("matrix product overflowed to non-finite values")
-    return out
-
-
 class NormalizedRows(NamedTuple):
     matrix: np.ndarray
     degenerate: np.ndarray  # bool per row; True where the input row was ~zero
@@ -70,45 +51,27 @@ def l2_normalize_rows(m) -> NormalizedRows:
     return NormalizedRows(out, degenerate)
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction.
+def unit_rows(m, what, ids) -> np.ndarray:
+    """Rows of a projection scaled to unit norm, raising on the first zero row.
 
-    The shift makes arbitrarily large logits safe: exp never overflows and
-    each output row sums to 1 to within accumulated rounding.
+    A zero row has no direction, so no cosine can be taken with it. The
+    error names the row as ``"<what> row <i>"``, or as ``"<what> <id>"``
+    when ``ids`` (one per row) is given, and carries ``row`` and ``row_id``.
     """
-    m = as_matrix(m)
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    normed, bad = l2_normalize_rows(m)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        row_id = None if ids is None else ids[i]
+        name = f"row {i}" if ids is None else repr(row_id)
+        raise DegenerateRowError(f"{what} {name} projects to a zero vector", row=i, row_id=row_id)
+    return normed
 
 
 def log_softmax_rows(m) -> np.ndarray:
-    """Row-wise log-softmax, max-shifted for the same stability reasons."""
+    """Row-wise log-softmax with per-row max subtraction.
+
+    The shift makes arbitrarily large logits safe: exp never overflows.
+    """
     m = as_matrix(m)
     shifted = m - m.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def cosine_similarity_matrix(a, b) -> np.ndarray:
-    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``.
-
-    Entry (i, j) is dot(a_i, b_j) / (|a_i| |b_j|). Both inputs must be free
-    of zero rows; a degenerate row raises with its row index so callers can
-    name the offending item.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(
-            f"cosine inputs need matching widths, got {a.shape} and {b.shape}"
-        )
-    out = []
-    for name, mat in (("a", a), ("b", b)):
-        normed, bad = l2_normalize_rows(mat)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise DegenerateRowError(
-                f"row {i} of {name} has zero norm; cosine undefined", row=i
-            )
-        out.append(normed)
-    return out[0] @ out[1].T

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRowError, ShapeError
-from .linalg import as_matrix, l2_normalize_rows, log_softmax_rows
+from .errors import ShapeError
+from .linalg import as_matrix, log_softmax_rows, unit_rows
 from .model import DualEncoderModel, project
 
 MARGIN_MODES = ("literal", "hard_negative")
@@ -91,32 +91,6 @@ class Gradients:
         }
 
 
-def similarity_logits(img_proj, txt_proj, temperature) -> np.ndarray:
-    """Temperature-scaled all-pairs cosine similarities, image rows by text rows."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    img_proj = as_matrix(img_proj, "image projections")
-    txt_proj = as_matrix(txt_proj, "text projections")
-    if img_proj.shape != txt_proj.shape:
-        raise ShapeError(
-            f"projection shapes differ: {img_proj.shape} vs {txt_proj.shape}"
-        )
-    sims = _cosine_checked(img_proj, txt_proj)
-    return sims / temperature
-
-
-def _cosine_checked(a, b):
-    an, bad_a = l2_normalize_rows(a)
-    if bad_a.any():
-        i = int(np.flatnonzero(bad_a)[0])
-        raise DegenerateRowError(f"image row {i} has zero norm", row=i)
-    bn, bad_b = l2_normalize_rows(b)
-    if bad_b.any():
-        i = int(np.flatnonzero(bad_b)[0])
-        raise DegenerateRowError(f"text row {i} has zero norm", row=i)
-    return an @ bn.T
-
-
 def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
     """Evaluate the objective on a square logit matrix and differentiate it.
 
@@ -162,8 +136,8 @@ def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
             if active.any():
                 margin = float(cfg.lam * (hinge[active] ** 2).sum())
                 argmin = masked_min.argmin(axis=1)  # first occurrence = lowest column
-                for i in np.flatnonzero(active):
-                    grad[i, argmin[i]] -= 2.0 * cfg.lam * hinge[i]
+                rows = np.flatnonzero(active)
+                grad[rows, argmin[rows]] -= 2.0 * cfg.lam * hinge[rows]
         else:
             masked_max = s.copy()
             np.fill_diagonal(masked_max, -np.inf)
@@ -173,9 +147,10 @@ def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
             if active.any():
                 margin = float(cfg.lam * (hinge[active] ** 2).sum())
                 argmax = masked_max.argmax(axis=1)
-                for i in np.flatnonzero(active):
-                    grad[i, argmax[i]] += 2.0 * cfg.lam * hinge[i]
-                    grad[i, i] -= 2.0 * cfg.lam * hinge[i] * cfg.temperature
+                rows = np.flatnonzero(active)
+                step = 2.0 * cfg.lam * hinge[rows]
+                grad[rows, argmax[rows]] += step
+                grad[rows, rows] -= step * cfg.temperature
 
     return LossOutput(
         total=ce + margin,
@@ -208,14 +183,8 @@ def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
         )
     p_img = project(model.image_head, img_feat)
     p_txt = project(model.text_head, txt_feat)
-    u_img, bad = l2_normalize_rows(p_img)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DegenerateRowError(f"image row {i} projects to a zero vector", row=i)
-    u_txt, bad = l2_normalize_rows(p_txt)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DegenerateRowError(f"text row {i} projects to a zero vector", row=i)
+    u_img = unit_rows(p_img, "image", None)
+    u_txt = unit_rows(p_txt, "text", None)
 
     s = (u_img @ u_txt.T) / cfg.temperature
     out = contrastive_loss(s, cfg)

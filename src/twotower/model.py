@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagicError, FormatVersionError, ShapeError, TruncatedFileError
+from .data import _read_exact
+from .errors import BadMagicError, FormatVersionError, ShapeError
 from .linalg import as_matrix
 
 CKPT_MAGIC = b"AZCK"
@@ -140,16 +141,9 @@ def save_checkpoint(model: DualEncoderModel, path):
         fh.write(checkpoint_bytes(model))
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"checkpoint ends inside {what} (wanted {n} bytes, got {len(data)})")
-    return data
-
-
 def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
     fh = io.BytesIO(data)
-    header = _read_exact(fh, _CKPT_HEADER.size, "header")
+    header = _read_exact(fh, _CKPT_HEADER.size, "checkpoint header")
     magic, version, img_dim, txt_dim, shared_dim = _CKPT_HEADER.unpack(header)
     if magic != CKPT_MAGIC:
         raise BadMagicError(f"expected magic {CKPT_MAGIC!r}, found {magic!r}")
@@ -160,15 +154,15 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
 
     def block(shape, what):
         n = int(np.prod(shape))
-        raw = _read_exact(fh, n * 8, what)
+        raw = _read_exact(fh, n * 8, f"checkpoint {what}")
         return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
     image_w = block((img_dim, shared_dim), "image weights")
     image_b = block((shared_dim,), "image bias")
     text_w = block((txt_dim, shared_dim), "text weights")
     text_b = block((shared_dim,), "text bias")
-    (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "meta length"))
-    meta = json.loads(_read_exact(fh, meta_len, "meta block").decode("utf-8"))
+    (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint meta length"))
+    meta = json.loads(_read_exact(fh, meta_len, "checkpoint meta block").decode("utf-8"))
     if fh.read(1):
         raise ShapeError("checkpoint has trailing data beyond the declared blocks")
     return DualEncoderModel(

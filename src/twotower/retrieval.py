@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EmbeddingStore, read_store, write_store
-from .errors import (
-    DataFormatError,
-    DegenerateRowError,
-    FingerprintMismatchError,
-    TruncatedFileError,
-)
-from .linalg import l2_normalize_rows
+from .errors import DataFormatError, FingerprintMismatchError, ShapeError, TruncatedFileError
+from .linalg import unit_rows
 from .model import DualEncoderModel, model_fingerprint, project
 
 UNIT_NORM_TOL = 1e-6
@@ -74,13 +69,7 @@ def build_index(model: DualEncoderModel, images: EmbeddingStore) -> RetrievalInd
         raise ValueError(
             f"index must be built from an image_feature store, got kind {images.kind!r}"
         )
-    projected = project(model.image_head, images.vectors)
-    normed, bad = l2_normalize_rows(projected)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DegenerateRowError(
-            f"image {images.ids[i]!r} projects to a zero vector", row=i, row_id=images.ids[i]
-        )
+    normed = unit_rows(project(model.image_head, images.vectors), "image", images.ids)
     return RetrievalIndex(
         ids=list(images.ids), vectors=normed, model_fingerprint=model_fingerprint(model)
     )
@@ -98,11 +87,8 @@ def _check_fingerprint(index: RetrievalIndex, model: DualEncoderModel):
 def _ranked_hits(index: RetrievalIndex, model: DualEncoderModel, text_feature, k, query_id):
     v = np.asarray(text_feature, dtype=np.float64)
     if v.ndim != 1:
-        raise DegenerateRowError(f"query must be a 1-D vector, got shape {v.shape}")
-    projected = project(model.text_head, v[None, :])
-    normed, bad = l2_normalize_rows(projected)
-    if bad[0]:
-        raise DegenerateRowError(f"query {query_id!r} projects to a zero vector")
+        raise ShapeError(f"query must be a 1-D vector, got shape {v.shape}")
+    normed = unit_rows(project(model.text_head, v[None, :]), "query", [query_id])
     # per-row reduction rather than gemv: BLAS gemv kernels can differ in the
     # last ulp across row positions, which would break exact-tie ordering for
     # bit-identical index rows

@@ -21,13 +21,7 @@ import numpy as np
 from .data import PairedDataset, make_batches
 from .errors import DegenerateRowError, DivergenceError, ShapeError
 from .loss import LossConfig, loss_backward
-from .model import (
-    DualEncoderModel,
-    checkpoint_bytes,
-    checkpoint_from_bytes,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import DualEncoderModel, checkpoint_bytes, checkpoint_from_bytes
 
 PARAM_KEYS = ("image_w", "image_b", "text_w", "text_b")
 
@@ -280,10 +274,10 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                 best = val
                 best_epoch = epoch
                 writes += 1
+                best_snapshot = checkpoint_bytes(model)
                 if cfg.checkpoint_path:
-                    save_checkpoint(model, cfg.checkpoint_path)
-                else:
-                    best_snapshot = checkpoint_bytes(model)
+                    with open(cfg.checkpoint_path, "wb") as fh:
+                        fh.write(best_snapshot)
             train_losses.append(train_loss)
             val_losses.append(val)
             flags.append(improved)
@@ -293,10 +287,6 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     finally:
         log.close()
 
-    if cfg.checkpoint_path:
-        best_model = load_checkpoint(cfg.checkpoint_path)
-    else:
-        best_model = checkpoint_from_bytes(best_snapshot)
     report = TrainReport(
         train_loss=train_losses,
         val_loss=val_losses,
@@ -307,7 +297,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
         wall_seconds=time.perf_counter() - t_start,
         final_lr=lr,
     )
-    return best_model, report
+    return checkpoint_from_bytes(best_snapshot), report
 
 
 def _jsonable(obj):

@@ -43,6 +43,15 @@ def oracle_contrastive(s_rows, lam, margin, symmetric=False):
     return ce, margin_total, ce + margin_total
 
 
+def similarity_logits(img_proj, txt_proj, temperature):
+    """All-pairs cosine of projected image rows with text rows, over the temperature."""
+    a = np.asarray(img_proj, dtype=np.float64)
+    b = np.asarray(txt_proj, dtype=np.float64)
+    a = a / np.sqrt((a * a).sum(axis=1, keepdims=True))
+    b = b / np.sqrt((b * b).sum(axis=1, keepdims=True))
+    return (a @ b.T) / temperature
+
+
 def fd_param_grads(img_feat, txt_feat, model, cfg, h=1e-5):
     """Central finite differences of the total loss over all four blocks."""
 

@@ -61,7 +61,7 @@ def _grad_instance(rng, n, margin_active, lam, tau):
         txt = rng.standard_normal((n, txt_dim))
         probe, _ = loss_backward(img, txt, model, LossConfig(lam=0.0, temperature=tau))
         min_off = probe.per_row_min_offdiag
-        from twotower.loss import similarity_logits
+        from oracles import similarity_logits
         from twotower.model import project
 
         s = similarity_logits(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from twotower import cli
-from twotower.model import init_model, load_checkpoint
+from twotower.data import EmbeddingStore, save_embeddings
+from twotower.model import init_model, load_checkpoint, save_checkpoint
 
 
 SMALL = [
@@ -240,6 +241,15 @@ class TestQueryCommand:
         assert code == 4
         assert json.loads(err)["error"] == "FingerprintMismatchError"
 
+    def test_wrong_embedding_width_exit_2(self, pipeline, capsys):
+        code, _, err = run(
+            ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
+             str(pipeline / "model.ckpt"), "--embedding", json.dumps([0.1] * 7)],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "ShapeError"
+
     def test_requires_exactly_one_query_source(self, pipeline, capsys):
         code, _, err = run(
             ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
@@ -309,6 +319,22 @@ class TestErrorsAndHelp:
             capsys,
         )
         assert code == 2
+
+    def test_zero_projecting_image_exit_2(self, tmp_path, capsys):
+        # a fresh model has zero biases, so an all-zero feature row projects to zero
+        ckpt, images = tmp_path / "m.ckpt", tmp_path / "images.emb"
+        save_checkpoint(init_model(3, 3, 2, seed=0), ckpt)
+        save_embeddings(
+            EmbeddingStore(ids=["a", "b"], vectors=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                           kind="image_feature"),
+            images,
+        )
+        code, _, err = run(
+            ["index", "--checkpoint", str(ckpt), "--images", str(images), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "DegenerateRowError"
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--set", "train.bogus=1"], capsys)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_param_grads, oracle_contrastive
+from oracles import fd_param_grads, oracle_contrastive, similarity_logits
 from twotower.errors import DegenerateRowError, ShapeError
-from twotower.loss import LossConfig, contrastive_loss, loss_backward, similarity_logits
+from twotower.linalg import log_softmax_rows
+from twotower.loss import LossConfig, contrastive_loss, loss_backward
 from twotower.model import ProjectionHead, DualEncoderModel, init_model
 
 # frozen by hand: 2*ln(1 + e^-1) + 2*(0.2)^2
@@ -13,35 +14,55 @@ HAND_TOTAL = 0.7065233750364457
 HAND_CE = 0.6265233750364457
 
 
+def identity_heads(dim):
+    head = lambda: ProjectionHead(w=np.eye(dim), b=np.zeros(dim))
+    return DualEncoderModel(image_head=head(), text_head=head(), shared_dim=dim)
+
+
 class TestSimilarityLogits:
+    """The temperature-scaled cosine logits as ``loss_backward`` forms them.
+
+    ``per_row_min_offdiag`` exposes each row's smallest off-diagonal logit.
+    """
+
     def test_orthonormal_identity(self):
         rows = np.eye(3)
-        np.testing.assert_allclose(similarity_logits(rows, rows, 1.0), np.eye(3), atol=1e-12)
+        out, _ = loss_backward(rows, rows, identity_heads(3), LossConfig(lam=0.0))
+        np.testing.assert_allclose(out.per_row_min_offdiag, 0.0, atol=1e-12)
+        assert out.ce_term == pytest.approx(3 * (math.log(math.e + 2) - 1), abs=1e-12)
 
     def test_temperature_scaling(self):
         rng = np.random.default_rng(0)
+        model = init_model(5, 5, 3, seed=0)
         img, txt = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+        half, _ = loss_backward(img, txt, model, LossConfig(temperature=0.5))
+        one, _ = loss_backward(img, txt, model, LossConfig(temperature=1.0))
         np.testing.assert_allclose(
-            similarity_logits(img, txt, 0.5), 2 * similarity_logits(img, txt, 1.0), atol=1e-12
+            half.per_row_min_offdiag, 2 * one.per_row_min_offdiag, atol=1e-12
         )
 
     def test_hand_case(self):
-        img = np.array([[1.0, 0.0]])
-        txt = np.array([[1.0, 1.0]]) / math.sqrt(2)
-        out = similarity_logits(img, txt, 1.0)
-        assert out[0, 0] == pytest.approx(0.70711, abs=5e-6)
+        img = np.array([[1.0, 0.0], [0.0, 1.0]])
+        txt = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([[1.0], [math.sqrt(2)]])
+        out, _ = loss_backward(img, txt, identity_heads(2), LossConfig())
+        assert out.per_row_min_offdiag[0] == pytest.approx(0.70711, abs=5e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            similarity_logits(np.ones((2, 3)), np.ones((3, 3)), 1.0)
+            loss_backward(np.ones((2, 3)), np.ones((3, 3)), identity_heads(3), LossConfig())
 
     def test_zero_row(self):
-        with pytest.raises(DegenerateRowError):
-            similarity_logits(np.array([[0.0, 0.0]]), np.ones((1, 2)), 1.0)
+        model = DualEncoderModel(
+            image_head=ProjectionHead(w=np.eye(2), b=np.zeros(2)),
+            text_head=ProjectionHead(w=np.zeros((2, 2)), b=np.zeros(2)),
+            shared_dim=2,
+        )
+        with pytest.raises(DegenerateRowError, match="text row 0"):
+            loss_backward(np.ones((1, 2)), np.ones((1, 2)), model, LossConfig())
 
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
-            similarity_logits(np.ones((1, 2)), np.ones((1, 2)), 0.0)
+            LossConfig(temperature=0.0)
 
 
 class TestContrastiveLossHandCases:
@@ -150,13 +171,47 @@ class TestGradSim:
             fd = self._fd_grad_sim(s, cfg)
             np.testing.assert_allclose(out.grad_sim, fd, atol=2e-8)
 
+    @pytest.mark.parametrize("mode", ["literal", "hard_negative"])
+    def test_hinge_gradient_bit_equal_to_per_row_loop(self, mode):
+        # reference: the lam=0 gradient plus one scalar hinge update per row
+        rng = np.random.default_rng(12)
+        active_rows = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            s = rng.uniform(-1.5, 1.5, size=(n, n))
+            cfg = LossConfig(
+                lam=float(rng.uniform(0.1, 2.0)),
+                margin=float(rng.uniform(-0.5, 1.0)),
+                temperature=float(rng.choice([0.5, 1.0, 2.0])),
+                margin_mode=mode,
+            )
+            out = contrastive_loss(s, cfg)
+            ref = contrastive_loss(s, LossConfig(lam=0.0, temperature=cfg.temperature)).grad_sim
+            off = s.copy()
+            np.fill_diagonal(off, np.inf if mode == "literal" else -np.inf)
+            for i in range(n):
+                if mode == "literal":
+                    j = int(np.argmin(off[i]))
+                    hinge = cfg.margin - off[i, j]
+                    if hinge > 0:
+                        ref[i, j] -= 2.0 * cfg.lam * hinge
+                else:
+                    j = int(np.argmax(off[i]))
+                    hinge = off[i, j] - (s[i, i] * cfg.temperature - cfg.margin)
+                    if hinge > 0:
+                        ref[i, j] += 2.0 * cfg.lam * hinge
+                        ref[i, i] -= 2.0 * cfg.lam * hinge * cfg.temperature
+                active_rows += hinge > 0
+            np.testing.assert_array_equal(out.grad_sim, ref)
+        assert active_rows > 50
+
     def test_lambda_zero_grad_is_softmax_minus_identity(self):
         rng = np.random.default_rng(4)
         s = rng.uniform(-2, 2, size=(4, 4))
         out = contrastive_loss(s, LossConfig(lam=0.0))
-        from twotower.linalg import softmax_rows
-
-        np.testing.assert_allclose(out.grad_sim, softmax_rows(s) - np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(
+            out.grad_sim, np.exp(log_softmax_rows(s)) - np.eye(4), atol=1e-12
+        )
 
     def test_min_tie_broken_to_lowest_column(self):
         # both off-diagonal entries of row 0 tie at the min; gradient must
@@ -164,9 +219,7 @@ class TestGradSim:
         s = np.array([[1.0, -0.5, -0.5], [0.0, 1.0, 0.3], [0.3, 0.0, 1.0]])
         out = contrastive_loss(s, LossConfig(lam=1.0, margin=0.2))
         hinge = 0.2 - (-0.5)
-        from twotower.linalg import softmax_rows
-
-        ce_grad = softmax_rows(s) - np.eye(3)
+        ce_grad = np.exp(log_softmax_rows(s)) - np.eye(3)
         assert out.grad_sim[0, 1] == pytest.approx(ce_grad[0, 1] - 2 * hinge, abs=1e-12)
         assert out.grad_sim[0, 2] == pytest.approx(ce_grad[0, 2], abs=1e-12)
 
@@ -175,9 +228,9 @@ class TestGradSim:
         s = np.array([[1.0, 0.2], [0.2, 1.0]])
         out = contrastive_loss(s, LossConfig(lam=1.0, margin=0.2))
         assert out.margin_term == 0.0
-        from twotower.linalg import softmax_rows
-
-        np.testing.assert_allclose(out.grad_sim, softmax_rows(s) - np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(
+            out.grad_sim, np.exp(log_softmax_rows(s)) - np.eye(2), atol=1e-15
+        )
 
 
 def random_model(rng, img_dim, txt_dim, shared_dim):
@@ -262,12 +315,15 @@ class TestLossProperties:
 
     def test_query_scale_invariance_of_ranking(self):
         # cosine is invariant to positive scaling, so similarities (and any
-        # ranking built on them) do not move
+        # ranking built on them) do not move; the bias-free heads of a fresh
+        # model carry a feature scale straight through to the projection
         rng = np.random.default_rng(10)
+        model = init_model(5, 5, 3, seed=10)
         img, txt = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
-        base = similarity_logits(img, txt, 1.0)
-        scaled = similarity_logits(img, txt * 3.7, 1.0)
-        np.testing.assert_allclose(base, scaled, atol=1e-9)
+        base, _ = loss_backward(img, txt, model, LossConfig())
+        scaled, _ = loss_backward(img, txt * 3.7, model, LossConfig())
+        np.testing.assert_allclose(base.per_row_min_offdiag, scaled.per_row_min_offdiag, atol=1e-9)
+        assert scaled.total == pytest.approx(base.total, abs=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from twotower.errors import (
     DataFormatError,
     DegenerateRowError,
     FingerprintMismatchError,
+    ShapeError,
     TruncatedFileError,
 )
 from twotower.model import DualEncoderModel, ProjectionHead, init_model
@@ -93,6 +94,12 @@ class TestQuery:
         assert [h[0] for h in res.hits] == ["img0", "img1"]
         for _, score in res.hits:
             assert score == pytest.approx(0.70711, abs=5e-6)
+
+    def test_two_dimensional_query_is_a_shape_error(self):
+        model = identity_model()
+        idx = build_index(model, image_store([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ShapeError, match="1-D"):
+            query(idx, model, np.ones((1, 3)), k=1)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)

@@ -213,6 +213,19 @@ class TestTrain:
         assert set(steps[0]) == {"step", "epoch", "lr", "loss", "ce_term", "margin_term"}
         assert set(epochs[0]) == {"epoch", "train_loss", "val_loss", "checkpointed"}
 
+    def test_checkpoint_path_only_decides_the_file(self, tmp_path):
+        # with or without a path, train returns the same best model, and the
+        # file on disk holds exactly that model's bytes; here validation
+        # peaks at epoch 1, so the last epoch must not reach the file
+        ds = tiny_dataset(seed=18)
+        in_memory, _ = train(init_model(8, 6, 4, seed=19), ds, tiny_cfg(epochs=4))
+        live = init_model(8, 6, 4, seed=19)
+        on_disk, report = train(live, ds, tiny_cfg(tmp_path, epochs=4))
+        assert report.checkpointed == [True, False, False, False]
+        assert checkpoint_bytes(in_memory) == checkpoint_bytes(on_disk)
+        assert (tmp_path / "best.ckpt").read_bytes() == checkpoint_bytes(on_disk)
+        assert checkpoint_bytes(live) != checkpoint_bytes(on_disk)
+
     def test_checkpoint_roundtrip_preserves_training(self, tmp_path):
         # one optimizer step after save/load equals the same step without it
         ds = tiny_dataset(seed=16)
