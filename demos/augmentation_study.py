@@ -27,17 +27,11 @@ def heldout_map(noise_sigma, augment, seed=42):
     best, _ = tt.train(model, train_ds, cfg)
 
     index = tt.build_index(best, ds.image_store)  # index the clean corpus
-    pairs = ds.pairs_for_split("test")
-    queries = tt.EmbeddingStore(
-        ids=[p.text_id for p in pairs],
-        vectors=ds.text_store.rows([p.text_id for p in pairs]),
-        kind="text_feature",
-    )
-    results = tt.batch_query(index, best, queries, k=len(index))
     judgments = [
-        tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id) for p in pairs
+        tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id)
+        for p in ds.pairs_for_split("test")
     ]
-    return tt.evaluate_run(results, judgments).map
+    return tt.evaluate(index, best, ds.text_store, judgments).map
 
 
 # %%

@@ -29,22 +29,12 @@ print(f"  harmonic mean                    -> F1 = {tt.f1_per_query(ap, ar):.5f}
 
 # %%
 def evaluate_on(model, index, ds, label):
-    pairs = ds.pairs_for_split("test")
-    queries = tt.EmbeddingStore(
-        ids=[p.text_id for p in pairs],
-        vectors=ds.text_store.rows([p.text_id for p in pairs]),
-        kind="text_feature",
-    )
-    results = tt.batch_query(index, model, queries, k=len(index))
     judgments = [
-        tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id) for p in pairs
+        tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id)
+        for p in ds.pairs_for_split("test")
     ]
-    m = tt.evaluate_run(results, judgments)
-    return {
-        "model": "heads-32", "dataset": label,
-        "map": m.map, "mar": m.mar, "maf1": m.maf1,
-        "top1": m.top1, "top5": m.top5, "top10": m.top10,
-    }
+    m = tt.evaluate(index, model, ds.text_store, judgments)
+    return {"model": "heads-32", "dataset": label, **m.as_dict()}
 
 
 def make(seed, noise):

@@ -73,21 +73,11 @@ for rank, (image_id, score) in enumerate(result.hits, start=1):
     print(f"  {rank}. {image_id}  cosine {score:.4f}{marker}")
 
 # %% score the whole held-out split
-test_pairs = ds.pairs_for_split("test")
-queries = tt.EmbeddingStore(
-    ids=[p.text_id for p in test_pairs],
-    vectors=ds.text_store.rows([p.text_id for p in test_pairs]),
-    kind="text_feature",
-)
-results = tt.batch_query(index, best, queries, k=len(index))
 judgments = [
-    tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id) for p in test_pairs
+    tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id)
+    for p in ds.pairs_for_split("test")
 ]
-metrics = tt.evaluate_run(results, judgments)
+metrics = tt.evaluate(index, best, ds.text_store, judgments)
 print()
-print(tt.format_table([{
-    "model": "heads-32", "dataset": "synth-test",
-    "map": metrics.map, "mar": metrics.mar, "maf1": metrics.maf1,
-    "top1": metrics.top1, "top5": metrics.top5, "top10": metrics.top10,
-}]))
+print(tt.format_table([{"model": "heads-32", "dataset": "synth-test", **metrics.as_dict()}]))
 print(f"\nchance Top-1 on {len(index)} images would be {1 / len(index):.4f}")

@@ -30,7 +30,7 @@ from .metrics import (
     format_table,
 )
 from .model import init_model, load_checkpoint
-from .retrieval import batch_query, build_index, load_index, query
+from .retrieval import batch_query, build_index, evaluate, load_index, query
 from .train import TrainConfig, train
 
 __version__ = "0.1.0"

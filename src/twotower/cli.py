@@ -31,7 +31,6 @@ import numpy as np
 
 from .data import (
     CaptionRecord,
-    EmbeddingStore,
     augment_dataset,
     build_pairs,
     load_embeddings,
@@ -49,9 +48,9 @@ from .errors import (
     TwoTowerError,
 )
 from .loss import LossConfig
-from .metrics import QueryJudgment, evaluate_run, format_table
+from .metrics import QueryJudgment, format_table
 from .model import init_model, load_checkpoint
-from .retrieval import batch_query, build_index, load_index, query, save_index
+from .retrieval import build_index, evaluate, load_index, query, save_index
 from .train import TrainConfig, train
 
 DEFAULT_CONFIG = {
@@ -408,21 +407,11 @@ def cmd_eval(args) -> int:
     else:
         raise _UsageError("provide --judgments or --manifest to define ground truth")
 
-    wanted = {j.query_id for j in judgments}
-    missing = sorted(wanted - set(texts.ids))
-    if missing:
-        raise DataFormatError(f"text store is missing query id {missing[0]!r}")
-    keep = [i for i in texts.ids if i in wanted]
-    queries = EmbeddingStore(ids=keep, vectors=texts.rows(keep), kind=texts.kind)
-    k = max(len(index), 1)
-    results = batch_query(index, model, queries, k)
-    report = evaluate_run(results, judgments)
+    report = evaluate(index, model, texts, judgments)
 
     dataset_name = args.dataset_name or cfg["eval"]["dataset_name"]
     model_name = args.model_name or Path(args.checkpoint).stem
-    row = {"model": model_name, "dataset": dataset_name, **{
-        key: getattr(report, key) for key in ("map", "mar", "maf1", "top1", "top5", "top10")
-    }}
+    row = {"model": model_name, "dataset": dataset_name, **report.as_dict()}
     if args.report:
         _write_json(
             args.report,

@@ -282,7 +282,10 @@ def read_store(fh) -> EmbeddingStore:
         if len(prefix) == 1:
             raise TruncatedFileError("file ends inside an id length prefix")
         (length,) = struct.unpack("<H", prefix)
-        ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
+        try:
+            ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"id {i} is not valid UTF-8 ({e.reason})") from e
     return EmbeddingStore(ids=ids, vectors=vectors, kind=CODE_TO_KIND[kind_code])
 
 

@@ -7,7 +7,8 @@ over queries. All arithmetic is plain Python floats accumulated in rank
 order, so results are exactly reproducible.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -44,20 +45,25 @@ class MetricsReport:
     per_query: list
 
     def as_dict(self) -> dict:
-        return {
-            "map": self.map,
-            "mar": self.mar,
-            "maf1": self.maf1,
-            "top1": self.top1,
-            "top5": self.top5,
-            "top10": self.top10,
-            "per_query": self.per_query,
-        }
+        return asdict(self)
 
 
-def _check_ranked(ranked):
+def _ranks(ranked, relevant) -> dict:
+    """1-based position of each relevant id found in a ranked list of unique ids."""
     if len(set(ranked)) != len(ranked):
         raise ValueError("ranked list contains duplicate ids")
+    return {doc: pos for pos, doc in enumerate(ranked, start=1) if doc in relevant}
+
+
+def _ap_ar(ranks, m):
+    """AP and AR of one query from the ranks of its found relevant items, m relevant in all."""
+    if m == 0:
+        raise ValueError("relevant set must be non-empty")
+    ap = ar = 0.0
+    for hits, pos in enumerate(sorted(ranks.values()), start=1):
+        ap += hits / pos
+        ar += hits / m
+    return ap / m, ar / m
 
 
 def average_precision(ranked, relevant) -> float:
@@ -66,17 +72,7 @@ def average_precision(ranked, relevant) -> float:
     >>> average_precision(["a", "b", "c"], {"a", "c"})   # (1/1 + 2/3) / 2
     0.8333333333333333
     """
-    _check_ranked(ranked)
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    m = len(relevant)
-    hits = 0
-    acc = 0.0
-    for pos, doc in enumerate(ranked, start=1):
-        if doc in relevant:
-            hits += 1
-            acc += hits / pos
-    return acc / m
+    return _ap_ar(_ranks(ranked, relevant), len(relevant))[0]
 
 
 def average_recall(ranked, relevant) -> float:
@@ -85,17 +81,7 @@ def average_recall(ranked, relevant) -> float:
     >>> average_recall(["a", "b", "c"], {"a", "c"})   # (1/2 + 2/2) / 2
     0.75
     """
-    _check_ranked(ranked)
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    m = len(relevant)
-    hits = 0
-    acc = 0.0
-    for doc in ranked:
-        if doc in relevant:
-            hits += 1
-            acc += hits / m
-    return acc / m
+    return _ap_ar(_ranks(ranked, relevant), len(relevant))[1]
 
 
 def f1_per_query(ap, ar) -> float:
@@ -108,11 +94,55 @@ def f1_per_query(ap, ar) -> float:
     return 2.0 * (ap * ar) / (ap + ar)
 
 
-def topk_hit(ranked, correct_id, k) -> int:
-    """1 if the paired image appears in the first min(k, len) entries, else 0."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return 1 if correct_id in ranked[:k] else 0
+def judgments_by_id(judgments) -> dict:
+    """Index judgments by query id, rejecting duplicates."""
+    by_id = {}
+    for j in judgments:
+        if j.query_id in by_id:
+            raise ValueError(f"duplicate judgment for query {j.query_id!r}")
+        by_id[j.query_id] = j
+    return by_id
+
+
+def metrics_from_ranks(judged) -> MetricsReport:
+    """Score queries given as (judgment, ranks) pairs; per-query rows keep their order.
+
+    ``ranks`` maps each relevant id that was ranked to its 1-based rank;
+    relevant ids missing from it count as never retrieved. Top-k asks
+    whether the correct id's rank is at most k.
+
+    >>> j = QueryJudgment("q", frozenset({"a", "c"}), "c")
+    >>> r = metrics_from_ranks([(j, {"a": 1, "c": 3})])
+    >>> r.map, r.mar, r.top1, r.top5
+    (0.8333333333333333, 0.75, 0.0, 1.0)
+    """
+    per_query = []
+    for j, ranks in judged:
+        ap, ar = _ap_ar(ranks, len(j.relevant_ids))
+        correct = ranks.get(j.correct_id, math.inf)
+        per_query.append(
+            {
+                "query_id": j.query_id,
+                "ap": ap,
+                "ar": ar,
+                "f1": f1_per_query(ap, ar),
+                "top1": int(correct <= 1),
+                "top5": int(correct <= 5),
+                "top10": int(correct <= 10),
+            }
+        )
+    if not per_query:
+        raise ValueError("no results to evaluate")
+    q = len(per_query)
+    return MetricsReport(
+        map=sum(p["ap"] for p in per_query) / q,
+        mar=sum(p["ar"] for p in per_query) / q,
+        maf1=sum(p["f1"] for p in per_query) / q,
+        top1=sum(p["top1"] for p in per_query) / q,
+        top5=sum(p["top5"] for p in per_query) / q,
+        top10=sum(p["top10"] for p in per_query) / q,
+        per_query=per_query,
+    )
 
 
 def evaluate_run(results, judgments) -> MetricsReport:
@@ -126,13 +156,9 @@ def evaluate_run(results, judgments) -> MetricsReport:
     """
     if not results:
         raise ValueError("no results to evaluate")
-    by_id = {}
-    for j in judgments:
-        if j.query_id in by_id:
-            raise ValueError(f"duplicate judgment for query {j.query_id!r}")
-        by_id[j.query_id] = j
+    by_id = judgments_by_id(judgments)
     seen = set()
-    per_query = []
+    judged = []
     for r in results:
         if r.query_id in seen:
             raise ValueError(f"duplicate result for query {r.query_id!r}")
@@ -140,33 +166,11 @@ def evaluate_run(results, judgments) -> MetricsReport:
         if r.query_id not in by_id:
             raise ValueError(f"result {r.query_id!r} has no judgment")
         j = by_id[r.query_id]
-        ranked = [doc for doc, _ in r.hits]
-        ap = average_precision(ranked, j.relevant_ids)
-        ar = average_recall(ranked, j.relevant_ids)
-        per_query.append(
-            {
-                "query_id": r.query_id,
-                "ap": ap,
-                "ar": ar,
-                "f1": f1_per_query(ap, ar),
-                "top1": topk_hit(ranked, j.correct_id, 1),
-                "top5": topk_hit(ranked, j.correct_id, 5),
-                "top10": topk_hit(ranked, j.correct_id, 10),
-            }
-        )
+        judged.append((j, _ranks([doc for doc, _ in r.hits], j.relevant_ids)))
     missing = set(by_id) - seen
     if missing:
         raise ValueError(f"judgment {sorted(missing)[0]!r} has no result")
-    q = len(per_query)
-    return MetricsReport(
-        map=sum(p["ap"] for p in per_query) / q,
-        mar=sum(p["ar"] for p in per_query) / q,
-        maf1=sum(p["f1"] for p in per_query) / q,
-        top1=sum(p["top1"] for p in per_query) / q,
-        top5=sum(p["top5"] for p in per_query) / q,
-        top10=sum(p["top10"] for p in per_query) / q,
-        per_query=per_query,
-    )
+    return metrics_from_ranks(judged)
 
 
 _TABLE_COLUMNS = ("MAP", "MAR", "MAF1", "Top1", "Top5", "Top10")
@@ -176,7 +180,7 @@ def format_table(rows) -> str:
     """Fixed-width summary table, one row per (model, dataset) evaluation.
 
     ``rows`` are dicts with keys model, dataset, map, mar, maf1, top1,
-    top5, top10.
+    top5, top10; other keys are ignored.
     """
     model_w = max([len("Model")] + [len(str(r["model"])) for r in rows])
     ds_w = max([len("Dataset")] + [len(str(r["dataset"])) for r in rows])

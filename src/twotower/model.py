@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _read_exact
-from .errors import BadMagicError, FormatVersionError, ShapeError
+from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError
 from .linalg import as_matrix
 
 CKPT_MAGIC = b"AZCK"
@@ -150,7 +150,7 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
     if version != CKPT_VERSION:
         raise FormatVersionError(f"unsupported checkpoint version {version}")
     if min(img_dim, txt_dim, shared_dim) < 1:
-        raise ShapeError("checkpoint header declares non-positive dims")
+        raise DataFormatError("checkpoint header declares non-positive dims")
 
     def block(shape, what):
         n = int(np.prod(shape))
@@ -162,9 +162,12 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
     text_w = block((txt_dim, shared_dim), "text weights")
     text_b = block((shared_dim,), "text bias")
     (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint meta length"))
-    meta = json.loads(_read_exact(fh, meta_len, "checkpoint meta block").decode("utf-8"))
+    try:
+        meta = json.loads(_read_exact(fh, meta_len, "checkpoint meta block").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataFormatError(f"checkpoint meta block is not UTF-8 JSON: {e}") from e
     if fh.read(1):
-        raise ShapeError("checkpoint has trailing data beyond the declared blocks")
+        raise DataFormatError("checkpoint has trailing data beyond the declared blocks")
     return DualEncoderModel(
         image_head=ProjectionHead(w=image_w, b=image_b),
         text_head=ProjectionHead(w=text_w, b=text_b),

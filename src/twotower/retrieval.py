@@ -19,6 +19,7 @@ import numpy as np
 from .data import EmbeddingStore, read_store, write_store
 from .errors import DataFormatError, FingerprintMismatchError, ShapeError, TruncatedFileError
 from .linalg import unit_rows
+from .metrics import MetricsReport, judgments_by_id, metrics_from_ranks
 from .model import DualEncoderModel, model_fingerprint, project
 
 UNIT_NORM_TOL = 1e-6
@@ -84,18 +85,18 @@ def _check_fingerprint(index: RetrievalIndex, model: DualEncoderModel):
         )
 
 
-def _ranked_hits(index: RetrievalIndex, model: DualEncoderModel, text_feature, k, query_id):
-    v = np.asarray(text_feature, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"query must be a 1-D vector, got shape {v.shape}")
-    normed = unit_rows(project(model.text_head, v[None, :]), "query", [query_id])
-    # per-row reduction rather than gemv: BLAS gemv kernels can differ in the
-    # last ulp across row positions, which would break exact-tie ordering for
-    # bit-identical index rows
-    scores = (index.vectors * normed[0]).sum(axis=1)
-    order = np.argsort(-scores, kind="stable")[: min(k, len(index))]
-    hits = [(index.ids[i], float(np.clip(scores[i], -1.0, 1.0))) for i in order]
-    return RankedResult(query_id=query_id, hits=hits, k=k)
+def _scored(index, model, texts: EmbeddingStore, ids):
+    """Yield (query id, cosine against every index row) for the given text rows.
+
+    The one place query text is projected. Each row is projected on its own
+    and scored by a per-row reduction, not by a block (Q, d) @ W product or
+    gemv: BLAS kernels can differ in the last ulp across row positions, which
+    would change scores and break exact-tie order for bit-identical rows.
+    """
+    _check_fingerprint(index, model)
+    for qid in ids:
+        normed = unit_rows(project(model.text_head, texts.row(qid)[None, :]), "query", [qid])
+        yield qid, (index.vectors * normed[0]).sum(axis=1)
 
 
 def query(index, model, text_feature, k, query_id="query") -> RankedResult:
@@ -104,25 +105,44 @@ def query(index, model, text_feature, k, query_id="query") -> RankedResult:
     Returns the min(k, index size) best hits, scores non-increasing, ties
     in index order. The model must match the index fingerprint.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_fingerprint(index, model)
-    return _ranked_hits(index, model, text_feature, k, query_id)
+    v = np.asarray(text_feature, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeError(f"query must be a 1-D vector, got shape {v.shape}")
+    one = EmbeddingStore(ids=[query_id], vectors=v[None, :], kind="text_feature")
+    return batch_query(index, model, one, k)[0]
 
 
 def batch_query(index, model, texts: EmbeddingStore, k) -> list:
-    """Per-row queries for a whole text store, in store order.
-
-    Runs the same scoring path as ``query`` row by row, so results are
-    bit-identical to sequential calls.
-    """
+    """``query`` for every row of a text store, in store order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_fingerprint(index, model)
-    return [
-        _ranked_hits(index, model, texts.vectors[i], k, texts.ids[i])
-        for i in range(len(texts))
-    ]
+    results = []
+    for qid, scores in _scored(index, model, texts, texts.ids):
+        order = np.argsort(-scores, kind="stable")[:k]
+        hits = [(index.ids[i], float(np.clip(scores[i], -1.0, 1.0))) for i in order]
+        results.append(RankedResult(query_id=qid, hits=hits, k=k))
+    return results
+
+
+def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
+    """``evaluate_run`` of the judged store rows ranked against the whole index.
+
+    No ranking is built: relevant image row r gets rank 1 + #(scores > s_r)
+    + #(scores[:r] == s_r), its place in ``batch_query``'s order. Unjudged
+    rows are skipped; per-query rows follow store order.
+    """
+    by_id = judgments_by_id(judgments)
+    missing = sorted(set(by_id) - set(texts.ids))
+    if missing:
+        raise DataFormatError(f"text store is missing query id {missing[0]!r}")
+    row_of = {id_: r for r, id_ in enumerate(index.ids)}
+    judged = []
+    for qid, s in _scored(index, model, texts, [i for i in texts.ids if i in by_id]):
+        j = by_id[qid]
+        rows = {d: row_of[d] for d in j.relevant_ids if d in row_of}
+        ranks = {d: 1 + int((s > s[r]).sum() + (s[:r] == s[r]).sum()) for d, r in rows.items()}
+        judged.append((j, ranks))
+    return metrics_from_ranks(judged)
 
 
 def save_index(index: RetrievalIndex, path):

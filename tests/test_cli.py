@@ -303,6 +303,49 @@ class TestEvalCommand:
         assert code == 0
         assert "MAP" in stdout
 
+    def eval_args(self, pipeline, checkpoint, judgments, texts=None):
+        return ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(checkpoint),
+                "--texts", str(texts or pipeline / "ds" / "texts.emb"), "--judgments", str(judgments)]
+
+    def test_missing_query_id_exit_2(self, pipeline, tmp_path, capsys):
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_text(json.dumps({"query_id": "nope", "relevant_ids": ["img00"],
+                                     "correct_id": "img00"}) + "\n")
+        code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "DataFormatError",
+                                   "message": "text store is missing query id 'nope'"}
+
+    def test_wrong_checkpoint_exit_4(self, pipeline, tmp_path, capsys):
+        other = tmp_path / "other.ckpt"
+        save_checkpoint(init_model(10, 8, 32, seed=5), other)
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_text(json.dumps({"query_id": "img00#c0", "relevant_ids": ["img00"],
+                                     "correct_id": "img00"}) + "\n")
+        code, _, err = run(self.eval_args(pipeline, other, jpath), capsys)
+        assert code == 4
+        assert json.loads(err)["error"] == "FingerprintMismatchError"
+
+    def test_zero_projecting_query_exit_2(self, tmp_path, capsys):
+        # a fresh model has zero biases, so an all-zero feature row projects to zero
+        ckpt, images, texts = tmp_path / "m.ckpt", tmp_path / "images.emb", tmp_path / "texts.emb"
+        save_checkpoint(init_model(3, 3, 2, seed=0), ckpt)
+        save_embeddings(EmbeddingStore(ids=["a"], vectors=[[1.0, 0.0, 0.0]], kind="image_feature"),
+                        images)
+        save_embeddings(EmbeddingStore(ids=["q0", "q1"], vectors=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                       kind="text_feature"), texts)
+        assert run(["index", "--checkpoint", str(ckpt), "--images", str(images),
+                    "--out", str(tmp_path / "idx.azi")], capsys)[0] == 0
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_text("".join(
+            json.dumps({"query_id": q, "relevant_ids": ["a"], "correct_id": "a"}) + "\n"
+            for q in ("q0", "q1")
+        ))
+        code, _, err = run(self.eval_args(tmp_path, ckpt, jpath, texts), capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "DegenerateRowError"
+        assert "'q1'" in json.loads(err)["message"]
+
 
 class TestErrorsAndHelp:
     def test_missing_file_exit_2(self, capsys):
@@ -335,6 +378,46 @@ class TestErrorsAndHelp:
         )
         assert code == 2
         assert json.loads(err)["error"] == "DegenerateRowError"
+
+    def test_store_id_not_utf8_exit_2(self, tmp_path, capsys):
+        ckpt, images = tmp_path / "m.ckpt", tmp_path / "images.emb"
+        save_checkpoint(init_model(3, 3, 2, seed=0), ckpt)
+        save_embeddings(
+            EmbeddingStore(ids=["a", "b"], vectors=np.eye(3)[:2], kind="image_feature"), images
+        )
+        data = bytearray(images.read_bytes())
+        data[-1] = 0xFF  # id "b"
+        images.write_bytes(bytes(data))
+        code, _, err = run(
+            ["index", "--checkpoint", str(ckpt), "--images", str(images), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "DataFormatError" and "id 1" in doc["message"]
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda raw: raw + b"xx", "trailing data"),
+            (lambda raw: raw[:-1] + b"\xff", "checkpoint meta block"),
+            (lambda raw: raw[:-1] + b",", "checkpoint meta block"),
+        ],
+        ids=["trailing", "meta-utf8", "meta-json"],
+    )
+    def test_corrupt_checkpoint_exit_2(self, tmp_path, capsys, corrupt, match):
+        ckpt, images = tmp_path / "m.ckpt", tmp_path / "images.emb"
+        save_checkpoint(init_model(3, 3, 2, seed=0, meta={"k": 1}), ckpt)
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        save_embeddings(EmbeddingStore(ids=["a"], vectors=[[1.0, 0.0, 0.0]], kind="image_feature"),
+                        images)
+        code, _, err = run(
+            ["index", "--checkpoint", str(ckpt), "--images", str(images), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "DataFormatError" and match in doc["message"]
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--set", "train.bogus=1"], capsys)

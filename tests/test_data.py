@@ -264,6 +264,16 @@ class TestEmbeddingFile:
         with pytest.raises(TruncatedFileError):
             load_embeddings(p)
 
+    def test_id_not_utf8_names_the_id(self, tmp_path):
+        store = small_store(n=2, dim=3)
+        p = tmp_path / "s.emb"
+        save_embeddings(store, p)
+        data = bytearray(p.read_bytes())
+        data[-1] = 0xFF  # last byte of id 1
+        p.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="id 1 is not valid UTF-8"):
+            load_embeddings(p)
+
     def test_trailing_data_rejected(self, tmp_path):
         store = small_store()
         p = tmp_path / "s.emb"

@@ -10,7 +10,6 @@ from twotower.metrics import (
     evaluate_run,
     f1_per_query,
     format_table,
-    topk_hit,
 )
 from twotower.retrieval import RankedResult
 
@@ -60,21 +59,26 @@ class TestF1:
             f1_per_query(1.5, 0.5)
 
 
+def top_k(ranked, correct_id, k):
+    """Per-query Top-k of a one-query run whose relevant set is {correct_id}."""
+    j = QueryJudgment("q", frozenset({correct_id}), correct_id)
+    return evaluate_run([result("q", ranked)], [j]).per_query[0][f"top{k}"]
+
+
 class TestTopkHit:
     def test_rank1_k1(self):
-        assert topk_hit(["a", "b"], "a", 1) == 1
+        assert top_k(["a", "b"], "a", 1) == 1
 
     def test_rank6_k5(self):
         ranked = ["x1", "x2", "x3", "x4", "x5", "a"]
-        assert topk_hit(ranked, "a", 5) == 0
+        assert top_k(ranked, "a", 5) == 0
 
     def test_boundary_rank5_k5(self):
         ranked = ["x1", "x2", "x3", "x4", "a"]
-        assert topk_hit(ranked, "a", 5) == 1
+        assert top_k(ranked, "a", 5) == 1
 
-    def test_k_validated(self):
-        with pytest.raises(ValueError):
-            topk_hit(["a"], "a", 0)
+    def test_absent_is_a_miss(self):
+        assert top_k(["x1", "x2"], "a", 10) == 0
 
 
 def result(qid, ranked):

@@ -4,7 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from twotower.errors import BadMagicError, FormatVersionError, ShapeError, TruncatedFileError
+from twotower.errors import (
+    BadMagicError,
+    DataFormatError,
+    FormatVersionError,
+    ShapeError,
+    TruncatedFileError,
+)
 from twotower.model import (
     DualEncoderModel,
     ProjectionHead,
@@ -147,7 +153,26 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
         p.write_bytes(p.read_bytes() + b"xx")
-        with pytest.raises(ShapeError, match="trailing"):
+        with pytest.raises(DataFormatError, match="trailing"):
+            load_checkpoint(p)
+
+    def test_nonpositive_dims_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(make_model(), p)
+        data = bytearray(p.read_bytes())
+        data[16:20] = struct.pack("<I", 0)  # shared dim
+        p.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="non-positive dims"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("meta", [b'{"a":"\xff"}', b'{"a":1'], ids=["utf8", "json"])
+    def test_bad_meta_block_rejected(self, tmp_path, meta):
+        m = make_model()
+        m.meta = {"a": 1}
+        good = checkpoint_bytes(m)
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(good[: -len(b'{"a":1}') - 4] + struct.pack("<I", len(meta)) + meta)
+        with pytest.raises(DataFormatError, match="checkpoint meta block"):
             load_checkpoint(p)
 
 

@@ -10,11 +10,13 @@ from twotower.errors import (
     ShapeError,
     TruncatedFileError,
 )
+from twotower.metrics import QueryJudgment, evaluate_run
 from twotower.model import DualEncoderModel, ProjectionHead, init_model
 from twotower.retrieval import (
     RetrievalIndex,
     batch_query,
     build_index,
+    evaluate,
     load_index,
     query,
     save_index,
@@ -171,6 +173,49 @@ class TestBatchQuery:
         idx = build_index(model, image_store(unit_rows([[1, 0, 0]])))
         texts = EmbeddingStore(ids=[], vectors=np.zeros((0, 3)), kind="text_feature")
         assert batch_query(idx, model, texts, k=3) == []
+
+
+class TestEvaluate:
+    def test_tied_rows_rank_in_index_order(self):
+        model = identity_model()
+        idx = build_index(model, image_store([[1, 0, 0], [1, 0, 0], [0, 1, 0]]))
+        texts = EmbeddingStore(ids=["q"], vectors=[[1.0, 0.0, 0.0]], kind="text_feature")
+        second = evaluate(idx, model, texts, [QueryJudgment("q", frozenset({"img1"}), "img1")])
+        assert (second.map, second.top1, second.top5) == (0.5, 0.0, 1.0)
+        first = evaluate(idx, model, texts, [QueryJudgment("q", frozenset({"img0"}), "img0")])
+        assert (first.map, first.top1) == (1.0, 1.0)
+
+    def test_equals_evaluate_run_over_full_rankings(self):
+        rng = np.random.default_rng(11)
+        for _ in range(80):
+            n = int(rng.integers(1, 25))
+            d_img, d_txt, d_out = (int(x) for x in rng.integers(2, 8, size=3))
+            model = init_model(d_img, d_txt, d_out, seed=int(rng.integers(0, 2**31)))
+            idx = build_index(model, image_store(rng.standard_normal((n, d_img))))
+            # bit-identical stored rows give exact score ties
+            dups = list(rng.integers(0, n, size=3))
+            idx = RetrievalIndex(
+                ids=idx.ids + [f"dup{i}" for i in range(3)],
+                vectors=np.vstack([idx.vectors, idx.vectors[dups]]),
+                model_fingerprint=idx.model_fingerprint,
+            )
+            n_q = int(rng.integers(1, 12))
+            texts = EmbeddingStore(
+                ids=[f"q{i}" for i in range(n_q)],
+                vectors=rng.standard_normal((n_q, d_txt)),
+                kind="text_feature",
+            )
+            judged = [q for q in texts.ids if rng.random() < 0.7] or [texts.ids[-1]]
+            pool = idx.ids + ["absent0", "absent1"]
+            judgments = []
+            for q in judged:
+                size = int(rng.integers(1, 5))
+                relevant = [str(d) for d in rng.choice(pool, size=size, replace=False)]
+                judgments.append(QueryJudgment(q, frozenset(relevant), str(rng.choice(relevant))))
+            judgments = [judgments[i] for i in rng.permutation(len(judgments))]
+            sub = EmbeddingStore(ids=judged, vectors=texts.rows(judged), kind="text_feature")
+            want = evaluate_run(batch_query(idx, model, sub, k=len(idx)), judgments)
+            assert evaluate(idx, model, texts, judgments) == want
 
 
 class TestAgainstFullSortOracle:
