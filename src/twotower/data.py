@@ -1,5 +1,9 @@
 """Datasets: caption manifests, embedding stores, batching, synthesis.
 
+Pair ids are resolved to store rows in one place, ``EmbeddingStore.index``;
+``PairedDataset.split_rows`` gives a split's rows in pair order, and
+training, validation and augmentation gather vectors by those rows.
+
 On-disk formats
 ---------------
 Embedding store (binary, little-endian):
@@ -16,6 +20,7 @@ file order, 0-based) is addressed as ``"<image_id>#c<j>"``; text embedding
 stores must use the same ids.
 """
 
+import io
 import json
 import struct
 from dataclasses import dataclass
@@ -218,22 +223,39 @@ class EmbeddingStore:
     def __contains__(self, id_):
         return id_ in self._row_of
 
-    def row(self, id_) -> np.ndarray:
+    def index(self, ids) -> np.ndarray:
+        """Row numbers of ``ids``, in order; the one id -> row lookup."""
         try:
-            return self.vectors[self._row_of[id_]]
-        except KeyError:
-            raise KeyError(f"id {id_!r} not in store") from None
+            return np.array([self._row_of[i] for i in ids], dtype=np.intp)
+        except KeyError as e:
+            raise KeyError(f"id {e.args[0]!r} not in store") from None
+
+    def row(self, id_) -> np.ndarray:
+        return self.vectors[self.index([id_])[0]]
 
     def rows(self, ids) -> np.ndarray:
         """Gather rows for ``ids`` in order, as a fresh writable matrix."""
-        try:
-            idx = [self._row_of[i] for i in ids]
-        except KeyError as e:
-            raise KeyError(f"id {e.args[0]!r} not in store") from None
-        return self.vectors[idx].copy()
+        return self.vectors[self.index(ids)]
+
+
+_UNBOUNDED_READ = 1 << 16  # bytes; every id (u16 length) fits, so ids skip the bound
 
 
 def _read_exact(fh, n, what):
+    """Read exactly ``n`` bytes from a seekable binary file.
+
+    A request larger than ``_UNBOUNDED_READ`` is first checked against the
+    bytes left in the file, so a header that declares more data than the
+    file holds raises TruncatedFileError without a large allocation.
+    Smaller requests skip the check, because seeking to the end drops the
+    read buffer and ids are read one at a time.
+    """
+    if n > _UNBOUNDED_READ:
+        here = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - here
+        fh.seek(here)
+        if n > left:
+            raise TruncatedFileError(f"file ends inside {what} (wanted {n} bytes, got {left})")
     data = fh.read(n)
     if len(data) != n:
         raise TruncatedFileError(f"file ends inside {what} (wanted {n} bytes, got {len(data)})")
@@ -308,11 +330,6 @@ class Pair(NamedTuple):
     split: str
 
 
-class Batch(NamedTuple):
-    text_ids: tuple[str, ...]
-    image_ids: tuple[str, ...]
-
-
 @dataclass
 class PairedDataset:
     """Aligned image/text stores plus the caption-to-image ground truth.
@@ -343,6 +360,14 @@ class PairedDataset:
         if split not in VALID_SPLITS:
             raise ValueError(f"unknown split {split!r}; expected one of {VALID_SPLITS}")
         return [p for p in self.pairs if p.split == split]
+
+    def split_rows(self, split) -> tuple[np.ndarray, np.ndarray]:
+        """Image-store rows and text-store rows of a split's pairs, in pair order."""
+        pairs = self.pairs_for_split(split)
+        return (
+            self.image_store.index([p.image_id for p in pairs]),
+            self.text_store.index([p.text_id for p in pairs]),
+        )
 
     def split_sizes(self) -> dict:
         return {s: len(self.pairs_for_split(s)) for s in VALID_SPLITS}
@@ -398,28 +423,18 @@ def build_pairs(
     return PairedDataset(image_store=image_store, text_store=text_store, pairs=pairs)
 
 
-def make_batches(ds: PairedDataset, split, batch_size, seed, drop_last=False) -> list[Batch]:
-    """Split one epoch of a split's pairs into seeded-shuffled batches.
+def make_batches(ds: PairedDataset, split, batch_size, seed) -> np.ndarray:
+    """One epoch of a split as seeded-shuffled batches of pair positions.
 
-    The shuffle is a SplitMix64 Fisher-Yates pass, so the same seed always
-    yields the same batch sequence. When ``drop_last`` is set, a final
-    short batch is discarded; otherwise every pair appears exactly once.
+    Row b of the result holds the positions, in ``ds.split_rows(split)``
+    order, of batch b's pairs. The shuffle is a SplitMix64 Fisher-Yates
+    pass over the positions, so the same seed always yields the same batch
+    sequence. A final short batch is dropped.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = shuffled(ds.pairs_for_split(split), seed)
-    batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
-        batches.append(
-            Batch(
-                text_ids=tuple(p.text_id for p in chunk),
-                image_ids=tuple(p.image_id for p in chunk),
-            )
-        )
-    return batches
+    order = np.array(shuffled(range(len(ds.pairs_for_split(split))), seed), dtype=np.intp)
+    return order[: len(order) - len(order) % batch_size].reshape(-1, batch_size)
 
 
 def synth_dataset(
@@ -496,31 +511,6 @@ def synth_dataset(
     )
 
 
-def jitter_augment(store: EmbeddingStore, sigma, copies, seed) -> EmbeddingStore:
-    """Append ``copies`` Gaussian-jittered replicas of every row.
-
-    Output order is all originals first, then replicas grouped per row
-    (row 0 copy 0, row 0 copy 1, row 1 copy 0, ...), each id suffixed
-    ``"#aug<k>"``. A feature-space stand-in for input-level augmentation;
-    no claim of equivalence.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if copies < 0:
-        raise ValueError("copies must be >= 0")
-    if copies == 0:
-        return EmbeddingStore(ids=store.ids, vectors=store.vectors, kind=store.kind)
-    rng = np.random.default_rng(seed)
-    noise = sigma * rng.standard_normal((len(store) * copies, store.dim))
-    replicas = np.repeat(store.vectors, copies, axis=0) + noise
-    aug_ids = [f"{id_}#aug{k}" for id_ in store.ids for k in range(copies)]
-    return EmbeddingStore(
-        ids=list(store.ids) + aug_ids,
-        vectors=np.vstack([store.vectors, replicas]),
-        kind=store.kind,
-    )
-
-
 def augment_dataset(ds: PairedDataset, sigma, copies, seed) -> PairedDataset:
     """Expand the train split with jittered image replicas.
 
@@ -528,41 +518,43 @@ def augment_dataset(ds: PairedDataset, sigma, copies, seed) -> PairedDataset:
     gains ``copies`` companion pairs whose captions are verbatim copies
     (ids suffixed ``"#aug<k>"``) bound one-to-one to the jittered images,
     keeping the one-pair-per-caption invariant. Val and test are untouched.
+
+    Replicas are appended after the originals, grouped per source row in
+    store order (row 0 copy 0, row 0 copy 1, row 1 copy 0, ...). With
+    ``draws = default_rng(seed).standard_normal((n * copies, dim))`` over
+    the n train images, copy k of the train image at store row r is
+    ``vectors[r] + sigma * draws[j * copies + k]``, j being r's place among
+    the train images. A feature-space stand-in for input-level
+    augmentation; no claim of equivalence.
     """
     if copies == 0:
         return ds
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if copies < 0:
+        raise ValueError("copies must be >= 0")
+    images, texts = ds.image_store, ds.text_store
     train_pairs = ds.pairs_for_split("train")
-    train_images = {p.image_id for p in train_pairs}
-    sub_ids = [i for i in ds.image_store.ids if i in train_images]
-    sub = EmbeddingStore(
-        ids=sub_ids, vectors=ds.image_store.rows(sub_ids), kind=ds.image_store.kind
-    )
-    jittered = jitter_augment(sub, sigma, copies, seed)
-    replica_ids = jittered.ids[len(sub_ids) :]
-    replica_vecs = jittered.vectors[len(sub_ids) :]
-
+    image_rows, text_rows = ds.split_rows("train")
+    train_images = np.unique(image_rows)  # store order
+    draws = np.random.default_rng(seed).standard_normal((len(train_images) * copies, images.dim))
+    image_replicas = np.repeat(images.vectors[train_images], copies, axis=0) + sigma * draws
+    text_replicas = np.repeat(texts.vectors[text_rows], copies, axis=0)
     image_store = EmbeddingStore(
-        ids=list(ds.image_store.ids) + list(replica_ids),
-        vectors=np.vstack([ds.image_store.vectors, replica_vecs]),
-        kind=ds.image_store.kind,
+        ids=images.ids + [f"{images.ids[r]}#aug{k}" for r in train_images for k in range(copies)],
+        vectors=np.vstack([images.vectors, image_replicas]),
+        kind=images.kind,
     )
-
-    new_text_ids = []
-    new_text_rows = []
-    new_pairs = []
-    for p in train_pairs:
-        for k in range(copies):
-            text_id = f"{p.text_id}#aug{k}"
-            new_text_ids.append(text_id)
-            new_text_rows.append(ds.text_store.row(p.text_id))
-            new_pairs.append(
-                Pair(text_id=text_id, image_id=f"{p.image_id}#aug{k}", split="train")
-            )
     text_store = EmbeddingStore(
-        ids=list(ds.text_store.ids) + new_text_ids,
-        vectors=np.vstack([ds.text_store.vectors, np.array(new_text_rows)]),
-        kind=ds.text_store.kind,
+        ids=texts.ids + [f"{p.text_id}#aug{k}" for p in train_pairs for k in range(copies)],
+        vectors=np.vstack([texts.vectors, text_replicas]),
+        kind=texts.kind,
     )
+    new_pairs = [
+        Pair(text_id=f"{p.text_id}#aug{k}", image_id=f"{p.image_id}#aug{k}", split="train")
+        for p in train_pairs
+        for k in range(copies)
+    ]
     return PairedDataset(
         image_store=image_store,
         text_store=text_store,

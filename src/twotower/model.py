@@ -153,7 +153,7 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
         raise DataFormatError("checkpoint header declares non-positive dims")
 
     def block(shape, what):
-        n = int(np.prod(shape))
+        n = math.prod(shape)  # Python ints: huge dims cannot wrap negative
         raw = _read_exact(fh, n * 8, f"checkpoint {what}")
         return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 

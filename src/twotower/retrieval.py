@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingStore, read_store, write_store
-from .errors import DataFormatError, FingerprintMismatchError, ShapeError, TruncatedFileError
+from .data import EmbeddingStore, _read_exact, read_store, write_store
+from .errors import DataFormatError, FingerprintMismatchError, ShapeError
 from .linalg import unit_rows
 from .metrics import MetricsReport, judgments_by_id, metrics_from_ranks
 from .model import DualEncoderModel, model_fingerprint, project
@@ -157,17 +157,14 @@ def save_index(index: RetrievalIndex, path):
 def load_index(path) -> RetrievalIndex:
     with open(path, "rb") as fh:
         store = read_store(fh)
-        prefix = fh.read(4)
-        if len(prefix) != 4:
-            raise TruncatedFileError("index file ends before the fingerprint footer")
-        (length,) = struct.unpack("<I", prefix)
-        raw = fh.read(length)
-        if len(raw) != length:
-            raise TruncatedFileError("index file ends inside the fingerprint footer")
+        (length,) = struct.unpack("<I", _read_exact(fh, 4, "index fingerprint footer length"))
+        raw = _read_exact(fh, length, "index fingerprint footer")
         if fh.read(1):
             raise DataFormatError("trailing data after index footer")
     if store.kind != "projected":
         raise DataFormatError(f"index store must have kind 'projected', got {store.kind!r}")
-    return RetrievalIndex(
-        ids=store.ids, vectors=store.vectors, model_fingerprint=raw.decode("utf-8")
-    )
+    try:
+        fingerprint = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"index fingerprint footer is not valid UTF-8 ({e.reason})") from e
+    return RetrievalIndex(ids=store.ids, vectors=store.vectors, model_fingerprint=fingerprint)

@@ -158,17 +158,16 @@ def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_s
     Deterministic: consecutive chunks of ``batch_size`` pairs, last chunk
     short. Returns the summed batch objectives divided by the pair count.
     """
-    pairs = ds.pairs_for_split(split)
-    if not pairs:
+    image_rows, text_rows = ds.split_rows(split)
+    if not len(image_rows):
         raise ValueError(f"split {split!r} is empty")
     total = 0.0
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        img = ds.image_store.rows([p.image_id for p in chunk])
-        txt = ds.text_store.rows([p.text_id for p in chunk])
+    for start in range(0, len(image_rows), batch_size):
+        img = ds.image_store.vectors[image_rows[start : start + batch_size]]
+        txt = ds.text_store.vectors[text_rows[start : start + batch_size]]
         out, _ = loss_backward(img, txt, model, loss_cfg)
         total += out.total
-    return total / len(pairs)
+    return total / len(image_rows)
 
 
 class _JsonlLog:
@@ -198,14 +197,14 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     the per-epoch train loss is therefore exactly constant.
     """
     t_start = time.perf_counter()
-    train_pairs = ds.pairs_for_split("train")
-    if not train_pairs:
+    image_rows, text_rows = ds.split_rows("train")
+    if not len(image_rows):
         raise ValueError("dataset has an empty train split")
-    if cfg.batch_size > len(train_pairs):
+    if cfg.batch_size > len(image_rows):
         raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds train split size {len(train_pairs)}"
+            f"batch_size {cfg.batch_size} exceeds train split size {len(image_rows)}"
         )
-    batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed, drop_last=True)
+    batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)
     total_steps = cfg.epochs * len(batches)
     has_val = bool(ds.pairs_for_split("val"))
 
@@ -232,8 +231,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
             for batch in batches:
                 step += 1
                 lr = lr_at(step, cfg, total_steps)
-                img = ds.image_store.rows(batch.image_ids)
-                txt = ds.text_store.rows(batch.text_ids)
+                img = ds.image_store.vectors[image_rows[batch]]
+                txt = ds.text_store.vectors[text_rows[batch]]
                 try:
                     out, grads = loss_backward(img, txt, model, cfg.loss)
                 except (ValueError, DegenerateRowError) as e:
@@ -251,7 +250,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                             f"parameter {k!r} became non-finite after step {step} "
                             f"(epoch {epoch}); try a lower lr_max"
                         )
-                n = len(batch.text_ids)
+                n = len(batch)
                 loss_sum += out.total
                 rows += n
                 log.write(

@@ -1,4 +1,9 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,34 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ADDRESS_SPACE_CAP = 2 << 30  # bytes
+
+# The child caps its own address space before importing the package; a
+# preexec_fn would run between fork and exec in this threaded process.
+_CAPPED_CLI = (
+    "import resource, sys; "
+    f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP})); "
+    "from twotower.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_capped(argv):
+    """Run the command line in a child whose address space is capped.
+
+    For hostile headers: a reader that trusted the declared size would fail
+    inside the child on the cap rather than allocate gigabytes.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI] + [str(a) for a in argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +451,51 @@ class TestErrorsAndHelp:
         assert code == 2
         doc = json.loads(err)
         assert doc["error"] == "DataFormatError" and match in doc["message"]
+
+    def test_hostile_store_header_exit_2(self, pipeline, tmp_path):
+        images = tmp_path / "images.emb"
+        images.write_bytes(struct.pack("<4sIQIB7x", b"AZEB", 1, 2**24, 1024, 0).ljust(64, b"\0"))
+        code, _, err = run_capped(
+            ["index", "--checkpoint", pipeline / "model.ckpt", "--images", images,
+             "--out", tmp_path / "o.azi"]
+        )
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["error"] == "TruncatedFileError" and "vector payload" in doc["message"]
+
+    def test_hostile_checkpoint_dims_exit_2(self, pipeline, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        data = bytearray((pipeline / "model.ckpt").read_bytes())
+        data[8:20] = struct.pack("<III", 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        ckpt.write_bytes(bytes(data))
+        code, _, err = run_capped(
+            ["index", "--checkpoint", ckpt, "--images", pipeline / "ds" / "images.emb",
+             "--out", tmp_path / "o.azi"]
+        )
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["error"] == "TruncatedFileError"
+        assert f"wanted {(2**32 - 1) ** 2 * 8} bytes" in doc["message"]
+
+    @pytest.mark.parametrize(
+        "corrupt, kind, match",
+        [
+            (lambda raw: raw[:-68] + struct.pack("<I", 0xFFFFFFFF) + raw[-64:],
+             "TruncatedFileError", "fingerprint footer"),
+            (lambda raw: raw[:-1] + b"\xff", "DataFormatError", "fingerprint footer"),
+        ],
+        ids=["footer-length", "footer-utf8"],
+    )
+    def test_corrupt_index_footer_exit_2(self, pipeline, tmp_path, corrupt, kind, match):
+        idx = tmp_path / "i.azi"
+        idx.write_bytes(corrupt((pipeline / "idx.azi").read_bytes()))
+        code, _, err = run_capped(
+            ["query", "--index", idx, "--checkpoint", pipeline / "model.ckpt",
+             "--embedding", json.dumps([0.1] * 8)]
+        )
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["error"] == kind and match in doc["message"]
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--set", "train.bogus=1"], capsys)

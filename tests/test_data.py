@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from allocation import raises_small
 from twotower.data import (
     CaptionRecord,
     EmbeddingStore,
@@ -12,7 +13,6 @@ from twotower.data import (
     SplitMix64,
     augment_dataset,
     build_pairs,
-    jitter_augment,
     load_embeddings,
     load_manifest,
     make_batches,
@@ -146,9 +146,24 @@ class TestEmbeddingStore:
         np.testing.assert_array_equal(out[0], store.row("id2"))
         np.testing.assert_array_equal(out[1], store.row("id0"))
 
+    def test_rows_are_writable_copies(self):
+        store = small_store(n=3)
+        out = store.rows(["id1"])
+        out[0, 0] += 1.0
+        assert out[0, 0] != store.vectors[1, 0]
+
+    def test_index_resolves_rows_in_order(self):
+        store = small_store(n=4)
+        idx = store.index(["id3", "id0", "id3"])
+        assert idx.dtype == np.intp
+        assert idx.tolist() == [3, 0, 3]
+        assert store.index([]).shape == (0,)
+
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="nope"):
             small_store().row("nope")
+        with pytest.raises(KeyError, match="id 'nope' not in store"):
+            small_store().index(["id0", "nope"])
 
     def test_zero_dim_rejected(self):
         from twotower.errors import ShapeError
@@ -282,6 +297,13 @@ class TestEmbeddingFile:
         with pytest.raises(DataFormatError, match="trailing"):
             load_embeddings(p)
 
+    def test_hostile_payload_size_raises_without_allocating(self, tmp_path):
+        # a 64-byte file whose header declares 2**24 rows of 1024 floats (64 GiB)
+        p = tmp_path / "s.emb"
+        p.write_bytes(struct.pack("<4sIQIB7x", b"AZEB", 1, 2**24, 1024, 0).ljust(64, b"\0"))
+        err = raises_small(TruncatedFileError, load_embeddings, p, match="vector payload")
+        assert f"wanted {2**24 * 1024 * 4} bytes, got 36" in str(err)
+
 
 def toy_dataset(n_pairs=10):
     n = n_pairs
@@ -298,31 +320,47 @@ def toy_dataset(n_pairs=10):
 
 class TestMakeBatches:
     def test_drop_last(self):
-        batches = make_batches(toy_dataset(10), "train", 3, seed=1, drop_last=True)
-        assert len(batches) == 3
-        assert all(len(b.text_ids) == 3 for b in batches)
+        batches = make_batches(toy_dataset(10), "train", 3, seed=1)
+        assert batches.shape == (3, 3)
+        assert batches.dtype == np.intp
 
     def test_keep_last(self):
-        batches = make_batches(toy_dataset(10), "train", 3, seed=1, drop_last=False)
-        assert [len(b.text_ids) for b in batches] == [3, 3, 3, 1]
+        # a final batch is kept when it is full: no pair is dropped
+        batches = make_batches(toy_dataset(12), "train", 3, seed=1)
+        assert sorted(batches.ravel().tolist()) == list(range(12))
 
     def test_same_seed_same_batches(self):
         ds = toy_dataset(12)
         a = make_batches(ds, "train", 4, seed=5)
         b = make_batches(ds, "train", 4, seed=5)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, make_batches(ds, "train", 4, seed=6))
 
     def test_partition_exactly_once(self):
         ds = toy_dataset(11)
-        batches = make_batches(ds, "train", 4, seed=2, drop_last=False)
-        seen = [t for b in batches for t in b.text_ids]
-        assert sorted(seen) == sorted(p.text_id for p in ds.pairs)
+        batches = make_batches(ds, "train", 4, seed=2)
+        seen = batches.ravel().tolist()
+        assert len(set(seen)) == len(seen) == 8
+        assert set(seen) <= set(range(11))
+
+    def test_order_is_the_seeded_shuffle_of_positions(self):
+        batches = make_batches(toy_dataset(11), "train", 4, seed=2)
+        assert batches.ravel().tolist() == shuffled(range(11), 2)[:8]
 
     def test_batch_aligns_pairs(self):
         ds = toy_dataset(8)
+        image_rows, text_rows = ds.split_rows("train")
         for b in make_batches(ds, "train", 4, seed=7):
-            for t, i in zip(b.text_ids, b.image_ids):
-                assert t[1:] == i[1:]  # t3 pairs i3
+            for t, i in zip(text_rows[b], image_rows[b]):
+                assert ds.text_store.ids[t][1:] == ds.image_store.ids[i][1:]  # t3 pairs i3
+
+    def test_positions_follow_the_split(self):
+        ds = toy_dataset(6)
+        pairs = [Pair(f"t{k}", f"i{k}", "val" if k % 2 else "train") for k in range(6)]
+        ds = PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+        batches = make_batches(ds, "val", 3, seed=0)
+        image_rows, _ = ds.split_rows("val")
+        assert sorted(image_rows[batches[0]].tolist()) == [1, 3, 5]
 
     def test_unknown_split(self):
         with pytest.raises(ValueError, match="unknown split"):
@@ -331,6 +369,23 @@ class TestMakeBatches:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             make_batches(toy_dataset(), "train", 0, seed=0)
+
+
+class TestSplitRows:
+    def test_rows_in_pair_order_against_permuted_stores(self):
+        ds = toy_dataset(5)
+        images = EmbeddingStore(
+            ids=ds.image_store.ids[::-1], vectors=ds.image_store.vectors[::-1], kind="image_feature"
+        )
+        pairs = [Pair("t3", "i0", "train"), Pair("t1", "i4", "test"), Pair("t0", "i2", "train")]
+        ds = PairedDataset(image_store=images, text_store=ds.text_store, pairs=pairs)
+        image_rows, text_rows = ds.split_rows("train")
+        assert image_rows.tolist() == [4, 2]
+        assert text_rows.tolist() == [3, 0]
+
+    def test_empty_split(self):
+        image_rows, text_rows = toy_dataset(3).split_rows("val")
+        assert image_rows.shape == text_rows.shape == (0,)
 
 
 class TestSynthDataset:
@@ -381,34 +436,84 @@ class TestSynthDataset:
             synth_dataset(10, 1, latent_dim=0, img_dim=8, txt_dim=8, noise_sigma=0.0, seed=0)
 
 
+def augment_toy(n_pairs, sigma, copies, seed):
+    return augment_dataset(toy_dataset(n_pairs), sigma=sigma, copies=copies, seed=seed)
+
+
 class TestJitterAugment:
     def test_sigma_zero_copies_equal_originals(self):
-        store = small_store(n=4, dim=3)
-        out = jitter_augment(store, sigma=0.0, copies=1, seed=0)
-        np.testing.assert_array_equal(out.vectors[4:], store.vectors)
+        ds = toy_dataset(4)
+        out = augment_toy(4, sigma=0.0, copies=1, seed=0)
+        np.testing.assert_array_equal(out.image_store.vectors[4:], ds.image_store.vectors)
+        np.testing.assert_array_equal(out.text_store.vectors[4:], ds.text_store.vectors)
 
     def test_copies_zero_identity(self):
-        store = small_store(n=4, dim=3)
-        out = jitter_augment(store, sigma=0.5, copies=0, seed=0)
-        assert out.ids == store.ids
-        np.testing.assert_array_equal(out.vectors, store.vectors)
+        ds = toy_dataset(4)
+        assert augment_dataset(ds, sigma=0.5, copies=0, seed=0) is ds
 
     def test_row_count(self):
-        store = small_store(n=10, dim=3)
-        out = jitter_augment(store, sigma=0.1, copies=2, seed=0)
-        assert len(out) == 30
-        assert out.dim == store.dim
+        out = augment_toy(10, sigma=0.1, copies=2, seed=0)
+        assert len(out.image_store) == len(out.text_store) == 30
+        assert out.image_store.dim == 3 and out.text_store.dim == 2
 
     def test_ids_suffixed(self):
-        store = small_store(n=2, dim=3)
-        out = jitter_augment(store, sigma=0.1, copies=2, seed=0)
-        assert out.ids == ["id0", "id1", "id0#aug0", "id0#aug1", "id1#aug0", "id1#aug1"]
+        out = augment_toy(2, sigma=0.1, copies=2, seed=0)
+        assert out.image_store.ids == ["i0", "i1", "i0#aug0", "i0#aug1", "i1#aug0", "i1#aug1"]
+        assert out.text_store.ids == ["t0", "t1", "t0#aug0", "t0#aug1", "t1#aug0", "t1#aug1"]
+        assert out.pairs[2:] == [
+            Pair("t0#aug0", "i0#aug0", "train"),
+            Pair("t0#aug1", "i0#aug1", "train"),
+            Pair("t1#aug0", "i1#aug0", "train"),
+            Pair("t1#aug1", "i1#aug1", "train"),
+        ]
 
     def test_deterministic(self):
-        store = small_store(n=3, dim=4)
-        a = jitter_augment(store, 0.3, 2, seed=11)
-        b = jitter_augment(store, 0.3, 2, seed=11)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        a = augment_toy(3, 0.3, 2, seed=11)
+        b = augment_toy(3, 0.3, 2, seed=11)
+        np.testing.assert_array_equal(a.image_store.vectors, b.image_store.vectors)
+        assert a.pairs == b.pairs
+        c = augment_toy(3, 0.3, 2, seed=12)
+        assert not np.array_equal(a.image_store.vectors, c.image_store.vectors)
+
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError, match="sigma"):
+            augment_toy(3, -0.1, 1, seed=0)
+        with pytest.raises(ValueError, match="copies"):
+            augment_toy(3, 0.1, -1, seed=0)
+
+    def test_replica_is_row_plus_scaled_draw(self):
+        # replica k of train image r is vectors[r] + sigma * draws[pos(r) * copies + k],
+        # pos(r) being r's place among the train images in store order; the stores
+        # are permuted against pair order and one image has two train captions
+        rng = np.random.default_rng(3)
+        images = EmbeddingStore(
+            ids=["i3", "i0", "i2", "i1"], vectors=rng.standard_normal((4, 3)), kind="image_feature"
+        )
+        texts = EmbeddingStore(
+            ids=["t2", "t0", "t3", "t1"], vectors=rng.standard_normal((4, 2)), kind="text_feature"
+        )
+        pairs = [
+            Pair("t0", "i1", "train"),
+            Pair("t1", "i2", "val"),
+            Pair("t2", "i3", "train"),
+            Pair("t3", "i1", "train"),
+        ]
+        ds = PairedDataset(image_store=images, text_store=texts, pairs=pairs)
+        sigma, copies, seed = 0.25, 3, 8
+        out = augment_dataset(ds, sigma=sigma, copies=copies, seed=seed)
+        draws = np.random.default_rng(seed).standard_normal((2 * copies, 3))
+        train_images = ["i3", "i1"]  # store order
+        for pos, image_id in enumerate(train_images):
+            for k in range(copies):
+                np.testing.assert_array_equal(
+                    out.image_store.row(f"{image_id}#aug{k}"),
+                    images.row(image_id) + sigma * draws[pos * copies + k],
+                )
+        assert out.image_store.ids[4:] == [f"{i}#aug{k}" for i in train_images for k in range(3)]
+        for p in out.pairs[4:]:
+            src = p.text_id.rsplit("#aug", 1)[0]
+            np.testing.assert_array_equal(out.text_store.row(p.text_id), texts.row(src))
+            assert p.image_id.rsplit("#aug", 1)[0] == ds.pairs[int(src[1:])].image_id
 
 
 class TestBuildPairs:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from allocation import raises_small
 from twotower.errors import (
     BadMagicError,
     DataFormatError,
@@ -164,6 +165,16 @@ class TestCheckpoint:
         p.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="non-positive dims"):
             load_checkpoint(p)
+
+    def test_huge_dims_raise_without_allocating(self, tmp_path):
+        # 32-bit dims whose block size overflows int64 must not wrap negative
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(make_model(), p)
+        data = bytearray(p.read_bytes())
+        data[8:20] = struct.pack("<III", 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        p.write_bytes(bytes(data))
+        err = raises_small(TruncatedFileError, load_checkpoint, p, match="image weights")
+        assert f"wanted {(2**32 - 1) ** 2 * 8} bytes" in str(err)
 
     @pytest.mark.parametrize("meta", [b'{"a":"\xff"}', b'{"a":1'], ids=["utf8", "json"])
     def test_bad_meta_block_rejected(self, tmp_path, meta):

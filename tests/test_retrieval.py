@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from allocation import raises_small
 from oracles import oracle_topk
 from twotower.data import EmbeddingStore
 from twotower.errors import (
@@ -269,6 +270,25 @@ class TestIndexFile:
         save_index(idx, p)
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(TruncatedFileError):
+            load_index(p)
+
+    def test_hostile_footer_length_raises_without_allocating(self, tmp_path):
+        import struct
+
+        idx, _ = self._index()
+        p = tmp_path / "i.azi"
+        save_index(idx, p)
+        data = p.read_bytes()
+        p.write_bytes(data[:-68] + struct.pack("<I", 0xFFFFFFFF) + data[-64:])
+        err = raises_small(TruncatedFileError, load_index, p, match="fingerprint footer")
+        assert f"wanted {0xFFFFFFFF} bytes, got 64" in str(err)
+
+    def test_footer_not_utf8(self, tmp_path):
+        idx, _ = self._index()
+        p = tmp_path / "i.azi"
+        save_index(idx, p)
+        p.write_bytes(p.read_bytes()[:-1] + b"\xff")
+        with pytest.raises(DataFormatError, match="fingerprint footer is not valid UTF-8"):
             load_index(p)
 
     def test_wrong_kind_rejected(self, tmp_path):

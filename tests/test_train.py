@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twotower.data import synth_dataset
+from twotower.data import EmbeddingStore, PairedDataset, synth_dataset
 from twotower.errors import DivergenceError, ShapeError
 from twotower.loss import LossConfig, loss_backward
 from twotower.model import checkpoint_bytes, init_model
@@ -249,6 +249,46 @@ class TestTrain:
             outs.append({k: v.copy() for k, v in params.items()})
         for key in outs[0]:
             np.testing.assert_array_equal(outs[0][key], outs[1][key])
+
+
+def permuted_stores(ds, seed):
+    """The same pairs over stores whose rows are in a seeded random order."""
+    rng = np.random.default_rng(seed)
+
+    def permute(store):
+        order = rng.permutation(len(store))
+        return EmbeddingStore(
+            ids=[store.ids[i] for i in order], vectors=store.vectors[order], kind=store.kind
+        )
+
+    return PairedDataset(
+        image_store=permute(ds.image_store), text_store=permute(ds.text_store), pairs=ds.pairs
+    )
+
+
+class TestStoreRowOrder:
+    """Pairs address rows by id, so store row order must not change training.
+
+    Synthetic stores hold text rows in pair order; these permute both
+    stores, so code that indexed vectors by pair position would fail here.
+    """
+
+    def test_train_ignores_store_row_order(self):
+        ds = tiny_dataset(seed=20)
+        permuted = permuted_stores(ds, seed=21)
+        assert permuted.text_store.ids != ds.text_store.ids
+        runs = [train(init_model(8, 6, 4, seed=22), d, tiny_cfg()) for d in (ds, permuted)]
+        (best_a, report_a), (best_b, report_b) = runs
+        assert checkpoint_bytes(best_a) == checkpoint_bytes(best_b)
+        assert report_a.train_loss == report_b.train_loss
+        assert report_a.val_loss == report_b.val_loss
+
+    def test_evaluate_loss_ignores_store_row_order(self):
+        ds = tiny_dataset(seed=23)
+        model = init_model(8, 6, 4, seed=24)
+        a = evaluate_loss(model, ds, "val", LossConfig(), batch_size=3)
+        b = evaluate_loss(model, permuted_stores(ds, seed=25), "val", LossConfig(), batch_size=3)
+        assert a == b
 
 
 class TestEvaluateLoss:
