@@ -46,6 +46,7 @@ from .errors import (
     DivergenceError,
     FingerprintMismatchError,
     TwoTowerError,
+    value_errors_as,
 )
 from .loss import LossConfig
 from .metrics import QueryJudgment, format_table
@@ -217,17 +218,18 @@ def _load_dataset(args, cfg):
 def cmd_synth(args) -> int:
     cfg = effective_config(args)
     s = cfg["data"]["synth"]
-    ds = synth_dataset(
-        n_images=s["n_images"],
-        captions_per_image=s["captions_per_image"],
-        latent_dim=s["latent_dim"],
-        img_dim=s["img_dim"],
-        txt_dim=s["txt_dim"],
-        noise_sigma=s["noise_sigma"],
-        seed=cfg["seed"],
-        train_frac=s["train_frac"],
-        val_frac=s["val_frac"],
-    )
+    with value_errors_as(ConfigError):
+        ds = synth_dataset(
+            n_images=s["n_images"],
+            captions_per_image=s["captions_per_image"],
+            latent_dim=s["latent_dim"],
+            img_dim=s["img_dim"],
+            txt_dim=s["txt_dim"],
+            noise_sigma=s["noise_sigma"],
+            seed=cfg["seed"],
+            train_frac=s["train_frac"],
+            val_frac=s["val_frac"],
+        )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(ds.image_store, out / "images.emb")
@@ -281,22 +283,22 @@ def cmd_train(args) -> int:
     cfg = effective_config(args)
     ds = _load_dataset(args, cfg)
     aug = cfg["data"]["augment"]
-    if aug["copies"] > 0:
+    with value_errors_as(ConfigError):
         ds = augment_dataset(ds, sigma=aug["sigma"], copies=aug["copies"], seed=cfg["seed"] + 3)
-    model = init_model(
-        img_dim=ds.image_store.dim,
-        txt_dim=ds.text_store.dim,
-        shared_dim=cfg["model"]["shared_dim"],
-        seed=cfg["seed"] + 1,
-        meta={"config": cfg},
-    )
-    train_cfg = TrainConfig(
-        **cfg["train"],
-        seed=cfg["seed"] + 2,
-        loss=_loss_config(cfg),
-        checkpoint_path=str(args.checkpoint),
-        log_path=str(args.log) if args.log else None,
-    )
+        model = init_model(
+            img_dim=ds.image_store.dim,
+            txt_dim=ds.text_store.dim,
+            shared_dim=cfg["model"]["shared_dim"],
+            seed=cfg["seed"] + 1,
+            meta={"config": cfg},
+        )
+        train_cfg = TrainConfig(
+            **cfg["train"],
+            seed=cfg["seed"] + 2,
+            loss=_loss_config(cfg),
+            checkpoint_path=str(args.checkpoint),
+            log_path=str(args.log) if args.log else None,
+        )
     best, report = train(model, ds, train_cfg)
     payload = report.as_dict()
     wall = payload.pop("wall_seconds")

@@ -20,8 +20,10 @@ file order, 0-based) is addressed as ``"<image_id>#c<j>"``; text embedding
 stores must use the same ids.
 """
 
+import contextlib
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,6 +38,7 @@ from .errors import (
     ManifestError,
     ShapeError,
     TruncatedFileError,
+    value_errors_as,
 )
 
 VALID_SPLITS = ("train", "val", "test")
@@ -262,6 +265,25 @@ def _read_exact(fh, n, what):
     return data
 
 
+@contextlib.contextmanager
+def _write_atomic(path):
+    """Open ``path`` for binary writing; it holds the new bytes or its old ones.
+
+    Writes go to a temporary file beside ``path`` that replaces it on a
+    clean exit and is removed on error. No fsync: this survives a crash of
+    the process, not of the machine.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_store(fh, store: EmbeddingStore):
     """Write a store to a binary file object (see module docstring)."""
     fh.write(
@@ -308,11 +330,12 @@ def read_store(fh) -> EmbeddingStore:
             ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
         except UnicodeDecodeError as e:
             raise DataFormatError(f"id {i} is not valid UTF-8 ({e.reason})") from e
-    return EmbeddingStore(ids=ids, vectors=vectors, kind=CODE_TO_KIND[kind_code])
+    with value_errors_as(DataFormatError):
+        return EmbeddingStore(ids=ids, vectors=vectors, kind=CODE_TO_KIND[kind_code])
 
 
 def save_embeddings(store: EmbeddingStore, path):
-    with open(path, "wb") as fh:
+    with _write_atomic(path) as fh:
         write_store(fh, store)
 
 
@@ -527,12 +550,12 @@ def augment_dataset(ds: PairedDataset, sigma, copies, seed) -> PairedDataset:
     the train images. A feature-space stand-in for input-level
     augmentation; no claim of equivalence.
     """
-    if copies == 0:
-        return ds
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if copies < 0:
         raise ValueError("copies must be >= 0")
+    if copies == 0:
+        return ds
     images, texts = ds.image_store, ds.text_store
     train_pairs = ds.pairs_for_split("train")
     image_rows, text_rows = ds.split_rows("train")

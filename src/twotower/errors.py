@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes (see ``twotower.cli``); library
 callers catch them like any other exception.
 """
 
+import contextlib
+
 
 class TwoTowerError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -60,3 +62,15 @@ class DivergenceError(TwoTowerError):
 
 class FingerprintMismatchError(TwoTowerError):
     """An index was queried with a model other than the one that built it."""
+
+
+@contextlib.contextmanager
+def value_errors_as(kind):
+    """Re-raise a ValueError from the block as ``kind``, keeping its message.
+
+    For outside values a constructor rejects: config values, file contents.
+    """
+    try:
+        yield
+    except ValueError as e:
+        raise kind(str(e)) from e

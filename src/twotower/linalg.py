@@ -5,6 +5,10 @@ Every public function accepts array-likes, computes in float64, and
 guarantees finite output. Reductions run through numpy's fixed evaluation
 order, so repeated calls on identical inputs are bit-reproducible within a
 process.
+
+``l2_normalize_rows`` is the one row normaliser: training and retrieval
+both take their unit rows from it, and a zero row raises
+``DegenerateRowError`` there and nowhere else.
 """
 
 from typing import NamedTuple
@@ -28,43 +32,31 @@ def as_matrix(x, name="matrix") -> np.ndarray:
 
 
 class NormalizedRows(NamedTuple):
-    matrix: np.ndarray
-    degenerate: np.ndarray  # bool per row; True where the input row was ~zero
+    matrix: np.ndarray  # the rows scaled to unit norm
+    norms: np.ndarray   # each input row's Euclidean norm, all >= ZERO_NORM_EPS
 
 
-def l2_normalize_rows(m) -> NormalizedRows:
-    """Scale each row to unit Euclidean norm.
+def l2_normalize_rows(m, what, ids) -> NormalizedRows:
+    """Scale each row to unit Euclidean norm, raising on the first zero row.
 
-    Rows with norm below ``ZERO_NORM_EPS`` cannot be normalized; they come
-    back as all-zero rows, flagged in ``degenerate``. Callers decide whether
-    a degenerate row is an error.
+    A row with norm below ``ZERO_NORM_EPS`` has no direction, so no cosine
+    can be taken with it: it raises DegenerateRowError naming the row as
+    ``"<what> row <i>"``, or as ``"<what> <id>"`` when ``ids`` (one per
+    row) is given, with ``row`` and ``row_id`` set. The norms come back
+    with the unit rows, for the backward pass through the normalization.
     """
     m = as_matrix(m)
     with np.errstate(over="ignore"):
         norms = np.sqrt((m * m).sum(axis=1))
     if not np.isfinite(norms).all():
         raise ValueError("row norms overflowed to non-finite values")
-    degenerate = norms < ZERO_NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    out = m / safe[:, None]
-    out[degenerate] = 0.0
-    return NormalizedRows(out, degenerate)
-
-
-def unit_rows(m, what, ids) -> np.ndarray:
-    """Rows of a projection scaled to unit norm, raising on the first zero row.
-
-    A zero row has no direction, so no cosine can be taken with it. The
-    error names the row as ``"<what> row <i>"``, or as ``"<what> <id>"``
-    when ``ids`` (one per row) is given, and carries ``row`` and ``row_id``.
-    """
-    normed, bad = l2_normalize_rows(m)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+    zero = norms < ZERO_NORM_EPS
+    if zero.any():
+        i = int(zero.argmax())
         row_id = None if ids is None else ids[i]
         name = f"row {i}" if ids is None else repr(row_id)
         raise DegenerateRowError(f"{what} {name} projects to a zero vector", row=i, row_id=row_id)
-    return normed
+    return NormalizedRows(m / norms[:, None], norms)
 
 
 def log_softmax_rows(m) -> np.ndarray:

@@ -20,6 +20,9 @@ hardest-negative penalty (see ``contrastive_loss``); it is off by default.
 Deterministic subgradient conventions: the hinge contributes zero gradient
 exactly at its kink, and min/max ties over off-diagonal entries resolve to
 the lowest column index.
+
+Training and validation share one forward pass, ``loss_forward``;
+``loss_backward`` continues from it to the parameter gradients.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_matrix, log_softmax_rows, unit_rows
+from .linalg import as_matrix, l2_normalize_rows, log_softmax_rows
 from .model import DualEncoderModel, project
 
 MARGIN_MODES = ("literal", "hard_negative")
@@ -161,19 +164,12 @@ def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
     )
 
 
-def _rownorm_backward(p, u, du):
-    # d/dp of p/|p| applied to upstream du: (du - (du . u) u) / |p|
-    norms = np.sqrt((p * p).sum(axis=1))
-    proj = (du * u).sum(axis=1, keepdims=True)
-    return (du - proj * u) / norms[:, None]
-
-
-def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
-    """Forward and backward pass through both heads for one batch.
+def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
+    """The objective on one batch, with no parameter gradients.
 
     Chains project -> row L2-normalization -> cosine / temperature ->
-    ``contrastive_loss``, all with closed-form Jacobians. Returns the
-    LossOutput and the Gradients for the four parameter blocks.
+    ``contrastive_loss``. Returns the LossOutput and the image and text
+    NormalizedRows, which ``loss_backward`` reuses.
     """
     img_feat = as_matrix(img_feat, "image features")
     txt_feat = as_matrix(txt_feat, "text features")
@@ -181,23 +177,31 @@ def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
         raise ShapeError(
             f"batch sizes differ: {img_feat.shape[0]} images vs {txt_feat.shape[0]} texts"
         )
-    p_img = project(model.image_head, img_feat)
-    p_txt = project(model.text_head, txt_feat)
-    u_img = unit_rows(p_img, "image", None)
-    u_txt = unit_rows(p_txt, "text", None)
+    img = l2_normalize_rows(project(model.image_head, img_feat), "image", None)
+    txt = l2_normalize_rows(project(model.text_head, txt_feat), "text", None)
+    return contrastive_loss((img.matrix @ txt.matrix.T) / cfg.temperature, cfg), img, txt
 
-    s = (u_img @ u_txt.T) / cfg.temperature
-    out = contrastive_loss(s, cfg)
 
+def _rownorm_backward(rows, du):
+    # d/dp of p/|p| applied to upstream du: (du - (du . u) u) / |p|
+    proj = (du * rows.matrix).sum(axis=1, keepdims=True)
+    return (du - proj * rows.matrix) / rows.norms[:, None]
+
+
+def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
+    """Forward and backward pass through both heads for one batch.
+
+    Runs ``loss_forward``, then its closed-form Jacobians in reverse.
+    Returns the LossOutput and the Gradients for the four parameter blocks.
+    """
+    out, img, txt = loss_forward(img_feat, txt_feat, model, cfg)
     g = out.grad_sim / cfg.temperature
-    d_u_img = g @ u_txt
-    d_u_txt = g.T @ u_img
-    d_p_img = _rownorm_backward(p_img, u_img, d_u_img)
-    d_p_txt = _rownorm_backward(p_txt, u_txt, d_u_txt)
-    grads = Gradients(
-        image_w=img_feat.T @ d_p_img,
+    d_p_img = _rownorm_backward(img, g @ txt.matrix)
+    d_p_txt = _rownorm_backward(txt, g.T @ img.matrix)
+    grads = Gradients(  # loss_forward has checked the features
+        image_w=np.asarray(img_feat, dtype=np.float64).T @ d_p_img,
         image_b=d_p_img.sum(axis=0),
-        text_w=txt_feat.T @ d_p_txt,
+        text_w=np.asarray(txt_feat, dtype=np.float64).T @ d_p_txt,
         text_b=d_p_txt.sum(axis=0),
     )
     return out, grads

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _read_exact
-from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError
+from .data import _read_exact, _write_atomic
+from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError, value_errors_as
 from .linalg import as_matrix
 
 CKPT_MAGIC = b"AZCK"
@@ -137,7 +137,7 @@ def checkpoint_bytes(model: DualEncoderModel) -> bytes:
 
 
 def save_checkpoint(model: DualEncoderModel, path):
-    with open(path, "wb") as fh:
+    with _write_atomic(path) as fh:
         fh.write(checkpoint_bytes(model))
 
 
@@ -168,12 +168,13 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
         raise DataFormatError(f"checkpoint meta block is not UTF-8 JSON: {e}") from e
     if fh.read(1):
         raise DataFormatError("checkpoint has trailing data beyond the declared blocks")
-    return DualEncoderModel(
-        image_head=ProjectionHead(w=image_w, b=image_b),
-        text_head=ProjectionHead(w=text_w, b=text_b),
-        shared_dim=shared_dim,
-        meta=meta,
-    )
+    with value_errors_as(DataFormatError):
+        return DualEncoderModel(
+            image_head=ProjectionHead(w=image_w, b=image_b),
+            text_head=ProjectionHead(w=text_w, b=text_b),
+            shared_dim=shared_dim,
+            meta=meta,
+        )
 
 
 def load_checkpoint(path) -> DualEncoderModel:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingStore, _read_exact, read_store, write_store
-from .errors import DataFormatError, FingerprintMismatchError, ShapeError
-from .linalg import unit_rows
+from .data import EmbeddingStore, _read_exact, _write_atomic, read_store, write_store
+from .errors import DataFormatError, FingerprintMismatchError, ShapeError, value_errors_as
+from .linalg import l2_normalize_rows
 from .metrics import MetricsReport, judgments_by_id, metrics_from_ranks
 from .model import DualEncoderModel, model_fingerprint, project
 
@@ -70,9 +70,9 @@ def build_index(model: DualEncoderModel, images: EmbeddingStore) -> RetrievalInd
         raise ValueError(
             f"index must be built from an image_feature store, got kind {images.kind!r}"
         )
-    normed = unit_rows(project(model.image_head, images.vectors), "image", images.ids)
+    normed = l2_normalize_rows(project(model.image_head, images.vectors), "image", images.ids)
     return RetrievalIndex(
-        ids=list(images.ids), vectors=normed, model_fingerprint=model_fingerprint(model)
+        ids=list(images.ids), vectors=normed.matrix, model_fingerprint=model_fingerprint(model)
     )
 
 
@@ -95,8 +95,8 @@ def _scored(index, model, texts: EmbeddingStore, ids):
     """
     _check_fingerprint(index, model)
     for qid in ids:
-        normed = unit_rows(project(model.text_head, texts.row(qid)[None, :]), "query", [qid])
-        yield qid, (index.vectors * normed[0]).sum(axis=1)
+        normed = l2_normalize_rows(project(model.text_head, texts.row(qid)[None, :]), "query", [qid])
+        yield qid, (index.vectors * normed.matrix[0]).sum(axis=1)
 
 
 def query(index, model, text_feature, k, query_id="query") -> RankedResult:
@@ -148,7 +148,7 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
 def save_index(index: RetrievalIndex, path):
     store = EmbeddingStore(ids=index.ids, vectors=index.vectors, kind="projected")
     raw = index.model_fingerprint.encode("utf-8")
-    with open(path, "wb") as fh:
+    with _write_atomic(path) as fh:
         write_store(fh, store)
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
@@ -167,4 +167,5 @@ def load_index(path) -> RetrievalIndex:
         fingerprint = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"index fingerprint footer is not valid UTF-8 ({e.reason})") from e
-    return RetrievalIndex(ids=store.ids, vectors=store.vectors, model_fingerprint=fingerprint)
+    with value_errors_as(DataFormatError):
+        return RetrievalIndex(ids=store.ids, vectors=store.vectors, model_fingerprint=fingerprint)

@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import PairedDataset, make_batches
+from .data import PairedDataset, _write_atomic, make_batches
 from .errors import DegenerateRowError, DivergenceError, ShapeError
-from .loss import LossConfig, loss_backward
+from .loss import LossConfig, loss_backward, loss_forward
 from .model import DualEncoderModel, checkpoint_bytes, checkpoint_from_bytes
 
 PARAM_KEYS = ("image_w", "image_b", "text_w", "text_b")
@@ -157,6 +157,7 @@ def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_s
 
     Deterministic: consecutive chunks of ``batch_size`` pairs, last chunk
     short. Returns the summed batch objectives divided by the pair count.
+    Runs the forward pass only; no gradients are formed.
     """
     image_rows, text_rows = ds.split_rows(split)
     if not len(image_rows):
@@ -165,7 +166,7 @@ def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_s
     for start in range(0, len(image_rows), batch_size):
         img = ds.image_store.vectors[image_rows[start : start + batch_size]]
         txt = ds.text_store.vectors[text_rows[start : start + batch_size]]
-        out, _ = loss_backward(img, txt, model, loss_cfg)
+        out, _, _ = loss_forward(img, txt, model, loss_cfg)
         total += out.total
     return total / len(image_rows)
 
@@ -275,7 +276,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                 writes += 1
                 best_snapshot = checkpoint_bytes(model)
                 if cfg.checkpoint_path:
-                    with open(cfg.checkpoint_path, "wb") as fh:
+                    with _write_atomic(cfg.checkpoint_path) as fh:
                         fh.write(best_snapshot)
             train_losses.append(train_loss)
             val_losses.append(val)

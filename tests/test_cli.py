@@ -497,6 +497,70 @@ class TestErrorsAndHelp:
         doc = json.loads(err)
         assert doc["error"] == kind and match in doc["message"]
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "train.epochs=0",
+            "train.batch_size=1",
+            "loss.temperature=0",
+            "model.shared_dim=0",
+            "data.augment.copies=-1",
+            "data.augment.sigma=-1",
+        ],
+    )
+    def test_out_of_range_train_config_exit_1(self, pipeline, tmp_path, capsys, setting):
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(
+            ["train", "--manifest", str(pipeline / "ds" / "manifest.jsonl"),
+             "--images", str(pipeline / "ds" / "images.emb"),
+             "--texts", str(pipeline / "ds" / "texts.emb"),
+             "--checkpoint", str(ckpt)] + SMALL + FAST_TRAIN + ["--set", setting],
+            capsys,
+        )
+        assert code == 1, err
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not ckpt.exists()
+
+    def test_out_of_range_synth_config_exit_1(self, tmp_path, capsys):
+        code, _, err = run(
+            ["synth", "--out-dir", str(tmp_path / "d"), "--set", "data.synth.noise_sigma=-1"], capsys
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "target, offset, raw, match",
+        [
+            ("images.emb", 28, struct.pack("<f", np.nan), "non-finite"),
+            ("images.emb", -1, b"0", "unique"),  # last id 'img29' becomes 'img20'
+            ("model.ckpt", 20, struct.pack("<d", np.inf), "non-finite"),
+            ("idx.azi", 28, struct.pack("<f", 5.0), "norm"),
+        ],
+        ids=["store-nan", "store-duplicate-id", "checkpoint-inf", "index-row-norm"],
+    )
+    def test_corrupt_contents_exit_2(self, pipeline, tmp_path, capsys, target, offset, raw, match):
+        files = {
+            "images.emb": pipeline / "ds" / "images.emb",
+            "model.ckpt": pipeline / "model.ckpt",
+            "idx.azi": pipeline / "idx.azi",
+        }
+        data = bytearray(files[target].read_bytes())
+        at = offset % len(data)
+        data[at : at + len(raw)] = raw
+        files[target] = tmp_path / target
+        files[target].write_bytes(bytes(data))
+        argv = (
+            ["query", "--index", files["idx.azi"], "--checkpoint", files["model.ckpt"],
+             "--embedding", json.dumps([0.1] * 8)]
+            if target == "idx.azi"
+            else ["index", "--checkpoint", files["model.ckpt"], "--images", files["images.emb"],
+                  "--out", tmp_path / "o.azi"]
+        )
+        code, _, err = run([str(a) for a in argv], capsys)
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["error"] == "DataFormatError" and match in doc["message"]
+
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--set", "train.bogus=1"], capsys)
         assert code == 1

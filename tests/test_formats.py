@@ -1,0 +1,171 @@
+"""Properties of the three binary formats: store, checkpoint and index.
+
+Each format round-trips, every proper prefix of a valid file raises a
+DataFormatError, and every single-byte change either loads or raises one
+of the package's own errors. Writes are atomic: a failed save leaves the
+previous file and no temporary file behind.
+"""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
+from twotower.errors import DataFormatError, TwoTowerError
+from twotower.model import (
+    DualEncoderModel,
+    ProjectionHead,
+    checkpoint_bytes,
+    load_checkpoint,
+    save_checkpoint,
+)
+from twotower.retrieval import RetrievalIndex, load_index, save_index
+
+# Derandomized and without an example database, so the suite is the same
+# on every run; each example loads a few hundred variants of one file.
+FEW = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+FORMATS = {
+    "store": (save_embeddings, load_embeddings),
+    "checkpoint": (save_checkpoint, load_checkpoint),
+    "index": (save_index, load_index),
+}
+
+
+def ids(n):
+    return st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n, unique=True)
+
+
+def finite(width):
+    return st.floats(allow_nan=False, allow_infinity=False, width=width)
+
+
+@st.composite
+def stores(draw):
+    n, dim = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    vectors = draw(hnp.arrays(np.float32, (n, dim), elements=finite(32)))
+    kind = draw(st.sampled_from(["image_feature", "text_feature", "projected"]))
+    return EmbeddingStore(ids=draw(ids(n)), vectors=vectors.astype(np.float64), kind=kind)
+
+
+@st.composite
+def models(draw):
+    d_img, d_txt, d = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def head(d_in):
+        return ProjectionHead(
+            w=draw(hnp.arrays(np.float64, (d_in, d), elements=finite(64))),
+            b=draw(hnp.arrays(np.float64, (d,), elements=finite(64))),
+        )
+
+    meta = draw(st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3))
+    return DualEncoderModel(image_head=head(d_img), text_head=head(d_txt), shared_dim=d, meta=meta)
+
+
+@st.composite
+def indexes(draw):
+    n, dim = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    rows = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-1e3, 1e3)))
+    rows[:, 0] += np.where(rows[:, 0] < 0, -1.0, 1.0)  # no row near zero
+    unit = rows / np.sqrt((rows * rows).sum(axis=1))[:, None]
+    fingerprint = draw(st.text(min_size=1, max_size=70))
+    return RetrievalIndex(ids=draw(ids(n)), vectors=unit, model_fingerprint=fingerprint)
+
+
+ARTIFACTS = {"store": stores(), "checkpoint": models(), "index": indexes()}
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats") / "artifact"
+
+
+def file_bytes(kind, path, obj):
+    FORMATS[kind][0](obj, path)
+    return path.read_bytes()
+
+
+def load_bytes(kind, path, raw):
+    path.write_bytes(raw)
+    return FORMATS[kind][1](path)
+
+
+def read_back(kind, a, b):
+    """Whether ``b`` is ``a`` read back; stores and indexes hold float32 vectors."""
+    if kind == "checkpoint":
+        return checkpoint_bytes(b) == checkpoint_bytes(a)
+    tag = "model_fingerprint" if kind == "index" else "kind"
+    return (
+        getattr(a, tag) == getattr(b, tag)
+        and a.ids == b.ids
+        and np.array_equal(a.vectors.astype(np.float32), b.vectors)
+    )
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+@FEW
+@given(data=st.data())
+def test_round_trip(path, kind, data):
+    obj = data.draw(ARTIFACTS[kind])
+    assert read_back(kind, obj, load_bytes(kind, path, file_bytes(kind, path, obj)))
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+@FEW
+@given(data=st.data())
+def test_every_proper_prefix_raises_data_format_error(path, kind, data):
+    raw = file_bytes(kind, path, data.draw(ARTIFACTS[kind]))
+    for end in range(len(raw)):
+        with pytest.raises(DataFormatError):
+            load_bytes(kind, path, raw[:end])
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+@FEW
+@given(data=st.data(), mask=st.integers(1, 255))
+def test_every_byte_flip_loads_or_raises_a_package_error(path, kind, data, mask):
+    raw = file_bytes(kind, path, data.draw(ARTIFACTS[kind]))
+    for at in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[at] ^= mask
+        try:
+            load_bytes(kind, path, bytes(flipped))
+        except TwoTowerError:
+            pass
+
+
+LONG_ID = "x" * 0x10000  # one byte past the u16 id length prefix
+
+
+@pytest.mark.parametrize(
+    "kind, good, bad, error",
+    [
+        ("store",
+         EmbeddingStore(ids=["a"], vectors=[[1.0, 0.0]], kind="text_feature"),
+         EmbeddingStore(ids=["a", LONG_ID], vectors=[[1.0, 0.0], [0.0, 1.0]], kind="text_feature"),
+         ValueError),
+        ("checkpoint",
+         DualEncoderModel(ProjectionHead(np.eye(2), np.zeros(2)), ProjectionHead(np.eye(2), np.zeros(2)), 2),
+         DualEncoderModel(ProjectionHead(np.eye(2), np.zeros(2)), ProjectionHead(np.eye(2), np.zeros(2)), 2,
+                          meta={"unserialisable": object()}),
+         TypeError),
+        ("index",
+         RetrievalIndex(ids=["a"], vectors=[[1.0, 0.0]], model_fingerprint="f"),
+         RetrievalIndex(ids=["a", LONG_ID], vectors=[[1.0, 0.0], [0.0, 1.0]], model_fingerprint="f"),
+         ValueError),
+    ],
+    ids=["store", "checkpoint", "index"],
+)
+def test_failed_save_keeps_previous_file(tmp_path, kind, good, bad, error):
+    save, _ = FORMATS[kind]
+    path = tmp_path / "artifact"
+    save(good, path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        save(bad, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]

@@ -1,9 +1,11 @@
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from twotower import loss as loss_module
 from twotower.data import EmbeddingStore, PairedDataset, synth_dataset
 from twotower.errors import DivergenceError, ShapeError
 from twotower.loss import LossConfig, loss_backward
@@ -298,6 +300,31 @@ class TestEvaluateLoss:
         a = evaluate_loss(model, ds, "val", LossConfig(), batch_size=4)
         b = evaluate_loss(model, ds, "val", LossConfig(), batch_size=4)
         assert a == b
+
+    def test_forward_only_equals_chunked_loss_backward(self, monkeypatch):
+        ds = tiny_dataset(seed=26, n_images=60)
+        model = init_model(8, 6, 4, seed=27)
+        cfg = LossConfig(symmetric=True)
+        image_rows, text_rows = ds.split_rows("val")
+        assert len(image_rows) % 5  # the last chunk is short
+        expected = sum(
+            loss_backward(
+                ds.image_store.vectors[image_rows[i : i + 5]],
+                ds.text_store.vectors[text_rows[i : i + 5]],
+                model,
+                cfg,
+            )[0].total
+            for i in range(0, len(image_rows), 5)
+        ) / len(image_rows)
+
+        def no_backward(*args):
+            raise AssertionError("validation ran a backward pass")
+
+        train_module = importlib.import_module("twotower.train")  # not the train function
+        monkeypatch.setattr(loss_module, "_rownorm_backward", no_backward)
+        monkeypatch.setattr(loss_module, "loss_backward", no_backward)
+        monkeypatch.setattr(train_module, "loss_backward", no_backward)
+        assert evaluate_loss(model, ds, "val", cfg, batch_size=5) == expected
 
     def test_empty_split_rejected(self):
         ds = synth_dataset(
