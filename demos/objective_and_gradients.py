@@ -38,8 +38,10 @@ print("N=1 batch:", tt.contrastive_loss([[3.7]], cfg).total)
 # ## Analytic gradients vs central finite differences
 #
 # `loss_backward` chains the loss through cosine similarity, row
-# normalization, and both linear heads in closed form. Spot-check one
-# random weight against (f(w+h) - f(w-h)) / 2h.
+# normalization, and both linear heads in closed form. It returns the
+# gradient as one vector laid out like `model.params`, the flat buffer that
+# holds all four parameter blocks; `model.blocks` names its parts.
+# Spot-check one random weight against (f(w+h) - f(w-h)) / 2h.
 
 # %%
 rng = np.random.default_rng(0)
@@ -50,8 +52,8 @@ txt = rng.standard_normal((4, 5))
 _, grads = tt.loss_backward(img, txt, model, cfg)
 
 h = 1e-5
-w = model.image_head.w
-analytic = grads.image_w[2, 1]
+w = model.image_head.w  # a view into model.params
+analytic = model.blocks(grads)["image_w"][2, 1]
 orig = w[2, 1]
 w[2, 1] = orig + h
 up, _ = tt.loss_backward(img, txt, model, cfg)
@@ -62,21 +64,16 @@ numeric = (up.total - down.total) / (2 * h)
 print(f"image_w[2,1]: analytic {analytic:.10f}  finite-diff {numeric:.10f}  "
       f"|diff| {abs(analytic - numeric):.2e}")
 
-# %% and the full check over every parameter of every block
-from twotower.train import model_params
-
-worst = 0.0
-for key, got in grads.as_dict().items():
-    params = model_params(model)[key]
-    fd = np.zeros_like(params)
-    flat, fdflat = params.reshape(-1), fd.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up, _ = tt.loss_backward(img, txt, model, cfg)
-        flat[i] = orig - h
-        down, _ = tt.loss_backward(img, txt, model, cfg)
-        flat[i] = orig
-        fdflat[i] = (up.total - down.total) / (2 * h)
-    worst = max(worst, np.abs(got - fd).max())
-print(f"worst |analytic - finite difference| over all parameters: {worst:.2e}")
+# %% and the full check: one loop over every entry of model.params
+fd = np.zeros_like(model.params)
+for i in range(model.params.size):
+    orig = model.params[i]
+    model.params[i] = orig + h
+    up, _ = tt.loss_backward(img, txt, model, cfg)
+    model.params[i] = orig - h
+    down, _ = tt.loss_backward(img, txt, model, cfg)
+    model.params[i] = orig
+    fd[i] = (up.total - down.total) / (2 * h)
+for name, diff in model.blocks(np.abs(grads - fd)).items():
+    print(f"{name:8s} worst |analytic - finite difference|: {diff.max():.2e}")
+print(f"worst over all {model.params.size} parameters: {np.abs(grads - fd).max():.2e}")

@@ -348,6 +348,8 @@ def _query_vector(args):
 
 
 def cmd_query(args) -> int:
+    if args.k < 1:
+        raise _UsageError(f"--k must be >= 1, got {args.k}")
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     vec, qid = _query_vector(args)

@@ -76,24 +76,6 @@ class LossOutput:
     per_row_min_offdiag: np.ndarray
 
 
-@dataclass
-class Gradients:
-    """d total / d parameter for the four parameter blocks."""
-
-    image_w: np.ndarray
-    image_b: np.ndarray
-    text_w: np.ndarray
-    text_b: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "image_w": self.image_w,
-            "image_b": self.image_b,
-            "text_w": self.text_w,
-            "text_b": self.text_b,
-        }
-
-
 def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
     """Evaluate the objective on a square logit matrix and differentiate it.
 
@@ -192,16 +174,18 @@ def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
     """Forward and backward pass through both heads for one batch.
 
     Runs ``loss_forward``, then its closed-form Jacobians in reverse.
-    Returns the LossOutput and the Gradients for the four parameter blocks.
+    Returns the LossOutput and the gradient as one vector in the layout of
+    ``model.params``.
     """
     out, img, txt = loss_forward(img_feat, txt_feat, model, cfg)
     g = out.grad_sim / cfg.temperature
     d_p_img = _rownorm_backward(img, g @ txt.matrix)
     d_p_txt = _rownorm_backward(txt, g.T @ img.matrix)
-    grads = Gradients(  # loss_forward has checked the features
-        image_w=np.asarray(img_feat, dtype=np.float64).T @ d_p_img,
-        image_b=d_p_img.sum(axis=0),
-        text_w=np.asarray(txt_feat, dtype=np.float64).T @ d_p_txt,
-        text_b=d_p_txt.sum(axis=0),
-    )
+    grads = np.empty_like(model.params)
+    blocks = model.blocks(grads)
+    # loss_forward has checked the features
+    np.matmul(np.asarray(img_feat, dtype=np.float64).T, d_p_img, out=blocks["image_w"])
+    d_p_img.sum(axis=0, out=blocks["image_b"])
+    np.matmul(np.asarray(txt_feat, dtype=np.float64).T, d_p_txt, out=blocks["text_w"])
+    d_p_txt.sum(axis=0, out=blocks["text_b"])
     return out, grads

@@ -1,10 +1,17 @@
 """The trainable artifact: two linear projection heads over precomputed features.
 
+All trainable parameters live in one contiguous float64 vector,
+``DualEncoderModel.params``. It holds four row-major blocks in checkpoint
+order: image weights (image input x shared), image bias (shared), text
+weights (text input x shared), text bias (shared). ``image_head.w/.b`` and
+``text_head.w/.b`` are views into it. The gradient and the optimizer moments use
+the same layout, and ``DualEncoderModel.blocks`` gives the named views of
+any vector in it; no other module knows the layout.
+
 Checkpoint format (binary, little-endian): magic "AZCK", version u32=1,
-dims u32 x 3 (image input, text input, shared output), then float64
-parameter blocks row-major in declared order (image weights, image bias,
-text weights, text bias), then a u32 byte length followed by a canonical
-UTF-8 JSON echo of the model's config metadata.
+dims u32 x 3 (image input, text input, shared output), then ``params`` as
+float64, then a u32 byte length followed by a canonical UTF-8 JSON echo of
+the model's config metadata.
 """
 
 import hashlib
@@ -27,14 +34,18 @@ _CKPT_HEADER = struct.Struct("<4sIIII")
 
 @dataclass
 class ProjectionHead:
-    """One linear map from a native feature space into the shared space."""
+    """One linear map from a native feature space into the shared space.
+
+    Float64 arrays are kept as given, not copied; a model copies its heads
+    into its own buffer.
+    """
 
     w: np.ndarray  # (d_in, d_out)
     b: np.ndarray  # (d_out,)
 
     def __post_init__(self):
-        self.w = np.array(self.w, dtype=np.float64, order="C", copy=True)
-        self.b = np.array(self.b, dtype=np.float64, copy=True)
+        self.w = np.asarray(self.w, dtype=np.float64, order="C")
+        self.b = np.asarray(self.b, dtype=np.float64)
         if self.w.ndim != 2:
             raise ShapeError(f"weights must be 2-D, got shape {self.w.shape}")
         if self.b.shape != (self.w.shape[1],):
@@ -57,14 +68,17 @@ class ProjectionHead:
 class DualEncoderModel:
     """Image-side and text-side heads sharing one output dimension.
 
-    ``meta`` is a free-form JSON-serializable config echo persisted with
-    checkpoints (upstream encoder names, effective run config, and so on).
+    Construction copies both heads' arrays into ``params`` and replaces the
+    heads with new ones viewing it, so the model never aliases its caller's
+    arrays. ``meta`` is a free-form JSON-serializable config echo persisted
+    with checkpoints (upstream encoder names, effective run config, and so on).
     """
 
     image_head: ProjectionHead
     text_head: ProjectionHead
     shared_dim: int
     meta: dict = field(default_factory=dict)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.image_head.d_out != self.shared_dim or self.text_head.d_out != self.shared_dim:
@@ -72,6 +86,27 @@ class DualEncoderModel:
                 f"head outputs ({self.image_head.d_out}, {self.text_head.d_out}) "
                 f"must equal shared_dim {self.shared_dim}"
             )
+        heads = (self.image_head, self.text_head)
+        self.params = np.concatenate([a.ravel() for h in heads for a in (h.w, h.b)])
+        views = self.blocks(self.params)
+        self.image_head = ProjectionHead(views["image_w"], views["image_b"])
+        self.text_head = ProjectionHead(views["text_w"], views["text_b"])
+
+    def blocks(self, flat) -> dict:
+        """Views of ``flat``, a vector in the ``params`` layout, keyed by block name."""
+        d = self.shared_dim
+        shapes = {
+            "image_w": (self.image_head.d_in, d),
+            "image_b": (d,),
+            "text_w": (self.text_head.d_in, d),
+            "text_b": (d,),
+        }
+        views, start = {}, 0
+        for name, shape in shapes.items():
+            end = start + math.prod(shape)
+            views[name] = flat[start:end].reshape(shape)
+            start = end
+        return views
 
 
 def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderModel:
@@ -118,22 +153,11 @@ def _meta_bytes(meta: dict) -> bytes:
 
 def checkpoint_bytes(model: DualEncoderModel) -> bytes:
     """Serialize a model to its canonical checkpoint byte string."""
-    buf = io.BytesIO()
-    buf.write(
-        _CKPT_HEADER.pack(
-            CKPT_MAGIC,
-            CKPT_VERSION,
-            model.image_head.d_in,
-            model.text_head.d_in,
-            model.shared_dim,
-        )
+    header = _CKPT_HEADER.pack(
+        CKPT_MAGIC, CKPT_VERSION, model.image_head.d_in, model.text_head.d_in, model.shared_dim
     )
-    for block in (model.image_head.w, model.image_head.b, model.text_head.w, model.text_head.b):
-        buf.write(block.astype("<f8").tobytes(order="C"))
     meta = _meta_bytes(model.meta)
-    buf.write(struct.pack("<I", len(meta)))
-    buf.write(meta)
-    return buf.getvalue()
+    return header + model.params.astype("<f8").tobytes() + struct.pack("<I", len(meta)) + meta
 
 
 def save_checkpoint(model: DualEncoderModel, path):
@@ -155,7 +179,7 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
     def block(shape, what):
         n = math.prod(shape)  # Python ints: huge dims cannot wrap negative
         raw = _read_exact(fh, n * 8, f"checkpoint {what}")
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
     image_w = block((img_dim, shared_dim), "image weights")
     image_b = block((shared_dim,), "image bias")

@@ -19,11 +19,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import PairedDataset, _write_atomic, make_batches
-from .errors import DegenerateRowError, DivergenceError, ShapeError
+from .errors import ConfigError, DegenerateRowError, DivergenceError, ShapeError
 from .loss import LossConfig, loss_backward, loss_forward
 from .model import DualEncoderModel, checkpoint_bytes, checkpoint_from_bytes
-
-PARAM_KEYS = ("image_w", "image_b", "text_w", "text_b")
 
 
 @dataclass(frozen=True)
@@ -65,18 +63,15 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """AdamW first/second-moment accumulators plus the step counter."""
+    """AdamW first/second-moment vectors, shaped like the parameters, and the step counter."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 @dataclass
@@ -120,36 +115,27 @@ def adamw_step(params, grads, state: OptimizerState, lr, cfg: TrainConfig):
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
 
     with bias-corrected m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t).
+    ``params``, ``grads`` and the moments are vectors of one shape, such as
+    ``model.params``; each line is one pass over the whole vector, the way
+    fused multi-tensor AdamW runs, in the rounding order of the formula.
     """
-    for k, p in params.items():
-        if k not in grads:
-            raise ShapeError(f"missing gradient for parameter {k!r}")
-        if grads[k].shape != p.shape:
-            raise ShapeError(
-                f"gradient shape {grads[k].shape} does not match parameter "
-                f"{k!r} shape {p.shape}"
-            )
+    if grads.shape != params.shape:
+        raise ShapeError(
+            f"gradient shape {grads.shape} does not match parameter shape {params.shape}"
+        )
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = cfg.beta1 * state.m[k] + (1.0 - cfg.beta1) * g
-        state.v[k] = cfg.beta2 * state.v[k] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps) + lr * cfg.weight_decay * p
-    return params, state
-
-
-def model_params(model: DualEncoderModel) -> dict:
-    """Live references to the four trainable blocks, keyed by PARAM_KEYS."""
-    return {
-        "image_w": model.image_head.w,
-        "image_b": model.image_head.b,
-        "text_w": model.text_head.w,
-        "text_b": model.text_head.b,
-    }
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grads
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * (grads * grads)
+    denom = state.v / (1.0 - cfg.beta2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    step = state.m / (1.0 - cfg.beta1 ** state.t)
+    step *= lr
+    step /= denom
+    step += (lr * cfg.weight_decay) * params
+    params -= step
 
 
 def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_size) -> float:
@@ -202,7 +188,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     if not len(image_rows):
         raise ValueError("dataset has an empty train split")
     if cfg.batch_size > len(image_rows):
-        raise ValueError(
+        raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds train split size {len(image_rows)}"
         )
     batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)
@@ -215,8 +201,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     echo.pop("log_path", None)
     model.meta["train_config"] = echo
 
-    params = model_params(model)
-    state = OptimizerState.for_params(params)
+    state = OptimizerState.for_params(model.params)
     log = _JsonlLog(cfg.log_path)
     best = math.inf
     best_epoch = 0
@@ -244,13 +229,14 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                     raise DivergenceError(
                         f"loss became non-finite at step {step} (epoch {epoch})"
                     )
-                adamw_step(params, grads.as_dict(), state, lr, cfg)
-                for k in PARAM_KEYS:
-                    if not np.isfinite(params[k]).all():
-                        raise DivergenceError(
-                            f"parameter {k!r} became non-finite after step {step} "
-                            f"(epoch {epoch}); try a lower lr_max"
-                        )
+                adamw_step(model.params, grads, state, lr, cfg)
+                if not np.isfinite(model.params).all():
+                    bad = model.blocks(~np.isfinite(model.params))
+                    name = next(k for k, v in bad.items() if v.any())
+                    raise DivergenceError(
+                        f"parameter {name!r} became non-finite after step {step} "
+                        f"(epoch {epoch}); try a lower lr_max"
+                    )
                 n = len(batch)
                 loss_sum += out.total
                 rows += n

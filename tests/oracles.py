@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from twotower.loss import loss_backward
-from twotower.train import model_params
 
 
 def oracle_contrastive(s_rows, lam, margin, symmetric=False):
@@ -53,26 +52,44 @@ def similarity_logits(img_proj, txt_proj, temperature):
 
 
 def fd_param_grads(img_feat, txt_feat, model, cfg, h=1e-5):
-    """Central finite differences of the total loss over all four blocks."""
+    """Central finite differences of the total loss over every entry of ``model.params``."""
 
     def value():
         out, _ = loss_backward(img_feat, txt_feat, model, cfg)
         return out.total
 
-    grads = {}
-    for key, p in model_params(model).items():
-        g = np.zeros_like(p)
-        flat, gflat = p.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = value()
-            flat[i] = orig - h
-            down = value()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * h)
-        grads[key] = g
+    flat = model.params
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = value()
+        flat[i] = orig - h
+        down = value()
+        flat[i] = orig
+        grads[i] = (up - down) / (2 * h)
     return grads
+
+
+def first_bad_block(model, bad):
+    """Name of the block of ``model.params`` that holds the first True of ``bad``."""
+    return next(name for name, block in model.blocks(bad).items() if block.any())
+
+
+def oracle_adamw(params, grads, m, v, t, lr, cfg):
+    """One AdamW step over dicts of named blocks, block by block, in place.
+
+    ``t`` is the step number after the update (1 for the first step).
+    """
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+        v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m[k] / bc1
+        v_hat = v[k] / bc2
+        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps) + lr * cfg.weight_decay * p
 
 
 def oracle_topk(index_ids, index_vectors, model, text_feature, k):

@@ -16,7 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import fd_param_grads, oracle_contrastive, oracle_evaluate, oracle_topk
+from oracles import (
+    fd_param_grads,
+    first_bad_block,
+    oracle_contrastive,
+    oracle_evaluate,
+    oracle_topk,
+)
 from twotower import cli
 from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
 from twotower.errors import BadMagicError, TruncatedFileError
@@ -100,17 +106,16 @@ def test_criterion_1_gradient_correctness():
             model, img, txt, cfg = _grad_instance(rng, n, active, lam, tau)
             _, grads = loss_backward(img, txt, model, cfg)
             fd = fd_param_grads(img, txt, model, cfg, h=1e-5)
-            for key, got in grads.as_dict().items():
-                diff = np.abs(got - fd[key])
-                scale = np.maximum(np.abs(got), np.abs(fd[key]))
-                bad = diff > np.maximum(1e-7, 1e-4 * scale)
-                assert not bad.any(), (
-                    f"{key} gradient mismatch (n={n}, active={active}, "
-                    f"lam={lam}, tau={tau}): max diff {diff.max():.3e}"
-                )
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    rel = np.where(scale > 0, diff / scale, 0.0)
-                worst = max(worst, float(rel[diff > 1e-7].max()) if (diff > 1e-7).any() else 0.0)
+            diff = np.abs(grads - fd)
+            scale = np.maximum(np.abs(grads), np.abs(fd))
+            bad = diff > np.maximum(1e-7, 1e-4 * scale)
+            assert not bad.any(), (
+                f"{first_bad_block(model, bad)} gradient mismatch (n={n}, active={active}, "
+                f"lam={lam}, tau={tau}): max diff {diff.max():.3e}"
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                rel = np.where(scale > 0, diff / scale, 0.0)
+            worst = max(worst, float(rel[diff > 1e-7].max()) if (diff > 1e-7).any() else 0.0)
             checked += 1
     elapsed = time.perf_counter() - t0
     report_line(

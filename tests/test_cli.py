@@ -283,6 +283,16 @@ class TestQueryCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ShapeError"
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_usage_error(self, pipeline, capsys, k):
+        code, stdout, err = run(
+            ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
+             str(pipeline / "model.ckpt"), "--embedding", json.dumps([0.1] * 8), "--k", k],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": f"--k must be >= 1, got {k}"}
+
     def test_requires_exactly_one_query_source(self, pipeline, capsys):
         code, _, err = run(
             ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
@@ -506,6 +516,7 @@ class TestErrorsAndHelp:
             "model.shared_dim=0",
             "data.augment.copies=-1",
             "data.augment.sigma=-1",
+            "train.batch_size=100000",  # larger than the train split
         ],
     )
     def test_out_of_range_train_config_exit_1(self, pipeline, tmp_path, capsys, setting):

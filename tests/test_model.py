@@ -16,6 +16,7 @@ from twotower.model import (
     DualEncoderModel,
     ProjectionHead,
     checkpoint_bytes,
+    checkpoint_from_bytes,
     init_model,
     load_checkpoint,
     model_fingerprint,
@@ -209,6 +210,54 @@ class TestFingerprint:
         save_checkpoint(m, p)
         assert model_fingerprint(m) == hashlib.sha256(p.read_bytes()).hexdigest()
         assert len(checkpoint_bytes(m)) == p.stat().st_size
+
+
+class TestParameterBuffer:
+    def test_blocks_are_views_in_checkpoint_order(self):
+        m = init_model(6, 5, 4, seed=0)
+        blocks = m.blocks(m.params)
+        assert list(blocks) == ["image_w", "image_b", "text_w", "text_b"]
+        assert m.params.shape == (6 * 4 + 4 + 5 * 4 + 4,)
+        heads = (m.image_head.w, m.image_head.b, m.text_head.w, m.text_head.b)
+        for block, head_array in zip(blocks.values(), heads):
+            assert block.shape == head_array.shape
+            assert np.shares_memory(block, m.params) and np.shares_memory(head_array, m.params)
+            np.testing.assert_array_equal(block, head_array)
+
+    def test_construction_copies_caller_arrays(self):
+        w, b = np.ones((3, 2)), np.zeros(2)
+        m = DualEncoderModel(ProjectionHead(w, b), ProjectionHead(np.eye(2), b), 2)
+        w[0, 0] = 5.0
+        b[1] = 6.0
+        assert m.params[0] == 1.0 and not m.image_head.b.any() and not m.text_head.b.any()
+        m.image_head.w[0, 1] = 7.0
+        assert w[0, 1] == 1.0
+
+    def test_one_head_object_gives_two_blocks(self):
+        head = ProjectionHead(np.eye(2), np.zeros(2))
+        m = DualEncoderModel(head, head, 2)
+        m.image_head.w[0, 0] = 9.0
+        assert m.text_head.w[0, 0] == 1.0 and head.w[0, 0] == 1.0
+        np.testing.assert_array_equal(m.blocks(m.params)["text_w"], np.eye(2))
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_head_writes_reach_params_and_checkpoint(self, loaded):
+        m = make_model()
+        if loaded:
+            m = checkpoint_from_bytes(checkpoint_bytes(m))
+        before_bytes, before_fp = checkpoint_bytes(m), model_fingerprint(m)
+        m.image_head.w[0, 0] += 1.0
+        assert m.params[0] == m.image_head.w[0, 0]
+        assert checkpoint_bytes(m) != before_bytes
+        assert model_fingerprint(m) != before_fp
+
+    def test_checkpoint_body_is_params_bytes(self):
+        m = make_model(seed=3)
+        body = checkpoint_bytes(m)[20:]
+        params = m.params.astype("<f8").tobytes()
+        assert body[: len(params)] == params
+        (meta_len,) = struct.unpack("<I", body[len(params) : len(params) + 4])
+        assert len(body) == len(params) + 4 + meta_len
 
 
 class TestModelValidation:

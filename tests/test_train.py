@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import oracle_adamw
 from twotower import loss as loss_module
 from twotower.data import EmbeddingStore, PairedDataset, synth_dataset
-from twotower.errors import DivergenceError, ShapeError
+from twotower.errors import ConfigError, DivergenceError, ShapeError
 from twotower.loss import LossConfig, loss_backward
 from twotower.model import checkpoint_bytes, init_model
 from twotower.train import (
@@ -16,7 +17,6 @@ from twotower.train import (
     adamw_step,
     evaluate_loss,
     lr_at,
-    model_params,
     train,
 )
 
@@ -58,13 +58,12 @@ class TestLrSchedule:
 
 class TestAdamWStep:
     def _single(self, theta, grad, lr, wd, t_before=0):
-        params = {"p": np.array([theta])}
-        grads = {"p": np.array([grad])}
+        params = np.array([theta])
         cfg = TrainConfig(weight_decay=wd)
         state = OptimizerState.for_params(params)
         state.t = t_before
-        adamw_step(params, grads, state, lr, cfg)
-        return params["p"][0], state
+        adamw_step(params, np.array([grad]), state, lr, cfg)
+        return params[0], state
 
     def test_hand_case(self):
         # m_hat = 1, v_hat = 1 at t=1, so theta' = 1 - 0.1/(1 + 1e-8) - 0.1*0.01*1
@@ -83,17 +82,44 @@ class TestAdamWStep:
         assert theta == pytest.approx(2.0 - 0.1 * 0.05 * 2.0, abs=1e-15)
 
     def test_shape_mismatch(self):
-        params = {"p": np.zeros((2, 2))}
-        grads = {"p": np.zeros(3)}
+        params = np.zeros(4)
         state = OptimizerState.for_params(params)
-        with pytest.raises(ShapeError):
-            adamw_step(params, grads, state, 0.1, TrainConfig())
+        with pytest.raises(ShapeError, match=r"\(3,\) does not match parameter shape \(4,\)"):
+            adamw_step(params, np.zeros(3), state, 0.1, TrainConfig())
+        assert state.t == 0 and not state.m.any()
 
     def test_missing_grad(self):
-        params = {"p": np.zeros(2)}
+        params = np.zeros(2)
         state = OptimizerState.for_params(params)
         with pytest.raises(ShapeError):
-            adamw_step(params, {}, state, 0.1, TrainConfig())
+            adamw_step(params, np.zeros(0), state, 0.1, TrainConfig())
+
+    def test_flat_step_bit_equals_per_block_reference(self):
+        # the flat update must round exactly as the per-block formula does.
+        # Entries span many magnitudes, every seventh gradient stays zero so
+        # its update is decay alone, and lr * weight_decay nears 0.17 so the
+        # decay term is not lost below the parameters' last bit.
+        rng = np.random.default_rng(30)
+        model = init_model(8, 6, 4, seed=31)
+        n = model.params.size
+        model.params[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 1, n)
+        scales = 10.0 ** rng.integers(-10, 2, n)
+        scales[::7] = 0.0
+        cfg = TrainConfig(lr_max=0.1, weight_decay=1.7, warmup_steps=10)
+        state = OptimizerState.for_params(model.params)
+        ref = {k: v.copy() for k, v in model.blocks(model.params).items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+        for step in range(1, 51):
+            lr = lr_at(step, cfg, total_steps=50)
+            grads = rng.standard_normal(n) * scales
+            adamw_step(model.params, grads, state, lr, cfg)
+            oracle_adamw(ref, model.blocks(grads), ref_m, ref_v, step, lr, cfg)
+            for key, block in model.blocks(model.params).items():
+                assert block.tobytes() == ref[key].tobytes(), f"{key} differs at step {step}"
+        assert state.t == 50
+        for key, block in model.blocks(state.v).items():
+            assert block.tobytes() == ref_v[key].tobytes()
 
 
 def tiny_dataset(seed=0, n_images=24, cpi=2):
@@ -122,11 +148,10 @@ class TestTrain:
     def test_zero_lr_is_identity(self):
         ds = tiny_dataset()
         model = init_model(8, 6, 4, seed=1)
-        before = {k: v.copy() for k, v in model_params(model).items()}
+        before = model.params.copy()
         cfg = tiny_cfg(lr_max=0.0, lr_min=0.0, weight_decay=0.0)
         best, report = train(model, ds, cfg)
-        for key, val in model_params(best).items():
-            np.testing.assert_array_equal(val, before[key])
+        np.testing.assert_array_equal(best.params, before)
         assert report.train_loss == pytest.approx([report.train_loss[0]] * 3, abs=1e-12)
 
     def test_same_seed_same_everything(self, tmp_path):
@@ -187,17 +212,27 @@ class TestTrain:
         best, report = train(model, ds, cfg)
         assert report.train_loss[-1] < report.train_loss[0]
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_guard(self):
+        # lr * weight_decay overflows, so the first update leaves inf/nan entries
+        ds = tiny_dataset(seed=12)
+        model = init_model(8, 6, 4, seed=13)
+        cfg = tiny_cfg(lr_max=1e200, lr_min=1e200, warmup_steps=0, weight_decay=1e200)
+        with pytest.raises(DivergenceError, match="parameter '(image|text)_[wb]'"):
+            train(model, ds, cfg)
+
+    def test_divergence_in_forward_pass(self):
+        # a huge but finite update passes the guard; the next forward overflows
         ds = tiny_dataset(seed=12)
         model = init_model(8, 6, 4, seed=13)
         cfg = tiny_cfg(lr_max=1e200, lr_min=1e200, warmup_steps=0, weight_decay=0.0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="training aborted at step 2"):
             train(model, ds, cfg)
 
     def test_batch_size_larger_than_split(self):
         ds = tiny_dataset(n_images=4, cpi=1)
         model = init_model(8, 6, 4, seed=0)
-        with pytest.raises(ValueError, match="batch_size"):
+        with pytest.raises(ConfigError, match="batch_size"):
             train(model, ds, tiny_cfg(batch_size=64))
 
     def test_log_records(self, tmp_path):
@@ -245,12 +280,10 @@ class TestTrain:
         outs = []
         for model in (model_a, model_b):
             _, grads = loss_backward(img, txt, model, LossConfig())
-            params = model_params(model)
-            state = OptimizerState.for_params(params)
-            adamw_step(params, grads.as_dict(), state, 1e-3, TrainConfig())
-            outs.append({k: v.copy() for k, v in params.items()})
-        for key in outs[0]:
-            np.testing.assert_array_equal(outs[0][key], outs[1][key])
+            state = OptimizerState.for_params(model.params)
+            adamw_step(model.params, grads, state, 1e-3, TrainConfig())
+            outs.append(model.params.copy())
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def permuted_stores(ds, seed):
