@@ -415,7 +415,8 @@ def cmd_eval(args) -> int:
 
     dataset_name = args.dataset_name or cfg["eval"]["dataset_name"]
     model_name = args.model_name or Path(args.checkpoint).stem
-    row = {"model": model_name, "dataset": dataset_name, **report.as_dict()}
+    metrics = report.as_dict()
+    row = {"model": model_name, "dataset": dataset_name, **metrics}
     if args.report:
         _write_json(
             args.report,
@@ -425,7 +426,7 @@ def cmd_eval(args) -> int:
                 "model": model_name,
                 "dataset": dataset_name,
                 "split": split,
-                "metrics": report.as_dict(),
+                "metrics": metrics,
             },
         )
     print(format_table([row]))

@@ -241,7 +241,7 @@ class EmbeddingStore:
         return self.vectors[self.index(ids)]
 
 
-_UNBOUNDED_READ = 1 << 16  # bytes; every id (u16 length) fits, so ids skip the bound
+_UNBOUNDED_READ = 1 << 16  # bytes; smaller reads skip the bound
 
 
 def _read_exact(fh, n, what):
@@ -250,8 +250,8 @@ def _read_exact(fh, n, what):
     A request larger than ``_UNBOUNDED_READ`` is first checked against the
     bytes left in the file, so a header that declares more data than the
     file holds raises TruncatedFileError without a large allocation.
-    Smaller requests skip the check, because seeking to the end drops the
-    read buffer and ids are read one at a time.
+    Smaller requests cannot allocate much, so they skip the check and keep
+    the read buffer that seeking to the end would drop.
     """
     if n > _UNBOUNDED_READ:
         here = fh.tell()
@@ -312,24 +312,41 @@ def read_store(fh) -> EmbeddingStore:
         raise DataFormatError("header declares non-positive dim")
     if kind_code not in CODE_TO_KIND:
         raise DataFormatError(f"unknown kind code {kind_code}")
-    payload = _read_exact(fh, count * dim * 4, "vector payload")
-    vectors = (
-        np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(count, dim)
-    )
+    # One read takes the payload and the id block; a footer may follow
+    # them, so the file is left just past the last id.
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    body = fh.read(size)  # sized, so the bytes are allocated once
+    end = len(body)
+    pos = count * dim * 4
+    if pos > end:
+        raise TruncatedFileError(
+            f"file ends inside vector payload (wanted {pos} bytes, got {end})"
+        )
+    # float32 view of the file bytes; the store makes the one float64 copy
+    vectors = np.frombuffer(body, dtype="<f4", count=count * dim).reshape(count, dim)
     ids = []
     for i in range(count):
-        prefix = fh.read(2)
-        if len(prefix) == 0:
-            raise IdCountMismatchError(
-                f"header declares {count} ids but file ends after {i}"
-            )
-        if len(prefix) == 1:
+        if pos + 2 > end:
+            if pos == end:
+                raise IdCountMismatchError(
+                    f"header declares {count} ids but file ends after {i}"
+                )
             raise TruncatedFileError("file ends inside an id length prefix")
-        (length,) = struct.unpack("<H", prefix)
+        length = body[pos] | body[pos + 1] << 8
+        pos += 2
+        stop = pos + length
+        if stop > end:
+            raise TruncatedFileError(
+                f"file ends inside id {i} (wanted {length} bytes, got {end - pos})"
+            )
         try:
-            ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
+            ids.append(body[pos:stop].decode("utf-8"))
         except UnicodeDecodeError as e:
             raise DataFormatError(f"id {i} is not valid UTF-8 ({e.reason})") from e
+        pos = stop
+    fh.seek(start + pos)
     with value_errors_as(DataFormatError):
         return EmbeddingStore(ids=ids, vectors=vectors, kind=CODE_TO_KIND[kind_code])
 

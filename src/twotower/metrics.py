@@ -8,7 +8,7 @@ order, so results are exactly reproducible.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,10 @@ class MetricsReport:
     per_query: list
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a new dict; ``per_query`` holds a copy of each row."""
+        out = dict(vars(self))
+        out["per_query"] = [dict(row) for row in self.per_query]
+        return out
 
 
 def _ranks(ranked, relevant) -> dict:

@@ -3,8 +3,12 @@
 Building an index is a one-time projection of the image store through the
 image head; queries project a text feature through the text head and scan
 all index rows. The scan is exact (no approximation) and tie scores keep
-index order. An index remembers the fingerprint of the checkpoint that
-built it and refuses queries from any other model.
+index order: a block of queries is scored with one GEMM, and the rows
+whose GEMM score lies within a proven rounding band of a decision point
+are re-scored by the per-row reduction that defines every reported score,
+so results are bit-identical to scoring every row that way. An index
+remembers the fingerprint of the checkpoint that built it and refuses
+queries from any other model.
 
 Index file format: an embedding store (kind=projected) as written by
 ``twotower.data``, followed by a footer of u32 byte length plus the
@@ -85,18 +89,72 @@ def _check_fingerprint(index: RetrievalIndex, model: DualEncoderModel):
         )
 
 
-def _scored(index, model, texts: EmbeddingStore, ids):
-    """Yield (query id, cosine against every index row) for the given text rows.
+# Query rows per GEMM block: one block's (rows x index size) float64
+# scores take at most this many bytes, so the block stays cache-sized.
+_BLOCK_BYTES = 512 * 1024
 
-    The one place query text is projected. Each row is projected on its own
-    and scored by a per-row reduction, not by a block (Q, d) @ W product or
-    gemv: BLAS kernels can differ in the last ulp across row positions, which
-    would change scores and break exact-tie order for bit-identical rows.
+
+def _score_band(d) -> float:
+    """Bound on |GEMM score - per-row score| for one query and one index row.
+
+    Both are d-term dot products in some evaluation order, so each lies
+    within gamma_d * |x| |y| of the exact product, gamma_d = d u / (1 - d u)
+    with u the unit roundoff (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1). Index rows have norm at most
+    1 + UNIT_NORM_TOL and normalised queries are unit to a few ulps, so
+    |x| |y| <= 1 + 2 UNIT_NORM_TOL. The 4u covers the rounding of the
+    comparisons made against the band, and any underflow.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma = d * u / (1.0 - d * u)
+    return 2.0 * gamma * (1.0 + 2.0 * UNIT_NORM_TOL) + 4.0 * u
+
+
+def _exact(index, q, rows):
+    """The per-row scores of ``rows`` against unit query ``q``: the reported values.
+
+    A per-row reduction rather than a BLAS product, whose rounding can vary
+    with a row's position and would break exact-tie order for bit-identical
+    rows. Each row's sum is the same whichever rows are gathered with it.
+    """
+    return (index.vectors[rows] * q).sum(axis=1)
+
+
+def _blocks(index, model, texts: EmbeddingStore, ids):
+    """Yield (query ids, unit query rows, GEMM scores against the index) per block.
+
+    The one place query text is projected. Each row is projected on its own,
+    as for a single query, since a block product can differ from it in the
+    last ulp; the block is then normalised at once and scored with one GEMM.
+    GEMM scores are within ``_score_band`` of ``_exact``'s, so callers decide
+    with them and re-score only the rows near their decision point.
     """
     _check_fingerprint(index, model)
-    for qid in ids:
-        normed = l2_normalize_rows(project(model.text_head, texts.row(qid)[None, :]), "query", [qid])
-        yield qid, (index.vectors * normed.matrix[0]).sum(axis=1)
+    rows = texts.index(ids)
+    size = max(1, _BLOCK_BYTES // (8 * max(len(index), 1)))
+    scores = np.empty((min(size, len(ids)), len(index)))  # reused: valid until the next block
+    for start in range(0, len(ids), size):
+        block = ids[start:start + size]
+        raw = np.concatenate(
+            [project(model.text_head, texts.vectors[r:r + 1]) for r in rows[start:start + size]]
+        )
+        q = l2_normalize_rows(raw, "query", block).matrix
+        yield block, q, np.matmul(q, index.vectors.T, out=scores[:len(block)])
+
+
+def _rank(index, q, g, r, band) -> int:
+    """1-based place of row ``r`` in the exact order of query ``q``, from GEMM scores ``g``.
+
+    With e the exact score of ``r``, rows whose GEMM score is above e + band
+    score above e, rows below e - band score below it, and only the rest
+    are re-scored; a tie counts when it falls before ``r``.
+    """
+    e = _exact(index, q, [r])[0]
+    near = np.flatnonzero(g >= e - band)
+    above = g[near] > e + band
+    near = near[~above]
+    s = _exact(index, q, near)
+    return 1 + int(above.sum() + (s > e).sum() + ((s == e) & (near < r)).sum())
 
 
 def query(index, model, text_feature, k, query_id="query") -> RankedResult:
@@ -113,35 +171,52 @@ def query(index, model, text_feature, k, query_id="query") -> RankedResult:
 
 
 def batch_query(index, model, texts: EmbeddingStore, k) -> list:
-    """``query`` for every row of a text store, in store order."""
+    """``query`` for every row of a text store, in store order.
+
+    With t the k-th largest GEMM score, the top k by exact score lie among
+    the rows whose GEMM score is at least t - 2 band; only those are
+    re-scored and sorted by (-score, row).
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    n = len(index)
+    reach = 2.0 * _score_band(index.vectors.shape[1])
     results = []
-    for qid, scores in _scored(index, model, texts, texts.ids):
-        order = np.argsort(-scores, kind="stable")[:k]
-        hits = [(index.ids[i], float(np.clip(scores[i], -1.0, 1.0))) for i in order]
-        results.append(RankedResult(query_id=qid, hits=hits, k=k))
+    for ids, q, g in _blocks(index, model, texts, texts.ids):
+        if k < n:
+            kth = np.partition(g, n - k, axis=1)[:, n - k]
+        else:  # every row is a candidate
+            kth = np.full(len(ids), -np.inf)
+        for qid, qv, gv, t in zip(ids, q, g, kth):
+            rows = np.flatnonzero(gv >= t - reach)
+            s = _exact(index, qv, rows)
+            order = np.argsort(-s, kind="stable")[:k]
+            hits = [(index.ids[rows[i]], float(np.clip(s[i], -1.0, 1.0))) for i in order]
+            results.append(RankedResult(query_id=qid, hits=hits, k=k))
     return results
 
 
 def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
     """``evaluate_run`` of the judged store rows ranked against the whole index.
 
-    No ranking is built: relevant image row r gets rank 1 + #(scores > s_r)
-    + #(scores[:r] == s_r), its place in ``batch_query``'s order. Unjudged
-    rows are skipped; per-query rows follow store order.
+    No ranking is built: relevant image row r, with exact score e, gets rank
+    1 + #(scores > e) + #(scores[:r] == e), its place in ``batch_query``'s
+    order (see ``_rank``). Unjudged rows are skipped; per-query rows follow
+    store order.
     """
     by_id = judgments_by_id(judgments)
     missing = sorted(set(by_id) - set(texts.ids))
     if missing:
         raise DataFormatError(f"text store is missing query id {missing[0]!r}")
     row_of = {id_: r for r, id_ in enumerate(index.ids)}
+    band = _score_band(index.vectors.shape[1])
     judged = []
-    for qid, s in _scored(index, model, texts, [i for i in texts.ids if i in by_id]):
-        j = by_id[qid]
-        rows = {d: row_of[d] for d in j.relevant_ids if d in row_of}
-        ranks = {d: 1 + int((s > s[r]).sum() + (s[:r] == s[r]).sum()) for d, r in rows.items()}
-        judged.append((j, ranks))
+    for ids, q, g in _blocks(index, model, texts, [i for i in texts.ids if i in by_id]):
+        for qid, qv, gv in zip(ids, q, g):
+            j = by_id[qid]
+            rows = {d: row_of[d] for d in j.relevant_ids if d in row_of}
+            ranks = {d: _rank(index, qv, gv, r, band) for d, r in rows.items()}
+            judged.append((j, ranks))
     return metrics_from_ranks(judged)
 
 

@@ -124,18 +124,20 @@ def adamw_step(params, grads, state: OptimizerState, lr, cfg: TrainConfig):
             f"gradient shape {grads.shape} does not match parameter shape {params.shape}"
         )
     state.t += 1
-    state.m *= cfg.beta1
-    state.m += (1.0 - cfg.beta1) * grads
-    state.v *= cfg.beta2
-    state.v += (1.0 - cfg.beta2) * (grads * grads)
-    denom = state.v / (1.0 - cfg.beta2 ** state.t)
-    np.sqrt(denom, out=denom)
-    denom += cfg.eps
-    step = state.m / (1.0 - cfg.beta1 ** state.t)
-    step *= lr
-    step /= denom
-    step += (lr * cfg.weight_decay) * params
-    params -= step
+    # A diverging run overflows here; the caller's finiteness guard reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.m *= cfg.beta1
+        state.m += (1.0 - cfg.beta1) * grads
+        state.v *= cfg.beta2
+        state.v += (1.0 - cfg.beta2) * (grads * grads)
+        denom = state.v / (1.0 - cfg.beta2 ** state.t)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step = state.m / (1.0 - cfg.beta1 ** state.t)
+        step *= lr
+        step /= denom
+        step += (lr * cfg.weight_decay) * params
+        params -= step
 
 
 def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_size) -> float:

@@ -215,6 +215,29 @@ class TestTrainCommand:
         assert code == 3
         assert json.loads(err)["error"] == "DivergenceError"
 
+    def test_divergence_in_the_update_prints_one_json_line(self, pipeline, tmp_path):
+        # in a child process, so that a numpy warning would reach its stderr
+        ds = pipeline / "ds"
+        code, _, err = run_capped(
+            [
+                "train",
+                "--manifest", ds / "manifest.jsonl",
+                "--images", ds / "images.emb",
+                "--texts", ds / "texts.emb",
+                "--checkpoint", tmp_path / "x.ckpt",
+                "--set", "train.lr_max=1e200",
+                "--set", "train.lr_min=1e200",
+                "--set", "train.warmup_steps=0",
+                "--set", "train.weight_decay=1e200",
+            ]
+            + SMALL
+            + ["--set", "train.epochs=2", "--set", "train.batch_size=8"]
+        )
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0])["error"] == "DivergenceError"
+
 
 class TestQueryCommand:
     def test_k_clamped_on_small_index(self, tmp_path, capsys):

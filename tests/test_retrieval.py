@@ -3,6 +3,7 @@ import pytest
 
 from allocation import raises_small
 from oracles import oracle_topk
+from twotower import retrieval
 from twotower.data import EmbeddingStore
 from twotower.errors import (
     DataFormatError,
@@ -11,8 +12,15 @@ from twotower.errors import (
     ShapeError,
     TruncatedFileError,
 )
-from twotower.metrics import QueryJudgment, evaluate_run
-from twotower.model import DualEncoderModel, ProjectionHead, init_model
+from twotower.linalg import l2_normalize_rows
+from twotower.metrics import QueryJudgment, evaluate_run, metrics_from_ranks
+from twotower.model import (
+    DualEncoderModel,
+    ProjectionHead,
+    init_model,
+    model_fingerprint,
+    project,
+)
 from twotower.retrieval import (
     RetrievalIndex,
     batch_query,
@@ -238,6 +246,131 @@ class TestAgainstFullSortOracle:
             assert [h[0] for h in got.hits] == want_ids
             for (_, s), w in zip(got.hits, want_scores):
                 assert s == pytest.approx(w, abs=1e-12)
+
+
+def index_of(model, vectors):
+    """An index holding exactly ``vectors`` (unit rows), as if built by ``model``."""
+    ids = [f"img{i}" for i in range(len(vectors))]
+    return RetrievalIndex(ids=ids, vectors=vectors, model_fingerprint=model_fingerprint(model))
+
+
+def per_row_topk(index_ids, index_vectors, model, text_feature, k):
+    """``oracle_topk`` with every score taken by the per-row reduction: the unbanded scan."""
+    raw = project(model.text_head, np.asarray(text_feature, dtype=np.float64)[None, :])
+    q = l2_normalize_rows(raw, "query", None).matrix[0]
+    scores = (index_vectors * q).sum(axis=1)
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [index_ids[i] for i in order], [float(np.clip(scores[i], -1.0, 1.0)) for i in order]
+
+
+def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, relevant=None):
+    """``query`` and ``batch_query`` equal ``reference``; ``evaluate``'s ranks are places.
+
+    Each rank ``evaluate`` gives a relevant row (every row unless
+    ``relevant`` names some) must be that row's place in ``batch_query(k=n)``.
+    """
+    for k in ks:
+        for qid, v, res in zip(texts.ids, texts.vectors, batch_query(index, model, texts, k)):
+            assert query(index, model, v, k, query_id=qid).hits == res.hits
+            want_ids, want_scores = reference(index.ids, index.vectors, model, v, k)
+            assert [h[0] for h in res.hits] == want_ids
+            for (_, s), w in zip(res.hits, want_scores):
+                assert s == pytest.approx(w, abs=1e-12)
+    judged = []
+
+    def keep_ranks(pairs):
+        judged.extend(pairs)
+        return metrics_from_ranks(pairs)
+
+    monkeypatch.setattr(retrieval, "metrics_from_ranks", keep_ranks)
+    relevant = frozenset(relevant or index.ids)
+    first = sorted(relevant)[0]
+    evaluate(index, model, texts, [QueryJudgment(q, relevant, first) for q in texts.ids])
+    full = batch_query(index, model, texts, len(index))
+    assert len(judged) == len(full)
+    for (_, ranks), res in zip(judged, full):
+        places = {doc: place for place, (doc, _) in enumerate(res.hits, start=1)}
+        assert ranks == {doc: places[doc] for doc in relevant}
+
+
+class TestScoreBand:
+    """GEMM scores decide only outside the band; rows inside it are re-scored."""
+
+    def test_duplicated_rows(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        model = identity_model(4)
+        rows = unit_rows(rng.standard_normal((20, 4)))
+        index = index_of(model, np.vstack([rows, rows[[0, 3, 3, 7, 19]]]))
+        # the queries include stored rows, so a group of copies comes first
+        queries = np.vstack([rows[[3, 0, 19]], rng.standard_normal((4, 4))])
+        texts = EmbeddingStore(
+            ids=[f"q{i}" for i in range(len(queries))], vectors=queries, kind="text_feature"
+        )
+        n = len(index)
+        check_band(monkeypatch, index, model, texts, ks=(1, 2, 3, n - 1, n, n + 3))
+
+    def test_every_row_tied(self, monkeypatch):
+        model = identity_model(3)
+        index = index_of(model, unit_rows([[1.0, 2.0, 2.0]] * 12 + [[0.0, 0.0, 1.0]] * 3))
+        texts = EmbeddingStore(
+            ids=["a", "b"], vectors=[[1.0, 2.0, 2.1], [0.0, 0.1, 1.0]], kind="text_feature"
+        )
+        check_band(monkeypatch, index, model, texts, ks=(1, 5, 12, 13, 15, 16))
+
+    def test_rows_one_ulp_apart(self, monkeypatch):
+        # Rows that differ from a base row by one ulp in one coordinate score
+        # within rounding of one another, where GEMM and the per-row reduction
+        # disagree in the last bit. oracle_topk's np.dot rounds differently
+        # again, so the reference is the per-row scan with a stable sort.
+        rng = np.random.default_rng(13)
+        d = 16
+        model = identity_model(d)
+        base = unit_rows(rng.standard_normal((1, d)))[0]
+        cluster = [base]
+        for j in range(d):
+            for toward in (np.inf, -np.inf):
+                row = base.copy()
+                row[j] = np.nextafter(row[j], toward)
+                cluster.append(row)
+        vectors = np.vstack(cluster + list(unit_rows(rng.standard_normal((10, d)))))
+        index = index_of(model, vectors)
+        near_base = base + 1e-3 * rng.standard_normal((3, d))
+        queries = np.vstack([near_base, rng.standard_normal((2, d))])
+        texts = EmbeddingStore(
+            ids=[f"q{i}" for i in range(len(queries))], vectors=queries, kind="text_feature"
+        )
+        q = l2_normalize_rows(queries, "query", None).matrix
+        assert ((q @ vectors.T) != (vectors[None] * q[:, None]).sum(axis=2)).any()
+        n = len(index)
+        check_band(monkeypatch, index, model, texts, ks=(1, 7, n, n + 1), reference=per_row_topk)
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_query_blocks_straddle_the_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(14)
+        model = init_model(6, 5, 4, seed=15)
+        rows = unit_rows(rng.standard_normal((25, 4)))
+        index = index_of(model, np.vstack([rows, rows[[2, 2, 11]]]))
+        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * len(index) * block)
+        texts = EmbeddingStore(
+            ids=[f"q{i}" for i in range(10)],
+            vectors=rng.standard_normal((10, 5)),
+            kind="text_feature",
+        )
+        n = len(index)
+        check_band(monkeypatch, index, model, texts, ks=(1, 4, n, n + 2))
+
+    def test_default_block_size_straddled(self, monkeypatch):
+        # 2000 rows give blocks of 32 queries; 33 queries make a second block
+        rng = np.random.default_rng(16)
+        model = init_model(6, 5, 8, seed=17)
+        index = index_of(model, unit_rows(rng.standard_normal((2000, 8))))
+        texts = EmbeddingStore(
+            ids=[f"q{i}" for i in range(33)],
+            vectors=rng.standard_normal((33, 5)),
+            kind="text_feature",
+        )
+        relevant = [index.ids[i] for i in rng.choice(2000, size=4, replace=False)]
+        check_band(monkeypatch, index, model, texts, ks=(10,), relevant=relevant)
 
 
 class TestIndexFile:

@@ -4,11 +4,12 @@
 #   tools/artifact_parity.sh PARENT_SRC CHANGE_SRC
 #
 # Each argument is a checkout root holding src/twotower. For each of four
-# configs, the script runs synth -> train -> index -> eval through the CLI
-# once per tree, each in its own directory with the same relative paths,
-# and compares the results file by file: stores, manifest, checkpoint,
-# JSON-lines log, index, every stage's stdout, and the dataset, train and
-# eval reports with their "meta" block removed (timing lives there).
+# configs, the script runs synth -> train -> index -> eval -> query through
+# the CLI once per tree, each in its own directory with the same relative
+# paths, and compares the results file by file: stores, manifest, checkpoint,
+# JSON-lines log, index, every stage's stdout, CLI query output for the
+# first test caption at --k 7 and --k 5000, and the dataset, train and eval
+# reports with their "meta" block removed (timing lives there).
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -56,6 +57,15 @@ run_pipeline() {  # tree, run dir, config flags
                 --texts data/texts.emb --manifest data/manifest.jsonl \
                 --report eval.json > eval.out
         }
+        # the first held-out caption, ranked at a small k and at a k past the index size
+        local qid
+        qid=$("$python" -c 'import json, sys
+print(next(r["text_id"] for r in map(json.loads, open(sys.argv[1])) if r["split"] == "test"))' \
+            data/manifest.jsonl)
+        for k in 7 5000; do
+            "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
+                --texts data/texts.emb --text-id "$qid" --k "$k" > "query$k.out"
+        done
     )
 }
 
@@ -78,7 +88,7 @@ for entry in "${configs[@]}"; do
     run_pipeline "$parent" "$work/$name/parent" "$sets"
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
-        images.idx synth.out train.out index.out eval.out; do
+        images.idx synth.out train.out index.out eval.out query7.out query5000.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
