@@ -129,6 +129,35 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match="unique"):
             EmbeddingStore(ids=["a", "a"], vectors=np.zeros((2, 2)), kind="image_feature")
 
+    @pytest.mark.parametrize(
+        "ids, vectors, message",
+        [
+            (["a", "b", "a"], [[0.0], [1.0], [2.0]], "ids must be unique"),
+            ([7, 7], [[0.0], [1.0]], "ids must be unique"),
+            (["", ""], [[0.0], [1.0]], "ids must be unique"),  # uniqueness is checked first
+            (["a", ""], [[0.0], [1.0]], "ids must be non-empty strings"),
+            (["a", 7], [[0.0], [1.0]], "ids must be non-empty strings"),
+            (["a", b"b"], [[0.0], [1.0]], "ids must be non-empty strings"),
+            (["a", None], [[0.0], [1.0]], "ids must be non-empty strings"),
+            (["a", "b"], [[0.0], [np.nan]], "vectors contain non-finite entries"),
+            (["a", "b"], [[np.inf], [1.0]], "vectors contain non-finite entries"),
+            (["a", "b"], [[-np.inf], [np.inf]], "vectors contain non-finite entries"),
+        ],
+    )
+    def test_rejections_name_the_fault(self, ids, vectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingStore(ids=ids, vectors=np.array(vectors), kind="text_feature")
+
+    def test_str_subclass_ids_and_huge_finite_vectors_accepted(self):
+        class Tag(str):
+            pass
+
+        store = EmbeddingStore(
+            ids=[Tag("a"), "b"], vectors=np.array([[1e308, 1e308], [-1e308, 1e308]]),
+            kind="projected",
+        )
+        assert store.index(["a", "b"]).tolist() == [0, 1]
+
     def test_id_row_count_mismatch(self):
         from twotower.errors import ShapeError
 
