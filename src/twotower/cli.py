@@ -194,8 +194,7 @@ def _meta_block() -> dict:
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_dataset(args, cfg):

@@ -25,7 +25,8 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -206,15 +207,16 @@ class EmbeddingStore:
             raise ShapeError(f"{len(self.ids)} ids for {vec.shape[0]} vector rows")
         if vec.shape[1] < 1:
             raise ShapeError("embedding dim must be positive")
-        if len(set(self.ids)) != len(self.ids):
+        self._row_of = dict(zip(self.ids, range(len(self.ids))))
+        if len(self._row_of) != len(self.ids):
             raise ValueError("ids must be unique")
-        if not all(isinstance(i, str) and i for i in self.ids):
+        # every id a str, and none empty: two passes that run in C
+        if not (all(map(isinstance, self.ids, repeat(str))) and all(self.ids)):
             raise ValueError("ids must be non-empty strings")
         if not np.isfinite(vec).all():
             raise ValueError("vectors contain non-finite entries")
         vec.setflags(write=False)
         self.vectors = vec
-        self._row_of = {id_: i for i, id_ in enumerate(self.ids)}
 
     @property
     def dim(self) -> int:
@@ -375,12 +377,14 @@ class PairedDataset:
     """Aligned image/text stores plus the caption-to-image ground truth.
 
     Each text id appears in exactly one pair (a caption has one true
-    image); an image id may appear in many pairs.
+    image); an image id may appear in many pairs. The pairs and stores are
+    fixed once the dataset is built.
     """
 
     image_store: EmbeddingStore
     text_store: EmbeddingStore
     pairs: list[Pair]
+    _split_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.pairs = [Pair(*p) for p in self.pairs]
@@ -402,12 +406,22 @@ class PairedDataset:
         return [p for p in self.pairs if p.split == split]
 
     def split_rows(self, split) -> tuple[np.ndarray, np.ndarray]:
-        """Image-store rows and text-store rows of a split's pairs, in pair order."""
-        pairs = self.pairs_for_split(split)
-        return (
-            self.image_store.index([p.image_id for p in pairs]),
-            self.text_store.index([p.text_id for p in pairs]),
-        )
+        """Image-store rows and text-store rows of a split's pairs, in pair order.
+
+        Resolved on the first call for a split; later calls, such as each
+        epoch's validation pass, return the same read-only arrays.
+        """
+        rows = self._split_rows.get(split)
+        if rows is None:
+            pairs = self.pairs_for_split(split)
+            rows = (
+                self.image_store.index([p.image_id for p in pairs]),
+                self.text_store.index([p.text_id for p in pairs]),
+            )
+            for r in rows:
+                r.setflags(write=False)
+            self._split_rows[split] = rows
+        return rows
 
     def split_sizes(self) -> dict:
         return {s: len(self.pairs_for_split(s)) for s in VALID_SPLITS}

@@ -1,14 +1,16 @@
 """Dense float64 helpers shared by every other module.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects; there is no wrapper type.
-Every public function accepts array-likes, computes in float64, and
-guarantees finite output. Reductions run through numpy's fixed evaluation
-order, so repeated calls on identical inputs are bit-reproducible within a
-process.
+Reductions run through numpy's fixed evaluation order, so repeated calls on
+identical inputs are bit-reproducible within a process.
+
+Finiteness is checked where data enters: ``as_matrix`` at each public entry
+point. ``row_norms`` and ``log_softmax_rows`` are unchecked helpers behind
+those entry points; their callers pass finite float64 matrices.
 
 ``l2_normalize_rows`` is the one row normaliser: training and retrieval
-both take their unit rows from it, and a zero row raises
-``DegenerateRowError`` there and nowhere else.
+both take their norms from ``row_norms``, and a zero row raises
+``DegenerateRowError`` in ``check_norms`` and nowhere else.
 """
 
 from typing import NamedTuple
@@ -36,18 +38,24 @@ class NormalizedRows(NamedTuple):
     norms: np.ndarray   # each input row's Euclidean norm, all >= ZERO_NORM_EPS
 
 
-def l2_normalize_rows(m, what, ids) -> NormalizedRows:
-    """Scale each row to unit Euclidean norm, raising on the first zero row.
+def row_norms(m) -> np.ndarray:
+    """Each row's Euclidean norm; the one formula training and retrieval share.
 
-    A row with norm below ``ZERO_NORM_EPS`` has no direction, so no cosine
-    can be taken with it: it raises DegenerateRowError naming the row as
-    ``"<what> row <i>"``, or as ``"<what> <id>"`` when ``ids`` (one per
-    row) is given, with ``row`` and ``row_id`` set. The norms come back
-    with the unit rows, for the backward pass through the normalization.
+    A row whose squares overflow gets an infinite norm, which
+    ``check_norms`` reports; the caller silences numpy's overflow warning.
     """
-    m = as_matrix(m)
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((m * m).sum(axis=1))
+    return np.sqrt((m * m).sum(axis=1))
+
+
+def check_norms(norms, what, ids):
+    """Raise unless every row norm is finite and at least ``ZERO_NORM_EPS``.
+
+    A non-finite norm means the rows overflowed (ValueError). A norm below
+    ``ZERO_NORM_EPS`` has no direction, so no cosine can be taken with its
+    row: it raises DegenerateRowError naming the row as ``"<what> row <i>"``,
+    or as ``"<what> <id>"`` when ``ids`` (one per row) is given, with
+    ``row`` and ``row_id`` set.
+    """
     if not np.isfinite(norms).all():
         raise ValueError("row norms overflowed to non-finite values")
     zero = norms < ZERO_NORM_EPS
@@ -56,14 +64,28 @@ def l2_normalize_rows(m, what, ids) -> NormalizedRows:
         row_id = None if ids is None else ids[i]
         name = f"row {i}" if ids is None else repr(row_id)
         raise DegenerateRowError(f"{what} {name} projects to a zero vector", row=i, row_id=row_id)
+
+
+def l2_normalize_rows(m, what, ids) -> NormalizedRows:
+    """Scale each row of ``m`` to unit Euclidean norm; ``check_norms`` gives the errors.
+
+    The norms come back with the unit rows, for the backward pass through
+    the normalization.
+    """
+    m = as_matrix(m)
+    with np.errstate(over="ignore"):
+        norms = row_norms(m)
+    check_norms(norms, what, ids)
     return NormalizedRows(m / norms[:, None], norms)
 
 
 def log_softmax_rows(m) -> np.ndarray:
-    """Row-wise log-softmax with per-row max subtraction.
+    """Row-wise log-softmax of a finite matrix, with per-row max subtraction.
 
     The shift makes arbitrarily large logits safe: exp never overflows.
+    Returns a new array laid out like ``m``.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
     shifted = m - m.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted

@@ -22,7 +22,10 @@ exactly at its kink, and min/max ties over off-diagonal entries resolve to
 the lowest column index.
 
 Training and validation share one forward pass, ``loss_forward``;
-``loss_backward`` continues from it to the parameter gradients.
+``loss_backward`` continues from it to the parameter gradients. Both check
+their features once on entry and then run as straight-line array code,
+writing logits and gradients in place where that keeps numpy's rounding
+order, so results are bit-identical to the step written helper by helper.
 """
 
 from dataclasses import dataclass
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_matrix, l2_normalize_rows, log_softmax_rows
-from .model import DualEncoderModel, project
+from .linalg import NormalizedRows, as_matrix, check_norms, log_softmax_rows, row_norms
+from .model import DualEncoderModel
 
 MARGIN_MODES = ("literal", "hard_negative")
 
@@ -96,44 +99,56 @@ def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
     under the subgradient conventions in the module docstring.
     """
     s = as_matrix(s, "similarity logits")
-    n = s.shape[0]
-    if s.shape[1] != n:
+    if s.shape[1] != s.shape[0]:
         raise ShapeError(f"similarity matrix must be square, got {s.shape}")
-    eye = np.eye(n)
+    return _contrastive(np.array(s, order="C"), cfg)
 
-    row_ls = log_softmax_rows(s)
-    ce = -float(np.trace(row_ls))
-    grad = np.exp(row_ls) - eye
+
+def _contrastive(s, cfg: LossConfig) -> LossOutput:
+    # contrastive_loss on finite, square, C-contiguous logits, which it overwrites
+    n = s.shape[0]
+    diag = s.reshape(-1)[:: n + 1]  # a view: s is C-contiguous
+
+    grad = log_softmax_rows(s)
+    ce = -float(grad.trace())
+    np.exp(grad, out=grad)
+    grad.reshape(-1)[:: n + 1] -= 1.0  # softmax minus the identity
     if cfg.symmetric:
-        col_ls = log_softmax_rows(s.T).T
-        ce = 0.5 * (ce - float(np.trace(col_ls)))
-        grad = 0.5 * (grad + (np.exp(col_ls) - eye))
+        col = log_softmax_rows(s.T).T
+        ce = 0.5 * (ce - float(col.trace()))
+        np.exp(col, out=col)
+        col.reshape(-1)[:: n + 1] -= 1.0
+        grad += col
+        grad *= 0.5
 
-    masked_min = s.copy()
-    np.fill_diagonal(masked_min, np.inf)
-    min_off = masked_min.min(axis=1)
+    hard = n > 1 and cfg.lam > 0 and cfg.margin_mode == "hard_negative"
+    if hard:
+        positive = diag.copy()
+    # Off-diagonal extremes: mask the diagonal in place, take the first
+    # (lowest-column) extreme of each row and read its value back.
+    every = np.arange(n)
+    diag[:] = np.inf
+    argmin = s.argmin(axis=1)
+    min_off = s[every, argmin]
 
     margin = 0.0
     if n > 1 and cfg.lam > 0:
-        if cfg.margin_mode == "literal":
+        if not hard:
             hinge = cfg.margin - min_off
-            active = hinge > 0
-            if active.any():
-                margin = float(cfg.lam * (hinge[active] ** 2).sum())
-                argmin = masked_min.argmin(axis=1)  # first occurrence = lowest column
-                rows = np.flatnonzero(active)
-                grad[rows, argmin[rows]] -= 2.0 * cfg.lam * hinge[rows]
+            rows = np.flatnonzero(hinge > 0)
+            if rows.size:
+                active = hinge[rows]
+                margin = float(cfg.lam * (active**2).sum())
+                grad[rows, argmin[rows]] -= 2.0 * cfg.lam * active
         else:
-            masked_max = s.copy()
-            np.fill_diagonal(masked_max, -np.inf)
-            max_off = masked_max.max(axis=1)
-            hinge = max_off - (np.diag(s) * cfg.temperature - cfg.margin)
-            active = hinge > 0
-            if active.any():
-                margin = float(cfg.lam * (hinge[active] ** 2).sum())
-                argmax = masked_max.argmax(axis=1)
-                rows = np.flatnonzero(active)
-                step = 2.0 * cfg.lam * hinge[rows]
+            diag[:] = -np.inf
+            argmax = s.argmax(axis=1)
+            hinge = s[every, argmax] - (positive * cfg.temperature - cfg.margin)
+            rows = np.flatnonzero(hinge > 0)
+            if rows.size:
+                active = hinge[rows]
+                margin = float(cfg.lam * (active**2).sum())
+                step = 2.0 * cfg.lam * active
                 grad[rows, argmax[rows]] += step
                 grad[rows, rows] -= step * cfg.temperature
 
@@ -146,46 +161,85 @@ def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
     )
 
 
-def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
-    """The objective on one batch, with no parameter gradients.
-
-    Chains project -> row L2-normalization -> cosine / temperature ->
-    ``contrastive_loss``. Returns the LossOutput and the image and text
-    NormalizedRows, which ``loss_backward`` reuses.
-    """
+def _features(img_feat, txt_feat, model: DualEncoderModel):
+    """Both feature batches as checked float64 matrices that fit their heads."""
     img_feat = as_matrix(img_feat, "image features")
     txt_feat = as_matrix(txt_feat, "text features")
     if img_feat.shape[0] != txt_feat.shape[0]:
         raise ShapeError(
             f"batch sizes differ: {img_feat.shape[0]} images vs {txt_feat.shape[0]} texts"
         )
-    img = l2_normalize_rows(project(model.image_head, img_feat), "image", None)
-    txt = l2_normalize_rows(project(model.text_head, txt_feat), "text", None)
-    return contrastive_loss((img.matrix @ txt.matrix.T) / cfg.temperature, cfg), img, txt
+    for x, head in ((img_feat, model.image_head), (txt_feat, model.text_head)):
+        if x.shape[1] != head.d_in:
+            raise ShapeError(f"features have width {x.shape[1]} but head expects {head.d_in}")
+    return img_feat, txt_feat
+
+
+def _unit_rows(img_feat, txt_feat, model: DualEncoderModel) -> NormalizedRows:
+    # Both projections, image rows over text rows in one buffer, scaled to
+    # unit rows: each row's arithmetic is that of project and
+    # l2_normalize_rows, and the row-wise steps run once for both towers.
+    n = img_feat.shape[0]
+    p = np.empty((2 * n, model.shared_dim))
+    towers = ((img_feat, model.image_head, p[:n]), (txt_feat, model.text_head, p[n:]))
+    with np.errstate(over="ignore"):  # an overflowing projection fails check_norms
+        for x, head, part in towers:
+            np.matmul(x, head.w, out=part)
+            part += head.b
+        norms = row_norms(p)
+    check_norms(norms[:n], "image", None)
+    check_norms(norms[n:], "text", None)
+    p /= norms[:, None]
+    return NormalizedRows(p, norms)
+
+
+def _forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
+    # loss_forward on features that _features has checked; also returns the unit rows
+    n = img_feat.shape[0]
+    rows = _unit_rows(img_feat, txt_feat, model)
+    s = rows.matrix[:n] @ rows.matrix[n:].T
+    if cfg.temperature != 1:  # dividing by 1 is exact: skip it
+        s /= cfg.temperature
+    return _contrastive(s, cfg), rows
+
+
+def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig) -> LossOutput:
+    """The objective on one batch, with no parameter gradients.
+
+    Chains project -> row L2-normalization -> cosine / temperature ->
+    ``contrastive_loss``, the forward half of ``loss_backward``.
+    """
+    img_feat, txt_feat = _features(img_feat, txt_feat, model)
+    return _forward(img_feat, txt_feat, model, cfg)[0]
 
 
 def _rownorm_backward(rows, du):
-    # d/dp of p/|p| applied to upstream du: (du - (du . u) u) / |p|
+    # d/dp of p/|p| applied to upstream du: (du - (du . u) u) / |p|, written into du
     proj = (du * rows.matrix).sum(axis=1, keepdims=True)
-    return (du - proj * rows.matrix) / rows.norms[:, None]
+    du -= proj * rows.matrix
+    du /= rows.norms[:, None]
+    return du
 
 
 def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
     """Forward and backward pass through both heads for one batch.
 
     Runs ``loss_forward``, then its closed-form Jacobians in reverse.
-    Returns the LossOutput and the gradient as one vector in the layout of
-    ``model.params``.
+    Returns the LossOutput and the gradient as a new vector in the layout
+    of ``model.params``.
     """
-    out, img, txt = loss_forward(img_feat, txt_feat, model, cfg)
-    g = out.grad_sim / cfg.temperature
-    d_p_img = _rownorm_backward(img, g @ txt.matrix)
-    d_p_txt = _rownorm_backward(txt, g.T @ img.matrix)
+    img_feat, txt_feat = _features(img_feat, txt_feat, model)
+    out, rows = _forward(img_feat, txt_feat, model, cfg)
+    n = img_feat.shape[0]
+    g = out.grad_sim / cfg.temperature if cfg.temperature != 1 else out.grad_sim
+    d_p = np.empty_like(rows.matrix)  # image rows over text rows, as in rows
+    np.matmul(g, rows.matrix[n:], out=d_p[:n])
+    np.matmul(g.T, rows.matrix[:n], out=d_p[n:])
+    _rownorm_backward(rows, d_p)
     grads = np.empty_like(model.params)
-    blocks = model.blocks(grads)
-    # loss_forward has checked the features
-    np.matmul(np.asarray(img_feat, dtype=np.float64).T, d_p_img, out=blocks["image_w"])
-    d_p_img.sum(axis=0, out=blocks["image_b"])
-    np.matmul(np.asarray(txt_feat, dtype=np.float64).T, d_p_txt, out=blocks["text_w"])
-    d_p_txt.sum(axis=0, out=blocks["text_b"])
+    image_w, image_b, text_w, text_b = model.blocks(grads).values()
+    np.matmul(img_feat.T, d_p[:n], out=image_w)
+    d_p[:n].sum(axis=0, out=image_b)
+    np.matmul(txt_feat.T, d_p[n:], out=text_w)
+    d_p[n:].sum(axis=0, out=text_b)
     return out, grads

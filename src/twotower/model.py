@@ -79,6 +79,7 @@ class DualEncoderModel:
     shared_dim: int
     meta: dict = field(default_factory=dict)
     params: np.ndarray = field(init=False, repr=False)
+    _layout: tuple = field(init=False, repr=False)  # (name, slice of params, shape) per block
 
     def __post_init__(self):
         if self.image_head.d_out != self.shared_dim or self.text_head.d_out != self.shared_dim:
@@ -86,6 +87,19 @@ class DualEncoderModel:
                 f"head outputs ({self.image_head.d_out}, {self.text_head.d_out}) "
                 f"must equal shared_dim {self.shared_dim}"
             )
+        d = self.shared_dim
+        shapes = {
+            "image_w": (self.image_head.d_in, d),
+            "image_b": (d,),
+            "text_w": (self.text_head.d_in, d),
+            "text_b": (d,),
+        }
+        layout, start = [], 0
+        for name, shape in shapes.items():
+            end = start + math.prod(shape)
+            layout.append((name, slice(start, end), shape))
+            start = end
+        self._layout = tuple(layout)
         heads = (self.image_head, self.text_head)
         self.params = np.concatenate([a.ravel() for h in heads for a in (h.w, h.b)])
         views = self.blocks(self.params)
@@ -94,19 +108,7 @@ class DualEncoderModel:
 
     def blocks(self, flat) -> dict:
         """Views of ``flat``, a vector in the ``params`` layout, keyed by block name."""
-        d = self.shared_dim
-        shapes = {
-            "image_w": (self.image_head.d_in, d),
-            "image_b": (d,),
-            "text_w": (self.text_head.d_in, d),
-            "text_b": (d,),
-        }
-        views, start = {}, 0
-        for name, shape in shapes.items():
-            end = start + math.prod(shape)
-            views[name] = flat[start:end].reshape(shape)
-            start = end
-        return views
+        return {name: flat[span].reshape(shape) for name, span, shape in self._layout}
 
 
 def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderModel:

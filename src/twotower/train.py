@@ -154,9 +154,26 @@ def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_s
     for start in range(0, len(image_rows), batch_size):
         img = ds.image_store.vectors[image_rows[start : start + batch_size]]
         txt = ds.text_store.vectors[text_rows[start : start + batch_size]]
-        out, _, _ = loss_forward(img, txt, model, loss_cfg)
-        total += out.total
+        total += loss_forward(img, txt, model, loss_cfg).total
     return total / len(image_rows)
+
+
+def _json_number(x) -> str:
+    # how json.dumps spells a finite int or float, numpy float64 included
+    return float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+
+
+def _step_line(step, epoch, lr, loss, ce_term, margin_term) -> str:
+    """The log line of one step: ``json.dumps`` of its record, formatted directly.
+
+    The step's guards make every value finite, so no NaN or Infinity
+    spelling is needed.
+    """
+    return (
+        f'{{"step": {step}, "epoch": {epoch}, "lr": {_json_number(lr)}, '
+        f'"loss": {_json_number(loss)}, "ce_term": {_json_number(ce_term)}, '
+        f'"margin_term": {_json_number(margin_term)}}}\n'
+    )
 
 
 class _JsonlLog:
@@ -166,6 +183,11 @@ class _JsonlLog:
     def write(self, record):
         if self._fh is not None:
             self._fh.write(json.dumps(record) + "\n")
+
+    def step(self, *fields):
+        """Write one step's line; ``fields`` are ``_step_line``'s arguments."""
+        if self._fh is not None:
+            self._fh.write(_step_line(*fields))
 
     def close(self):
         if self._fh is not None:
@@ -204,6 +226,9 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     model.meta["train_config"] = echo
 
     state = OptimizerState.for_params(model.params)
+    params = model.params
+    images, texts = ds.image_store.vectors, ds.text_store.vectors
+    batch_rows = [(image_rows[batch], text_rows[batch]) for batch in batches]
     log = _JsonlLog(cfg.log_path)
     best = math.inf
     best_epoch = 0
@@ -216,13 +241,13 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = 0.0
             rows = 0
-            for batch in batches:
+            for img_rows, txt_rows in batch_rows:
                 step += 1
                 lr = lr_at(step, cfg, total_steps)
-                img = ds.image_store.vectors[image_rows[batch]]
-                txt = ds.text_store.vectors[text_rows[batch]]
                 try:
-                    out, grads = loss_backward(img, txt, model, cfg.loss)
+                    out, grads = loss_backward(
+                        images.take(img_rows, axis=0), texts.take(txt_rows, axis=0), model, cfg.loss
+                    )
                 except (ValueError, DegenerateRowError) as e:
                     raise DivergenceError(
                         f"training aborted at step {step} (epoch {epoch}): {e}"
@@ -231,27 +256,18 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                     raise DivergenceError(
                         f"loss became non-finite at step {step} (epoch {epoch})"
                     )
-                adamw_step(model.params, grads, state, lr, cfg)
-                if not np.isfinite(model.params).all():
-                    bad = model.blocks(~np.isfinite(model.params))
+                adamw_step(params, grads, state, lr, cfg)
+                if not np.isfinite(params).all():
+                    bad = model.blocks(~np.isfinite(params))
                     name = next(k for k, v in bad.items() if v.any())
                     raise DivergenceError(
                         f"parameter {name!r} became non-finite after step {step} "
                         f"(epoch {epoch}); try a lower lr_max"
                     )
-                n = len(batch)
+                n = len(img_rows)
                 loss_sum += out.total
                 rows += n
-                log.write(
-                    {
-                        "step": step,
-                        "epoch": epoch,
-                        "lr": lr,
-                        "loss": out.total / n,
-                        "ce_term": out.ce_term / n,
-                        "margin_term": out.margin_term / n,
-                    }
-                )
+                log.step(step, epoch, lr, out.total / n, out.ce_term / n, out.margin_term / n)
             train_loss = loss_sum / rows
             if has_val:
                 val = evaluate_loss(model, ds, "val", cfg.loss, cfg.batch_size)

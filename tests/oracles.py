@@ -71,6 +71,105 @@ def fd_param_grads(img_feat, txt_feat, model, cfg, h=1e-5):
     return grads
 
 
+def reference_loss_backward(img_feat, txt_feat, model, cfg):
+    """The training step's loss and gradient, one helper per stage.
+
+    A plain reference for the fused step: each stage is written as its own
+    function with fresh arrays, a finiteness scan at every stage boundary
+    and a masked copy of the logits, in the same numpy operations and
+    evaluation order as the fused code. Returns (terms, grads): ``terms``
+    maps the LossOutput field names to values; ``grads`` is a vector in
+    the layout of ``model.params``.
+    """
+
+    def checked(x):
+        m = np.asarray(x, dtype=np.float64)
+        assert m.ndim == 2 and np.isfinite(m).all()
+        return m
+
+    def project(w, b, x):
+        return checked(x) @ w + b
+
+    def normalize(m):
+        m = checked(m)
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((m * m).sum(axis=1))
+        assert np.isfinite(norms).all() and (norms >= 1e-12).all()
+        return m / norms[:, None], norms
+
+    def log_softmax_rows(m):
+        m = checked(m)
+        shifted = m - m.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def contrastive(s):
+        s = checked(s)
+        n = s.shape[0]
+        eye = np.eye(n)
+        row_ls = log_softmax_rows(s)
+        ce = -float(np.trace(row_ls))
+        grad = np.exp(row_ls) - eye
+        if cfg.symmetric:
+            col_ls = log_softmax_rows(s.T).T
+            ce = 0.5 * (ce - float(np.trace(col_ls)))
+            grad = 0.5 * (grad + (np.exp(col_ls) - eye))
+        masked_min = s.copy()
+        np.fill_diagonal(masked_min, np.inf)
+        min_off = masked_min.min(axis=1)
+        margin = 0.0
+        if n > 1 and cfg.lam > 0:
+            if cfg.margin_mode == "literal":
+                hinge = cfg.margin - min_off
+                active = hinge > 0
+                if active.any():
+                    margin = float(cfg.lam * (hinge[active] ** 2).sum())
+                    argmin = masked_min.argmin(axis=1)
+                    rows = np.flatnonzero(active)
+                    grad[rows, argmin[rows]] -= 2.0 * cfg.lam * hinge[rows]
+            else:
+                masked_max = s.copy()
+                np.fill_diagonal(masked_max, -np.inf)
+                max_off = masked_max.max(axis=1)
+                hinge = max_off - (np.diag(s) * cfg.temperature - cfg.margin)
+                active = hinge > 0
+                if active.any():
+                    margin = float(cfg.lam * (hinge[active] ** 2).sum())
+                    argmax = masked_max.argmax(axis=1)
+                    rows = np.flatnonzero(active)
+                    step = 2.0 * cfg.lam * hinge[rows]
+                    grad[rows, argmax[rows]] += step
+                    grad[rows, rows] -= step * cfg.temperature
+        return {
+            "total": ce + margin,
+            "ce_term": ce,
+            "margin_term": margin,
+            "grad_sim": grad,
+            "per_row_min_offdiag": min_off,
+        }
+
+    def rownorm_backward(unit, norms, du):
+        proj = (du * unit).sum(axis=1, keepdims=True)
+        return (du - proj * unit) / norms[:, None]
+
+    img_feat, txt_feat = checked(img_feat), checked(txt_feat)
+    iw, ib = model.image_head.w, model.image_head.b
+    tw, tb = model.text_head.w, model.text_head.b
+    u_img, n_img = normalize(project(iw, ib, img_feat))
+    u_txt, n_txt = normalize(project(tw, tb, txt_feat))
+    terms = contrastive((u_img @ u_txt.T) / cfg.temperature)
+    g = terms["grad_sim"] / cfg.temperature
+    d_p_img = rownorm_backward(u_img, n_img, g @ u_txt)
+    d_p_txt = rownorm_backward(u_txt, n_txt, g.T @ u_img)
+    grads = np.empty(iw.size + ib.size + tw.size + tb.size)
+    ends = np.cumsum([iw.size, ib.size, tw.size, tb.size])
+    gw_img, gb_img, gw_txt, gb_txt = np.split(grads, ends[:-1])
+    np.matmul(img_feat.T, d_p_img, out=gw_img.reshape(iw.shape))
+    d_p_img.sum(axis=0, out=gb_img)
+    np.matmul(txt_feat.T, d_p_txt, out=gw_txt.reshape(tw.shape))
+    d_p_txt.sum(axis=0, out=gb_txt)
+    return terms, grads
+
+
 def first_bad_block(model, bad):
     """Name of the block of ``model.params`` that holds the first True of ``bad``."""
     return next(name for name, block in model.blocks(bad).items() if block.any())

@@ -416,6 +416,17 @@ class TestSplitRows:
         image_rows, text_rows = toy_dataset(3).split_rows("val")
         assert image_rows.shape == text_rows.shape == (0,)
 
+    def test_resolved_once_and_read_only(self):
+        ds = toy_dataset(5)
+        first = ds.split_rows("train")
+        again = ds.split_rows("train")
+        assert all(a is b for a, b in zip(first, again))
+        for rows in first:
+            with pytest.raises(ValueError):
+                rows[0] = 0
+        with pytest.raises(ValueError, match="unknown split"):
+            ds.split_rows("dev")
+
 
 class TestSynthDataset:
     def test_counts(self):

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_param_grads, first_bad_block, oracle_contrastive, similarity_logits
+from oracles import (
+    fd_param_grads,
+    first_bad_block,
+    oracle_contrastive,
+    reference_loss_backward,
+    similarity_logits,
+)
 from twotower.errors import DegenerateRowError, ShapeError
-from twotower.linalg import log_softmax_rows
-from twotower.loss import LossConfig, contrastive_loss, loss_backward
+from twotower.linalg import l2_normalize_rows, log_softmax_rows
+from twotower.loss import LossConfig, contrastive_loss, loss_backward, loss_forward
 from twotower.model import ProjectionHead, DualEncoderModel, init_model
 
 # frozen by hand: 2*ln(1 + e^-1) + 2*(0.2)^2
@@ -348,3 +354,78 @@ class TestHardNegativeMode:
     def test_single_pair_is_zero(self):
         out = contrastive_loss([[2.0]], LossConfig(lam=5.0, margin=0.5, margin_mode="hard_negative"))
         assert out.total == 0.0
+
+
+class TestFusedStepMatchesReference:
+    """The fused step gives, bit for bit, what the helper-by-helper reference gives."""
+
+    FIELDS = ("total", "ce_term", "margin_term", "grad_sim", "per_row_min_offdiag")
+
+    # 0.5 scales exactly; 0.07 does not, so a division turned into a
+    # multiplication by the reciprocal shows
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.07])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("mode", ["literal", "hard_negative"])
+    def test_loss_and_gradient_bit_equal(self, mode, symmetric, temperature):
+        rng = np.random.default_rng(31)
+        model = init_model(64, 48, 32, seed=32)  # the shapes of the default training step
+        cfg = LossConfig(margin_mode=mode, symmetric=symmetric, temperature=temperature)
+        active = 0
+        for n in (64, 64, 64, 17, 2, 1):
+            img = rng.standard_normal((n, 64)) * rng.uniform(0.5, 2.0)
+            txt = rng.standard_normal((n, 48))
+            img_before, txt_before = img.copy(), txt.copy()
+            out, grads = loss_backward(img, txt, model, cfg)
+            terms, ref_grads = reference_loss_backward(img, txt, model, cfg)
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(out, field), terms[field]), field
+            assert np.array_equal(grads, ref_grads)
+            forward = loss_forward(img, txt, model, cfg)
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(forward, field), terms[field]), field
+            # the caller's features are read, never written
+            assert np.array_equal(img, img_before) and np.array_equal(txt, txt_before)
+            active += out.margin_term > 0
+            model.params -= 1e-2 * grads  # the next batch meets other parameters
+        assert active >= 3  # the hinge branch ran, not only the cross-entropy
+
+    def test_contrastive_loss_leaves_the_callers_logits_alone(self):
+        rng = np.random.default_rng(33)
+        for mode in ("literal", "hard_negative"):
+            s = rng.uniform(-1, 1, size=(5, 5))
+            before = s.copy()
+            out = contrastive_loss(s, LossConfig(margin_mode=mode, symmetric=True))
+            assert np.array_equal(s, before)
+            assert out.per_row_min_offdiag.tolist() == [
+                min(s[i, j] for j in range(5) if j != i) for i in range(5)
+            ]
+        transposed = rng.uniform(-1, 1, size=(4, 4)).T  # not C-contiguous
+        expected = contrastive_loss(np.ascontiguousarray(transposed), LossConfig())
+        out = contrastive_loss(transposed, LossConfig())
+        assert np.array_equal(out.grad_sim, expected.grad_sim)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_public_entry_points_reject_non_finite_input(self, bad):
+        rng = np.random.default_rng(34)
+        model = init_model(4, 3, 2, seed=35)
+        img, txt = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
+        img[1, 2] = bad
+        with pytest.raises(ValueError, match="^image features contains non-finite entries$"):
+            loss_backward(img, txt, model, LossConfig())
+        img[1, 2] = 0.0
+        txt[2, 0] = bad
+        with pytest.raises(ValueError, match="^text features contains non-finite entries$"):
+            loss_backward(img, txt, model, LossConfig())
+        s = rng.uniform(-1, 1, size=(3, 3))
+        s[0, 1] = bad
+        with pytest.raises(ValueError, match="^similarity logits contains non-finite entries$"):
+            contrastive_loss(s, LossConfig())
+        with pytest.raises(ValueError, match="non-finite"):
+            l2_normalize_rows(s, "m", None)
+
+    def test_overflowing_projection_raises_without_warnings(self, recwarn):
+        model = init_model(4, 3, 2, seed=36)
+        img = np.full((2, 4), 1e300)
+        with pytest.raises(ValueError, match="^row norms overflowed to non-finite values$"):
+            loss_backward(img, np.ones((2, 3)), model, LossConfig())
+        assert not recwarn.list

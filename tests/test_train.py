@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import oracle_adamw
 from twotower import loss as loss_module
@@ -13,6 +15,7 @@ from twotower.loss import LossConfig, loss_backward
 from twotower.model import checkpoint_bytes, init_model
 from twotower.train import (
     OptimizerState,
+    _step_line,
     TrainConfig,
     adamw_step,
     evaluate_loss,
@@ -249,6 +252,39 @@ class TestTrain:
         assert len(epochs) == 2
         assert set(steps[0]) == {"step", "epoch", "lr", "loss", "ce_term", "margin_term"}
         assert set(epochs[0]) == {"epoch", "train_loss", "val_loss", "checkpointed"}
+
+    def test_step_lines_are_the_json_of_their_records(self, tmp_path):
+        ds = tiny_dataset(seed=14)
+        log_path = tmp_path / "train.jsonl"
+        cfg = tiny_cfg(tmp_path, epochs=2, log_path=str(log_path), loss=LossConfig(lam=3.0))
+        train(init_model(8, 6, 4, seed=15), ds, cfg)
+        lines = log_path.read_text().splitlines()
+        for line in lines:
+            assert line == json.dumps(json.loads(line))
+        assert any(json.loads(line).get("margin_term", 0.0) > 0 for line in lines)
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(
+        step=st.integers(0, 2**63),
+        epoch=st.integers(0, 2**31),
+        lr=st.one_of(finite, finite.map(np.float64), st.integers(-(2**70), 2**70)),
+        values=st.lists(finite, min_size=3, max_size=3),
+    )
+    @example(step=1, epoch=1, lr=-0.0, values=[5e-324, 1e300, 2.2250738585072014e-308])
+    @example(step=3750, epoch=30, lr=np.float64(1e-05), values=[0.1, 1 / 3, -1e-300])
+    @example(step=2, epoch=1, lr=1, values=[-0.0, 0.0, 1e16])
+    def test_step_line_equals_json_dumps(self, step, epoch, lr, values):
+        loss, ce_term, margin_term = values
+        record = {
+            "step": step,
+            "epoch": epoch,
+            "lr": lr,
+            "loss": loss,
+            "ce_term": ce_term,
+            "margin_term": margin_term,
+        }
+        assert _step_line(step, epoch, lr, loss, ce_term, margin_term) == json.dumps(record) + "\n"
 
     def test_checkpoint_path_only_decides_the_file(self, tmp_path):
         # with or without a path, train returns the same best model, and the

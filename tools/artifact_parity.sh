@@ -3,7 +3,7 @@
 #
 #   tools/artifact_parity.sh PARENT_SRC CHANGE_SRC
 #
-# Each argument is a checkout root holding src/twotower. For each of four
+# Each argument is a checkout root holding src/twotower. For each of five
 # configs, the script runs synth -> train -> index -> eval -> query through
 # the CLI once per tree, each in its own directory with the same relative
 # paths, and compares the results file by file: stores, manifest, checkpoint,
@@ -37,6 +37,7 @@ configs=(
     "n2000|$big"
     "n2000-sym-aug|$big --set loss.symmetric=true --set data.augment.copies=2 --set data.augment.sigma=0.1"
     "n2000-hard|$big --set loss.margin_mode=hard_negative"
+    "n2000-t05|$big --set loss.temperature=0.5"
 )
 
 run_pipeline() {  # tree, run dir, config flags
