@@ -25,8 +25,9 @@ from pathlib import Path
 
 import twotower as tt
 
-out = Path(tempfile.mkdtemp(prefix="twotower_quickstart_"))
-print(f"artifacts under {out}\n")
+workdir = tempfile.TemporaryDirectory(prefix="twotower_quickstart_")
+out = Path(workdir.name)
+print(f"artifacts under {out} (removed at the end)\n")
 
 # %% 200 images x 5 captions, subjects split 80/10/10 by image
 ds = tt.synth_dataset(
@@ -81,3 +82,6 @@ metrics = tt.evaluate(index, best, ds.text_store, judgments)
 print()
 print(tt.format_table([{"model": "heads-32", "dataset": "synth-test", **metrics.as_dict()}]))
 print(f"\nchance Top-1 on {len(index)} images would be {1 / len(index):.4f}")
+
+# %% remove the artifacts
+workdir.cleanup()

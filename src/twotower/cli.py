@@ -31,6 +31,7 @@ import numpy as np
 
 from .data import (
     CaptionRecord,
+    _json_lines,
     augment_dataset,
     build_pairs,
     load_embeddings,
@@ -197,18 +198,18 @@ def _write_json(path, payload):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _load_store(path, kind):
+    store = load_embeddings(path)
+    if store.kind != kind:
+        raise DataFormatError(f"{path}: expected a store of kind {kind!r}, got {store.kind!r}")
+    return store
+
+
 def _load_dataset(args, cfg):
-    records = load_manifest(args.manifest)
-    images = load_embeddings(args.images)
-    texts = load_embeddings(args.texts)
-    if images.kind != "image_feature":
-        raise DataFormatError(f"{args.images}: expected an image_feature store, got {images.kind!r}")
-    if texts.kind != "text_feature":
-        raise DataFormatError(f"{args.texts}: expected a text_feature store, got {texts.kind!r}")
     return build_pairs(
-        records,
-        images,
-        texts,
+        load_manifest(args.manifest),
+        _load_store(args.images, "image_feature"),
+        _load_store(args.texts, "text_feature"),
         captions_per_image=cfg["data"]["captions_per_image"],
         allow_ragged=cfg["data"]["allow_ragged"] or args.allow_ragged,
     )
@@ -320,8 +321,7 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    images = load_embeddings(args.images)
-    index = build_index(model, images)
+    index = build_index(model, _load_store(args.images, "image_feature"))
     save_index(index, args.out)
     print(json.dumps({"index": str(args.out), "size": len(index), "fingerprint": index.model_fingerprint}))
     return EXIT_OK
@@ -366,26 +366,25 @@ def cmd_query(args) -> int:
 
 
 def _load_judgments(path) -> list:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"judgments line {lineno}: invalid JSON ({e.msg})") from e
-            try:
-                out.append(
-                    QueryJudgment(
-                        query_id=obj["query_id"],
-                        relevant_ids=frozenset(obj["relevant_ids"]),
-                        correct_id=obj["correct_id"],
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataFormatError(f"judgments line {lineno}: {e}") from e
-    return out
+    def fail(lineno, reason):
+        return DataFormatError(f"judgments line {lineno}: {reason}")
+
+    by_id = {}
+    for lineno, obj in _json_lines(path, fail):
+        try:
+            j = QueryJudgment(
+                query_id=obj["query_id"],
+                relevant_ids=obj["relevant_ids"],
+                correct_id=obj["correct_id"],
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise fail(lineno, e) from e
+        if j.query_id in by_id:
+            raise fail(lineno, f"duplicate judgment for query {j.query_id!r}")
+        by_id[j.query_id] = j
+    if not by_id:
+        raise DataFormatError(f"{path}: no judgments")
+    return list(by_id.values())
 
 
 def cmd_eval(args) -> int:

@@ -1,8 +1,8 @@
 """Datasets: caption manifests, embedding stores, batching, synthesis.
 
-Pair ids are resolved to store rows in one place, ``EmbeddingStore.index``;
-``PairedDataset.split_rows`` gives a split's rows in pair order, and
-training, validation and augmentation gather vectors by those rows.
+Each input is checked where it enters: manifest lines by ``load_manifest``,
+stores by ``EmbeddingStore``, pairs by ``PairedDataset``, which resolves them
+to the store rows that ``split_rows`` gives training and augmentation.
 
 On-disk formats
 ---------------
@@ -120,53 +120,66 @@ class CaptionRecord:
 _MANIFEST_FIELDS = ("image_id", "caption", "lang", "split")
 
 
-def load_manifest(path) -> list[CaptionRecord]:
-    """Parse a JSON-lines caption manifest in file order.
+def _json_lines(path, fail):
+    """Yield (1-based line number, parsed value) for each non-blank line of a JSON-lines file.
 
-    Blank lines are skipped. Any malformed line raises ManifestError with
-    its 1-based line number; duplicate (image_id, caption) pairs are
-    rejected.
+    Lines are split at newline bytes. A line that is not valid UTF-8 or
+    JSON raises ``fail(lineno, reason)``.
     """
-    records = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise fail(lineno, f"not valid UTF-8 ({e.reason})") from e
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ManifestError(f"line {lineno}: invalid JSON ({e.msg})", line=lineno) from e
-            if not isinstance(obj, dict):
-                raise ManifestError(f"line {lineno}: expected a JSON object", line=lineno)
-            missing = [k for k in _MANIFEST_FIELDS if k not in obj]
-            if missing:
-                raise ManifestError(
-                    f"line {lineno}: missing field(s): {', '.join(missing)}", line=lineno
-                )
-            for k in _MANIFEST_FIELDS:
-                if not isinstance(obj[k], str):
-                    raise ManifestError(f"line {lineno}: field {k!r} must be a string", line=lineno)
-            text_id = obj.get("text_id")
-            if text_id is not None and not isinstance(text_id, str):
-                raise ManifestError(f"line {lineno}: field 'text_id' must be a string", line=lineno)
-            key = (obj["image_id"], obj["caption"])
-            if key in seen:
-                raise ManifestError(
-                    f"line {lineno}: duplicate (image_id, caption) pair", line=lineno
-                )
-            seen.add(key)
-            try:
-                rec = CaptionRecord(
-                    image_id=obj["image_id"],
-                    caption=obj["caption"],
-                    lang=obj["lang"],
-                    split=obj["split"],
-                    text_id=text_id,
-                )
-            except ValueError as e:
-                raise ManifestError(f"line {lineno}: {e}", line=lineno) from e
-            records.append(rec)
+                raise fail(lineno, f"invalid JSON ({e.msg})") from e
+            yield lineno, obj
+
+
+def load_manifest(path) -> list[CaptionRecord]:
+    """Parse a JSON-lines caption manifest in file order.
+
+    Blank lines are skipped. Any malformed line, invalid UTF-8 included,
+    raises ManifestError with its 1-based line number; duplicate
+    (image_id, caption) pairs are rejected.
+    """
+    def fail(lineno, reason):
+        return ManifestError(f"line {lineno}: {reason}", line=lineno)
+
+    records = []
+    seen = set()
+    for lineno, obj in _json_lines(path, fail):
+        if not isinstance(obj, dict):
+            raise fail(lineno, "expected a JSON object")
+        missing = [k for k in _MANIFEST_FIELDS if k not in obj]
+        if missing:
+            raise fail(lineno, f"missing field(s): {', '.join(missing)}")
+        for k in _MANIFEST_FIELDS:
+            if not isinstance(obj[k], str):
+                raise fail(lineno, f"field {k!r} must be a string")
+        text_id = obj.get("text_id")
+        if text_id is not None and not isinstance(text_id, str):
+            raise fail(lineno, "field 'text_id' must be a string")
+        key = (obj["image_id"], obj["caption"])
+        if key in seen:
+            raise fail(lineno, "duplicate (image_id, caption) pair")
+        seen.add(key)
+        try:
+            rec = CaptionRecord(
+                image_id=obj["image_id"],
+                caption=obj["caption"],
+                lang=obj["lang"],
+                split=obj["split"],
+                text_id=text_id,
+            )
+        except ValueError as e:
+            raise fail(lineno, e) from e
+        records.append(rec)
     return records
 
 
@@ -302,8 +315,8 @@ def write_store(fh, store: EmbeddingStore):
         fh.write(raw)
 
 
-def read_store(fh) -> EmbeddingStore:
-    """Read a store from a binary file object, leaving it positioned after the id block."""
+def read_store(fh):
+    """Parse a store's (ids, float32 vectors, kind), leaving ``fh`` just past the id block."""
     header = _read_exact(fh, _EMBED_HEADER.size, "header")
     magic, version, count, dim, kind_code = _EMBED_HEADER.unpack(header)
     if magic != EMBED_MAGIC:
@@ -349,8 +362,7 @@ def read_store(fh) -> EmbeddingStore:
             raise DataFormatError(f"id {i} is not valid UTF-8 ({e.reason})") from e
         pos = stop
     fh.seek(start + pos)
-    with value_errors_as(DataFormatError):
-        return EmbeddingStore(ids=ids, vectors=vectors, kind=CODE_TO_KIND[kind_code])
+    return ids, vectors, CODE_TO_KIND[kind_code]
 
 
 def save_embeddings(store: EmbeddingStore, path):
@@ -360,10 +372,11 @@ def save_embeddings(store: EmbeddingStore, path):
 
 def load_embeddings(path) -> EmbeddingStore:
     with open(path, "rb") as fh:
-        store = read_store(fh)
+        ids, vectors, kind = read_store(fh)
         if fh.read(1):
             raise DataFormatError("trailing data after id block")
-    return store
+    with value_errors_as(DataFormatError):
+        return EmbeddingStore(ids=ids, vectors=vectors, kind=kind)
 
 
 class Pair(NamedTuple):
@@ -377,17 +390,20 @@ class PairedDataset:
     """Aligned image/text stores plus the caption-to-image ground truth.
 
     Each text id appears in exactly one pair (a caption has one true
-    image); an image id may appear in many pairs. The pairs and stores are
-    fixed once the dataset is built.
+    image); an image id may appear in many pairs. Building the dataset
+    checks every pair and resolves it to its store rows; pairs and stores
+    are fixed from then on.
     """
 
     image_store: EmbeddingStore
     text_store: EmbeddingStore
     pairs: list[Pair]
-    _split_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pairs = [Pair(*p) for p in self.pairs]
+        image_row, text_row = self.image_store._row_of, self.text_store._row_of
+        rows = {s: [] for s in VALID_SPLITS}
         seen_text = set()
         for p in self.pairs:
             if p.split not in VALID_SPLITS:
@@ -395,10 +411,15 @@ class PairedDataset:
             if p.text_id in seen_text:
                 raise ValueError(f"text id {p.text_id!r} appears in more than one pair")
             seen_text.add(p.text_id)
-            if p.text_id not in self.text_store:
+            if p.text_id not in text_row:
                 raise ValueError(f"pair references unknown text id {p.text_id!r}")
-            if p.image_id not in self.image_store:
+            if p.image_id not in image_row:
                 raise ValueError(f"pair references unknown image id {p.image_id!r}")
+            rows[p.split].append((image_row[p.image_id], text_row[p.text_id]))
+        for s, r in rows.items():
+            rows[s] = np.array(r, dtype=np.intp).reshape(-1, 2).T.copy()
+            rows[s].setflags(write=False)
+        self._rows = {s: tuple(both) for s, both in rows.items()}
 
     def pairs_for_split(self, split) -> list[Pair]:
         if split not in VALID_SPLITS:
@@ -408,23 +429,15 @@ class PairedDataset:
     def split_rows(self, split) -> tuple[np.ndarray, np.ndarray]:
         """Image-store rows and text-store rows of a split's pairs, in pair order.
 
-        Resolved on the first call for a split; later calls, such as each
-        epoch's validation pass, return the same read-only arrays.
+        Resolved when the dataset is built; every call returns the same
+        read-only arrays.
         """
-        rows = self._split_rows.get(split)
-        if rows is None:
-            pairs = self.pairs_for_split(split)
-            rows = (
-                self.image_store.index([p.image_id for p in pairs]),
-                self.text_store.index([p.text_id for p in pairs]),
-            )
-            for r in rows:
-                r.setflags(write=False)
-            self._split_rows[split] = rows
-        return rows
+        if split not in VALID_SPLITS:
+            raise ValueError(f"unknown split {split!r}; expected one of {VALID_SPLITS}")
+        return self._rows[split]
 
     def split_sizes(self) -> dict:
-        return {s: len(self.pairs_for_split(s)) for s in VALID_SPLITS}
+        return {s: len(rows) for s, (rows, _) in self._rows.items()}
 
 
 def pairs_from_manifest(records) -> list[Pair]:
@@ -469,12 +482,8 @@ def build_pairs(
                 f"{len(ragged)} image(s) do not have exactly {captions_per_image} "
                 f"captions: {shown}{more}; pass allow_ragged to accept"
             )
-    for p in pairs:
-        if p.image_id not in image_store:
-            raise DataFormatError(f"manifest references unknown image id {p.image_id!r}")
-        if p.text_id not in text_store:
-            raise DataFormatError(f"manifest implies text id {p.text_id!r} missing from text store")
-    return PairedDataset(image_store=image_store, text_store=text_store, pairs=pairs)
+    with value_errors_as(DataFormatError):
+        return PairedDataset(image_store=image_store, text_store=text_store, pairs=pairs)
 
 
 def make_batches(ds: PairedDataset, split, batch_size, seed) -> np.ndarray:
@@ -487,7 +496,7 @@ def make_batches(ds: PairedDataset, split, batch_size, seed) -> np.ndarray:
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.array(shuffled(range(len(ds.pairs_for_split(split))), seed), dtype=np.intp)
+    order = np.array(shuffled(range(len(ds.split_rows(split)[0])), seed), dtype=np.intp)
     return order[: len(order) - len(order) % batch_size].reshape(-1, batch_size)
 
 

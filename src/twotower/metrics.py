@@ -24,6 +24,10 @@ class QueryJudgment:
     correct_id: str
 
     def __post_init__(self):
+        if not isinstance(self.query_id, str):
+            raise TypeError(f"query_id must be a str, got {type(self.query_id).__name__}")
+        if isinstance(self.relevant_ids, str):
+            raise TypeError(f"query {self.query_id!r}: relevant_ids must be a set, not a str")
         object.__setattr__(self, "relevant_ids", frozenset(self.relevant_ids))
         if not self.relevant_ids:
             raise ValueError(f"query {self.query_id!r}: relevant_ids must be non-empty")

@@ -16,7 +16,7 @@ model fingerprint as UTF-8 hex.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +36,12 @@ class RetrievalIndex:
     ids: list[str]
     vectors: np.ndarray
     model_fingerprint: str
+    store: EmbeddingStore = field(init=False, repr=False, compare=False)  # holds ids, vectors
 
     def __post_init__(self):
-        store = EmbeddingStore(ids=self.ids, vectors=self.vectors, kind="projected")
-        self.ids = store.ids
-        self.vectors = store.vectors  # copied, read-only, float64
+        self.store = EmbeddingStore(ids=self.ids, vectors=self.vectors, kind="projected")
+        self.ids = self.store.ids
+        self.vectors = self.store.vectors  # copied, read-only, float64
         if not self.model_fingerprint:
             raise ValueError("model_fingerprint must be non-empty")
         norms = np.sqrt((self.vectors * self.vectors).sum(axis=1))
@@ -208,39 +209,38 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
     missing = sorted(set(by_id) - set(texts.ids))
     if missing:
         raise DataFormatError(f"text store is missing query id {missing[0]!r}")
-    row_of = {id_: r for r, id_ in enumerate(index.ids)}
     band = _score_band(index.vectors.shape[1])
     judged = []
     for ids, q, g in _blocks(index, model, texts, [i for i in texts.ids if i in by_id]):
         for qid, qv, gv in zip(ids, q, g):
             j = by_id[qid]
-            rows = {d: row_of[d] for d in j.relevant_ids if d in row_of}
-            ranks = {d: _rank(index, qv, gv, r, band) for d, r in rows.items()}
+            found = [d for d in j.relevant_ids if d in index.store]
+            rows = zip(found, index.store.index(found))
+            ranks = {d: _rank(index, qv, gv, r, band) for d, r in rows}
             judged.append((j, ranks))
     return metrics_from_ranks(judged)
 
 
 def save_index(index: RetrievalIndex, path):
-    store = EmbeddingStore(ids=index.ids, vectors=index.vectors, kind="projected")
     raw = index.model_fingerprint.encode("utf-8")
     with _write_atomic(path) as fh:
-        write_store(fh, store)
+        write_store(fh, index.store)
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
 
 
 def load_index(path) -> RetrievalIndex:
     with open(path, "rb") as fh:
-        store = read_store(fh)
+        ids, vectors, kind = read_store(fh)
         (length,) = struct.unpack("<I", _read_exact(fh, 4, "index fingerprint footer length"))
         raw = _read_exact(fh, length, "index fingerprint footer")
         if fh.read(1):
             raise DataFormatError("trailing data after index footer")
-    if store.kind != "projected":
-        raise DataFormatError(f"index store must have kind 'projected', got {store.kind!r}")
+    if kind != "projected":
+        raise DataFormatError(f"index store must have kind 'projected', got {kind!r}")
     try:
         fingerprint = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"index fingerprint footer is not valid UTF-8 ({e.reason})") from e
     with value_errors_as(DataFormatError):
-        return RetrievalIndex(ids=store.ids, vectors=store.vectors, model_fingerprint=fingerprint)
+        return RetrievalIndex(ids=ids, vectors=vectors, model_fingerprint=fingerprint)

@@ -217,7 +217,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
         )
     batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)
     total_steps = cfg.epochs * len(batches)
-    has_val = bool(ds.pairs_for_split("val"))
+    has_val = ds.split_sizes()["val"] > 0
 
     model.meta = dict(model.meta)
     echo = _jsonable(asdict(cfg))

@@ -163,6 +163,53 @@ class TestIngest:
         code, _, _ = run(base + ["--allow-ragged"], capsys)
         assert code == 0
 
+    def dataset_args(self, pipeline, manifest):
+        ds = pipeline / "ds"
+        return ["--manifest", str(manifest), "--images", str(ds / "images.emb"),
+                "--texts", str(ds / "texts.emb"), "--set", "data.captions_per_image=2"]
+
+    def edited_manifest(self, pipeline, tmp_path, edit):
+        """A copy of the pipeline's manifest whose rows ``edit`` has changed in place."""
+        rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]
+        edit(rows)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return manifest, rows
+
+    def test_repeated_text_id_exit_2(self, pipeline, tmp_path, capsys):
+        def repeat_text_id(rows):
+            rows[1]["text_id"] = rows[0]["text_id"]
+
+        manifest, rows = self.edited_manifest(pipeline, tmp_path, repeat_text_id)
+        expected = {"error": "DataFormatError",
+                    "message": f"text id {rows[0]['text_id']!r} appears in more than one pair"}
+        code, _, err = run(["ingest"] + self.dataset_args(pipeline, manifest), capsys)
+        assert (code, json.loads(err)) == (2, expected)
+        train = ["train", "--checkpoint", str(tmp_path / "m.ckpt")] + FAST_TRAIN
+        code, _, err = run(train + self.dataset_args(pipeline, manifest), capsys)
+        assert (code, json.loads(err)) == (2, expected)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_unknown_image_id_exit_2(self, pipeline, tmp_path, capsys):
+        def unknown_image(rows):
+            rows[0]["image_id"] = "x"
+
+        manifest, _ = self.edited_manifest(pipeline, tmp_path, unknown_image)
+        args = ["ingest", "--allow-ragged"] + self.dataset_args(pipeline, manifest)
+        code, _, err = run(args, capsys)
+        assert code == 2
+        failure = json.loads(err)
+        assert failure["error"] == "DataFormatError"
+        assert "unknown image id 'x'" in failure["message"]
+
+    def test_manifest_not_utf8_exit_2(self, pipeline, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_bytes((pipeline / "ds" / "manifest.jsonl").read_bytes() + b"\xff\n")
+        code, _, err = run(["ingest"] + self.dataset_args(pipeline, manifest), capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "ManifestError",
+                                   "message": "line 61: not valid UTF-8 (invalid start byte)"}
+
 
 class TestTrainCommand:
     def test_zero_lr_checkpoint_equals_init(self, pipeline, tmp_path, capsys):
@@ -382,6 +429,34 @@ class TestEvalCommand:
         assert json.loads(err) == {"error": "DataFormatError",
                                    "message": "text store is missing query id 'nope'"}
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([b'{"query_id": "img00#c0", "relevant_ids": "img00", "correct_id": "0"}'],
+             "judgments line 1: query 'img00#c0': relevant_ids must be a set, not a str"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}'] * 2,
+             "judgments line 2: duplicate judgment for query 'img00#c0'"),
+            ([b"", b'{"query_id": "img00#c0", "relevant_ids": ["img00\xff"]}'],
+             "judgments line 2: not valid UTF-8 (invalid start byte)"),
+            ([b'{"query_id": ["q"], "relevant_ids": ["img00"], "correct_id": "img00"}'],
+             "judgments line 1: query_id must be a str, got list"),
+        ],
+        ids=["str-relevant-ids", "duplicate-query", "not-utf8", "list-query-id"],
+    )
+    def test_bad_judgments_exit_2(self, pipeline, tmp_path, capsys, lines, message):
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_bytes(b"".join(line + b"\n" for line in lines))
+        code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "DataFormatError", "message": message}
+
+    def test_no_judgments_exit_2(self, pipeline, tmp_path, capsys):
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_text("\n\n")
+        code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "DataFormatError", "message": f"{jpath}: no judgments"}
+
     def test_wrong_checkpoint_exit_4(self, pipeline, tmp_path, capsys):
         other = tmp_path / "other.ckpt"
         save_checkpoint(init_model(10, 8, 32, seed=5), other)
@@ -444,6 +519,20 @@ class TestErrorsAndHelp:
         )
         assert code == 2
         assert json.loads(err)["error"] == "DegenerateRowError"
+
+    def test_index_from_text_store_exit_2(self, pipeline, tmp_path, capsys):
+        texts = pipeline / "ds" / "texts.emb"
+        code, _, err = run(
+            ["index", "--checkpoint", str(pipeline / "model.ckpt"), "--images", str(texts),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{texts}: expected a store of kind 'image_feature', got 'text_feature'",
+        }
+        assert not (tmp_path / "o").exists()
 
     def test_store_id_not_utf8_exit_2(self, tmp_path, capsys):
         ckpt, images = tmp_path / "m.ckpt", tmp_path / "images.emb"

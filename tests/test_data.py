@@ -117,6 +117,14 @@ class TestManifest:
         save_manifest(recs, q)
         assert load_manifest(q) == recs
 
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        bad = b'{"image_id":"1","caption":"\xff","lang":"az","split":"train"}\n'
+        p.write_bytes(AZ_LINE.encode("utf-8") + b"\n\n" + bad)
+        with pytest.raises(ManifestError, match="line 3: not valid UTF-8") as exc:
+            load_manifest(p)
+        assert exc.value.line == 3
+
 
 def small_store(n=2, dim=3, kind="image_feature", seed=0):
     rng = np.random.default_rng(seed)
@@ -428,6 +436,27 @@ class TestSplitRows:
             ds.split_rows("dev")
 
 
+class TestResolvedAtConstruction:
+    """Building a dataset checks and resolves every pair; later reads look up no ids."""
+
+    def test_reads_make_no_id_lookups(self, monkeypatch):
+        ds = toy_dataset(6)
+
+        def no_lookups(self, ids):
+            raise AssertionError("id lookup after construction")
+
+        monkeypatch.setattr(EmbeddingStore, "index", no_lookups)
+        assert ds.split_rows("train")[0].tolist() == list(range(6))
+        assert ds.split_sizes() == {"train": 6, "val": 0, "test": 0}
+        assert make_batches(ds, "train", 3, seed=0).shape == (2, 3)
+
+    def test_pair_missing_both_ids_reports_the_text_id(self):
+        ds = toy_dataset(3)
+        pairs = [Pair("nope", "missing", "train")]
+        with pytest.raises(ValueError, match="unknown text id 'nope'"):
+            PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+
+
 class TestSynthDataset:
     def test_counts(self):
         ds = synth_dataset(100, 5, latent_dim=4, img_dim=8, txt_dim=6, noise_sigma=0.1, seed=0)
@@ -606,6 +635,23 @@ class TestBuildPairs:
         images, texts = self._stores(["a"], ["other"])
         with pytest.raises(DataFormatError, match="a#c0"):
             build_pairs(recs, images, texts, captions_per_image=1)
+
+    def test_unknown_image_is_a_format_error(self, tmp_path):
+        recs = self._records(
+            tmp_path, [{"image_id": "x", "caption": "one", "lang": "az", "split": "train"}]
+        )
+        images, texts = self._stores(["a"], ["x#c0"])
+        with pytest.raises(DataFormatError, match="pair references unknown image id 'x'"):
+            build_pairs(recs, images, texts, captions_per_image=1)
+
+    def test_repeated_text_id_is_a_format_error(self, tmp_path):
+        line = {"image_id": "a", "lang": "az", "split": "train", "text_id": "t"}
+        recs = self._records(
+            tmp_path, [dict(line, caption="one"), dict(line, caption="two")]
+        )
+        images, texts = self._stores(["a"], ["t"])
+        with pytest.raises(DataFormatError, match="'t' appears in more than one pair"):
+            build_pairs(recs, images, texts, captions_per_image=2)
 
 
 class TestAugmentDataset:

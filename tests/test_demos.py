@@ -1,4 +1,4 @@
-"""Each demo script runs to completion against the package in ``src/``."""
+"""Each demo script runs to completion against the package in ``src/``, leaving no temp files."""
 
 import os
 import subprocess
@@ -16,9 +16,10 @@ def test_four_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_exits_zero(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_exits_zero(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []

@@ -216,6 +216,15 @@ class TestQueryJudgmentValidation:
         with pytest.raises(ValueError, match="not in relevant"):
             QueryJudgment("q", frozenset({"a"}), "b")
 
+    def test_str_relevant_ids_rejected(self):
+        # a str would otherwise become the set of its characters
+        with pytest.raises(TypeError, match="not a str"):
+            QueryJudgment("q", "abc", "a")
+
+    def test_query_id_must_be_str(self):
+        with pytest.raises(TypeError, match="query_id must be a str"):
+            QueryJudgment(["q"], frozenset({"a"}), "a")
+
 
 class TestFormatTable:
     def test_columns_present(self):

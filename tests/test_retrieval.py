@@ -389,6 +389,22 @@ class TestIndexFile:
         save_index(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_load_builds_one_store(self, tmp_path, monkeypatch):
+        idx, _ = self._index()
+        p = tmp_path / "i.azi"
+        save_index(idx, p)
+        built = []
+        post_init = EmbeddingStore.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(EmbeddingStore, "__post_init__", counting)
+        back = load_index(p)
+        assert len(built) == 1 and built[0] is back.store
+        assert back.ids is back.store.ids and back.vectors is back.store.vectors
+
     def test_loaded_rows_unit_norm_within_float32(self, tmp_path):
         idx, _ = self._index(n=10, seed=1)
         p = tmp_path / "i.azi"

@@ -4,12 +4,12 @@
 #   tools/artifact_parity.sh PARENT_SRC CHANGE_SRC
 #
 # Each argument is a checkout root holding src/twotower. For each of five
-# configs, the script runs synth -> train -> index -> eval -> query through
-# the CLI once per tree, each in its own directory with the same relative
-# paths, and compares the results file by file: stores, manifest, checkpoint,
-# JSON-lines log, index, every stage's stdout, CLI query output for the
-# first test caption at --k 7 and --k 5000, and the dataset, train and eval
-# reports with their "meta" block removed (timing lives there).
+# configs, the script runs synth -> ingest -> train -> index -> eval -> query
+# through the CLI once per tree, each in its own directory with the same
+# relative paths, and compares the results file by file: stores, manifest,
+# checkpoint, JSON-lines log, index, every stage's stdout, CLI query output
+# for the first test caption at --k 7 and --k 5000, and the dataset, ingest,
+# train and eval reports with their "meta" block removed (timing lives there).
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -49,6 +49,8 @@ run_pipeline() {  # tree, run dir, config flags
         # shellcheck disable=SC2086  # the flags are meant to split
         {
             "$python" -m twotower synth $sets --out-dir data > synth.out
+            "$python" -m twotower ingest $sets --manifest data/manifest.jsonl \
+                --images data/images.emb --texts data/texts.emb --out ingest.json > ingest.out
             "$python" -m twotower train $sets --manifest data/manifest.jsonl \
                 --images data/images.emb --texts data/texts.emb \
                 --checkpoint model.ckpt --log train.log --report train.json > train.out
@@ -89,7 +91,7 @@ for entry in "${configs[@]}"; do
     run_pipeline "$parent" "$work/$name/parent" "$sets"
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
-        images.idx synth.out train.out index.out eval.out query7.out query5000.out; do
+        images.idx synth.out ingest.out train.out index.out eval.out query7.out query5000.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
@@ -98,7 +100,7 @@ for entry in "${configs[@]}"; do
         fi
         printf '%-14s %-34s %s\n' "$name" "$f" "$verdict"
     done
-    for f in data/dataset.json train.json eval.json; do
+    for f in data/dataset.json ingest.json train.json eval.json; do
         if same_outside_meta "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
