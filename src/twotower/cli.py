@@ -23,6 +23,7 @@ embedding store. There is no tokenizer here.
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -282,6 +283,8 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     ds = _load_dataset(args, cfg)
+    if not ds.split_sizes()["train"]:
+        raise DataFormatError(f"{args.manifest}: no pairs in split 'train'")
     aug = cfg["data"]["augment"]
     with value_errors_as(ConfigError):
         ds = augment_dataset(ds, sigma=aug["sigma"], copies=aug["copies"], seed=cfg["seed"] + 3)
@@ -332,15 +335,17 @@ def _query_vector(args):
         raise _UsageError("provide exactly one of --embedding or --texts with --text-id")
     if args.embedding is not None:
         try:
-            vec = json.loads(args.embedding)
+            vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
         except json.JSONDecodeError as e:
             raise _UsageError(f"--embedding is not valid JSON: {e.msg}") from e
-        if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
-            raise _UsageError("--embedding must be a JSON array of numbers")
+        if not isinstance(vec, list) or not all(
+            isinstance(x, float) and math.isfinite(x) for x in vec
+        ):
+            raise _UsageError("--embedding must be a JSON array of finite numbers")
         return np.asarray(vec, dtype=np.float64), "inline"
     if args.texts is None:
         raise _UsageError("--text-id requires --texts")
-    store = load_embeddings(args.texts)
+    store = _load_store(args.texts, "text_feature")
     if args.text_id not in store:
         raise DataFormatError(f"text id {args.text_id!r} not found in {args.texts}")
     return store.row(args.text_id), args.text_id
@@ -366,38 +371,42 @@ def cmd_query(args) -> int:
 
 
 def _load_judgments(path) -> list:
-    def fail(lineno, reason):
-        return DataFormatError(f"judgments line {lineno}: {reason}")
+    seen = set()
 
-    by_id = {}
-    for lineno, obj in _json_lines(path, fail):
-        try:
-            j = QueryJudgment(
-                query_id=obj["query_id"],
-                relevant_ids=obj["relevant_ids"],
-                correct_id=obj["correct_id"],
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise fail(lineno, e) from e
-        if j.query_id in by_id:
-            raise fail(lineno, f"duplicate judgment for query {j.query_id!r}")
-        by_id[j.query_id] = j
-    if not by_id:
+    def judgment(obj):
+        j = QueryJudgment(
+            query_id=obj["query_id"], relevant_ids=obj["relevant_ids"], correct_id=obj["correct_id"]
+        )
+        if j.query_id in seen:
+            raise ValueError(f"duplicate judgment for query {j.query_id!r}")
+        seen.add(j.query_id)
+        return j
+
+    judgments = list(_json_lines(path, judgment, DataFormatError))
+    if not judgments:
         raise DataFormatError(f"{path}: no judgments")
-    return list(by_id.values())
+    return judgments
 
 
 def cmd_eval(args) -> int:
     cfg = effective_config(args)
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
-    texts = load_embeddings(args.texts)
+    texts = _load_store(args.texts, "text_feature")
     split = args.split or cfg["eval"]["split"]
 
     if args.judgments:
         judgments = _load_judgments(args.judgments)
     elif args.manifest:
-        pairs = [p for p in pairs_from_manifest(load_manifest(args.manifest)) if p.split == split]
+        pairs = pairs_from_manifest(load_manifest(args.manifest))
+        text_ids = set()
+        for p in pairs:
+            if p.text_id in text_ids:
+                raise DataFormatError(
+                    f"{args.manifest}: text id {p.text_id!r} appears in more than one pair"
+                )
+            text_ids.add(p.text_id)
+        pairs = [p for p in pairs if p.split == split]
         if not pairs:
             raise DataFormatError(f"manifest has no pairs in split {split!r}")
         judgments = [

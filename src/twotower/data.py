@@ -4,6 +4,10 @@ Each input is checked where it enters: manifest lines by ``load_manifest``,
 stores by ``EmbeddingStore``, pairs by ``PairedDataset``, which resolves them
 to the store rows that ``split_rows`` gives training and augmentation.
 
+Each binary file is read once and parsed by ``_Reader``: a fault reads
+``<file>: byte <offset>: <reason>``, the offset where the structure at fault
+starts. A fault in a JSON-lines file reads ``<file>: line <n>: <reason>``.
+
 On-disk formats
 ---------------
 Embedding store (binary, little-endian):
@@ -21,7 +25,6 @@ stores must use the same ids.
 """
 
 import contextlib
-import io
 import json
 import os
 import struct
@@ -120,67 +123,62 @@ class CaptionRecord:
 _MANIFEST_FIELDS = ("image_id", "caption", "lang", "split")
 
 
-def _json_lines(path, fail):
-    """Yield (1-based line number, parsed value) for each non-blank line of a JSON-lines file.
+def _json_lines(path, parse, error):
+    """Yield ``parse(value)`` for each non-blank line of a JSON-lines file, in file order.
 
-    Lines are split at newline bytes. A line that is not valid UTF-8 or
-    JSON raises ``fail(lineno, reason)``.
+    Lines end at newline bytes. A line that is not UTF-8 JSON, or whose
+    value ``parse`` rejects with a KeyError, TypeError or ValueError,
+    raises ``error`` as ``<path>: line <n>: <reason>`` with ``line`` n.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise fail(lineno, f"not valid UTF-8 ({e.reason})") from e
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise fail(lineno, f"invalid JSON ({e.msg})") from e
-            yield lineno, obj
+                if line.strip():
+                    yield parse(json.loads(line))
+            except (KeyError, TypeError, ValueError) as e:
+                reason = e
+                if isinstance(e, UnicodeDecodeError):
+                    reason = f"not valid UTF-8 ({e.reason})"
+                elif isinstance(e, json.JSONDecodeError):
+                    reason = f"invalid JSON ({e.msg})"
+                raise error(f"{path}: line {lineno}: {reason}", line=lineno) from e
 
 
 def load_manifest(path) -> list[CaptionRecord]:
     """Parse a JSON-lines caption manifest in file order.
 
     Blank lines are skipped. Any malformed line, invalid UTF-8 included,
-    raises ManifestError with its 1-based line number; duplicate
+    raises ManifestError naming the file and the 1-based line; duplicate
     (image_id, caption) pairs are rejected.
     """
-    def fail(lineno, reason):
-        return ManifestError(f"line {lineno}: {reason}", line=lineno)
-
-    records = []
     seen = set()
-    for lineno, obj in _json_lines(path, fail):
+
+    def record(obj):
         if not isinstance(obj, dict):
-            raise fail(lineno, "expected a JSON object")
+            raise TypeError("expected a JSON object")
         missing = [k for k in _MANIFEST_FIELDS if k not in obj]
         if missing:
-            raise fail(lineno, f"missing field(s): {', '.join(missing)}")
+            raise ValueError(f"missing field(s): {', '.join(missing)}")
         for k in _MANIFEST_FIELDS:
             if not isinstance(obj[k], str):
-                raise fail(lineno, f"field {k!r} must be a string")
+                raise TypeError(f"field {k!r} must be a string")
         text_id = obj.get("text_id")
         if text_id is not None and not isinstance(text_id, str):
-            raise fail(lineno, "field 'text_id' must be a string")
+            raise TypeError("field 'text_id' must be a string")
         key = (obj["image_id"], obj["caption"])
         if key in seen:
-            raise fail(lineno, "duplicate (image_id, caption) pair")
+            raise ValueError("duplicate (image_id, caption) pair")
         seen.add(key)
-        try:
-            rec = CaptionRecord(
-                image_id=obj["image_id"],
-                caption=obj["caption"],
-                lang=obj["lang"],
-                split=obj["split"],
-                text_id=text_id,
-            )
-        except ValueError as e:
-            raise fail(lineno, e) from e
-        records.append(rec)
-    return records
+        return CaptionRecord(
+            image_id=obj["image_id"],
+            caption=obj["caption"],
+            lang=obj["lang"],
+            split=obj["split"],
+            text_id=text_id,
+        )
+
+    return list(_json_lines(path, record, ManifestError))
 
 
 def save_manifest(records, path):
@@ -256,28 +254,46 @@ class EmbeddingStore:
         return self.vectors[self.index(ids)]
 
 
-_UNBOUNDED_READ = 1 << 16  # bytes; smaller reads skip the bound
+class _Reader:
+    """A whole binary file's bytes, its name and a position; sizes are bounded by the bytes left."""
 
+    def __init__(self, data, name):
+        self.data, self.name, self.pos = data, name, 0
 
-def _read_exact(fh, n, what):
-    """Read exactly ``n`` bytes from a seekable binary file.
+    def fail(self, kind, at, reason):
+        """``kind`` for a fault in the structure that starts at byte ``at``."""
+        return kind(f"{self.name}: byte {at}: {reason}")
 
-    A request larger than ``_UNBOUNDED_READ`` is first checked against the
-    bytes left in the file, so a header that declares more data than the
-    file holds raises TruncatedFileError without a large allocation.
-    Smaller requests cannot allocate much, so they skip the check and keep
-    the read buffer that seeking to the end would drop.
-    """
-    if n > _UNBOUNDED_READ:
-        here = fh.tell()
-        left = fh.seek(0, io.SEEK_END) - here
-        fh.seek(here)
+    def take(self, n, what, at):
+        """The next ``n`` bytes, without a copy; ``at`` is where ``what`` starts."""
+        left = len(self.data) - self.pos
         if n > left:
-            raise TruncatedFileError(f"file ends inside {what} (wanted {n} bytes, got {left})")
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"file ends inside {what} (wanted {n} bytes, got {len(data)})")
-    return data
+            reason = f"file ends inside {what} (wanted {n} bytes, got {left})"
+            raise self.fail(TruncatedFileError, at, reason)
+        self.pos += n
+        return memoryview(self.data)[self.pos - n : self.pos]
+
+    def unpack(self, fmt, what):
+        """The fields of the ``struct.Struct`` ``fmt`` at the read position."""
+        return fmt.unpack(self.take(fmt.size, what, self.pos))
+
+    def end(self, reason):
+        """Raise unless every byte has been read."""
+        if self.pos != len(self.data):
+            raise self.fail(DataFormatError, self.pos, reason)
+
+    @contextlib.contextmanager
+    def contents(self):
+        """Re-raise a ValueError from building the parsed contents, naming the file."""
+        try:
+            yield
+        except ValueError as e:
+            raise DataFormatError(f"{self.name}: {e}") from e
+
+
+def _read(path) -> _Reader:
+    with open(path, "rb") as fh:
+        return _Reader(fh.read(), path)
 
 
 @contextlib.contextmanager
@@ -315,53 +331,40 @@ def write_store(fh, store: EmbeddingStore):
         fh.write(raw)
 
 
-def read_store(fh):
-    """Parse a store's (ids, float32 vectors, kind), leaving ``fh`` just past the id block."""
-    header = _read_exact(fh, _EMBED_HEADER.size, "header")
-    magic, version, count, dim, kind_code = _EMBED_HEADER.unpack(header)
+def read_store(r: _Reader):
+    """A store's (ids, float32 vectors, kind) from the start of ``r``, leaving it past the ids."""
+    magic, version, count, dim, kind_code = r.unpack(_EMBED_HEADER, "header")
     if magic != EMBED_MAGIC:
-        raise BadMagicError(f"expected magic {EMBED_MAGIC!r}, found {magic!r}")
+        raise r.fail(BadMagicError, 0, f"expected magic {EMBED_MAGIC!r}, found {magic!r}")
     if version != EMBED_VERSION:
-        raise FormatVersionError(f"unsupported embedding format version {version}")
+        raise r.fail(FormatVersionError, 0, f"unsupported embedding format version {version}")
     if dim < 1:
-        raise DataFormatError("header declares non-positive dim")
+        raise r.fail(DataFormatError, 0, "header declares non-positive dim")
     if kind_code not in CODE_TO_KIND:
-        raise DataFormatError(f"unknown kind code {kind_code}")
-    # One read takes the payload and the id block; a footer may follow
-    # them, so the file is left just past the last id.
-    start = fh.tell()
-    size = fh.seek(0, io.SEEK_END) - start
-    fh.seek(start)
-    body = fh.read(size)  # sized, so the bytes are allocated once
-    end = len(body)
-    pos = count * dim * 4
-    if pos > end:
-        raise TruncatedFileError(
-            f"file ends inside vector payload (wanted {pos} bytes, got {end})"
-        )
+        raise r.fail(DataFormatError, 0, f"unknown kind code {kind_code}")
+    payload = r.take(count * dim * 4, "vector payload", r.pos)
     # float32 view of the file bytes; the store makes the one float64 copy
-    vectors = np.frombuffer(body, dtype="<f4", count=count * dim).reshape(count, dim)
+    vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    data, end, pos = r.data, len(r.data), r.pos  # inline: a take per id is 2x slower
     ids = []
     for i in range(count):
         if pos + 2 > end:
             if pos == end:
-                raise IdCountMismatchError(
-                    f"header declares {count} ids but file ends after {i}"
-                )
-            raise TruncatedFileError("file ends inside an id length prefix")
-        length = body[pos] | body[pos + 1] << 8
+                reason = f"header declares {count} ids but file ends after {i}"
+                raise r.fail(IdCountMismatchError, pos, reason)
+            raise r.fail(TruncatedFileError, pos, "file ends inside an id length prefix")
+        length = data[pos] | data[pos + 1] << 8
         pos += 2
         stop = pos + length
         if stop > end:
-            raise TruncatedFileError(
-                f"file ends inside id {i} (wanted {length} bytes, got {end - pos})"
-            )
+            reason = f"file ends inside id {i} (wanted {length} bytes, got {end - pos})"
+            raise r.fail(TruncatedFileError, pos - 2, reason)
         try:
-            ids.append(body[pos:stop].decode("utf-8"))
+            ids.append(data[pos:stop].decode("utf-8"))
         except UnicodeDecodeError as e:
-            raise DataFormatError(f"id {i} is not valid UTF-8 ({e.reason})") from e
+            raise r.fail(DataFormatError, pos - 2, f"id {i} is not valid UTF-8 ({e.reason})") from e
         pos = stop
-    fh.seek(start + pos)
+    r.pos = pos
     return ids, vectors, CODE_TO_KIND[kind_code]
 
 
@@ -371,11 +374,10 @@ def save_embeddings(store: EmbeddingStore, path):
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    with open(path, "rb") as fh:
-        ids, vectors, kind = read_store(fh)
-        if fh.read(1):
-            raise DataFormatError("trailing data after id block")
-    with value_errors_as(DataFormatError):
+    r = _read(path)
+    ids, vectors, kind = read_store(r)
+    r.end("trailing data after id block")
+    with r.contents():
         return EmbeddingStore(ids=ids, vectors=vectors, kind=kind)
 
 

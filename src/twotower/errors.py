@@ -16,7 +16,7 @@ class ShapeError(TwoTowerError):
 
 
 class DegenerateRowError(TwoTowerError):
-    """A row required to have positive Euclidean norm is numerically zero."""
+    """A row that must be scaled to unit norm has a norm that is zero or not finite."""
 
     def __init__(self, message, row=None, row_id=None):
         super().__init__(message)
@@ -25,7 +25,11 @@ class DegenerateRowError(TwoTowerError):
 
 
 class DataFormatError(TwoTowerError):
-    """A file does not conform to its declared on-disk format."""
+    """A file does not conform to its format; ``line`` is set for a JSON-lines fault."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 class BadMagicError(DataFormatError):
@@ -45,11 +49,7 @@ class IdCountMismatchError(DataFormatError):
 
 
 class ManifestError(DataFormatError):
-    """A caption manifest line is malformed; carries the 1-based line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """A caption manifest line is malformed; ``line`` is its 1-based number."""
 
 
 class ConfigError(TwoTowerError):

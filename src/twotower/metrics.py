@@ -29,6 +29,8 @@ class QueryJudgment:
         if isinstance(self.relevant_ids, str):
             raise TypeError(f"query {self.query_id!r}: relevant_ids must be a set, not a str")
         object.__setattr__(self, "relevant_ids", frozenset(self.relevant_ids))
+        if not all(isinstance(i, str) for i in (self.correct_id, *self.relevant_ids)):
+            raise TypeError(f"query {self.query_id!r}: relevant_ids and correct_id must be strings")
         if not self.relevant_ids:
             raise ValueError(f"query {self.query_id!r}: relevant_ids must be non-empty")
         if self.correct_id not in self.relevant_ids:

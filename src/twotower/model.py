@@ -15,7 +15,6 @@ the model's config metadata.
 """
 
 import hashlib
-import io
 import json
 import math
 import struct
@@ -23,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _read_exact, _write_atomic
-from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError, value_errors_as
+from .data import _read, _Reader, _write_atomic
+from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError
 from .linalg import as_matrix
 
 CKPT_MAGIC = b"AZCK"
@@ -167,34 +166,32 @@ def save_checkpoint(model: DualEncoderModel, path):
         fh.write(checkpoint_bytes(model))
 
 
-def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
-    fh = io.BytesIO(data)
-    header = _read_exact(fh, _CKPT_HEADER.size, "checkpoint header")
-    magic, version, img_dim, txt_dim, shared_dim = _CKPT_HEADER.unpack(header)
+def _read_checkpoint(r: _Reader) -> DualEncoderModel:
+    magic, version, img_dim, txt_dim, shared_dim = r.unpack(_CKPT_HEADER, "checkpoint header")
     if magic != CKPT_MAGIC:
-        raise BadMagicError(f"expected magic {CKPT_MAGIC!r}, found {magic!r}")
+        raise r.fail(BadMagicError, 0, f"expected magic {CKPT_MAGIC!r}, found {magic!r}")
     if version != CKPT_VERSION:
-        raise FormatVersionError(f"unsupported checkpoint version {version}")
+        raise r.fail(FormatVersionError, 0, f"unsupported checkpoint version {version}")
     if min(img_dim, txt_dim, shared_dim) < 1:
-        raise DataFormatError("checkpoint header declares non-positive dims")
+        raise r.fail(DataFormatError, 0, "checkpoint header declares non-positive dims")
 
     def block(shape, what):
         n = math.prod(shape)  # Python ints: huge dims cannot wrap negative
-        raw = _read_exact(fh, n * 8, f"checkpoint {what}")
+        raw = r.take(n * 8, f"checkpoint {what}", r.pos)
         return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
     image_w = block((img_dim, shared_dim), "image weights")
     image_b = block((shared_dim,), "image bias")
     text_w = block((txt_dim, shared_dim), "text weights")
     text_b = block((shared_dim,), "text bias")
-    (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint meta length"))
+    at = r.pos
+    (meta_len,) = r.unpack(struct.Struct("<I"), "checkpoint meta length")
     try:
-        meta = json.loads(_read_exact(fh, meta_len, "checkpoint meta block").decode("utf-8"))
+        meta = json.loads(str(r.take(meta_len, "checkpoint meta block", at), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"checkpoint meta block is not UTF-8 JSON: {e}") from e
-    if fh.read(1):
-        raise DataFormatError("checkpoint has trailing data beyond the declared blocks")
-    with value_errors_as(DataFormatError):
+        raise r.fail(DataFormatError, at, f"checkpoint meta block is not UTF-8 JSON: {e}") from e
+    r.end("checkpoint has trailing data beyond the declared blocks")
+    with r.contents():
         return DualEncoderModel(
             image_head=ProjectionHead(w=image_w, b=image_b),
             text_head=ProjectionHead(w=text_w, b=text_b),
@@ -203,9 +200,12 @@ def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
         )
 
 
+def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
+    return _read_checkpoint(_Reader(data, "<checkpoint bytes>"))
+
+
 def load_checkpoint(path) -> DualEncoderModel:
-    with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+    return _read_checkpoint(_read(path))
 
 
 def model_fingerprint(model: DualEncoderModel) -> str:

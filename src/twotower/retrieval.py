@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingStore, _read_exact, _write_atomic, read_store, write_store
-from .errors import DataFormatError, FingerprintMismatchError, ShapeError, value_errors_as
-from .linalg import l2_normalize_rows
+from .data import EmbeddingStore, _read, _write_atomic, read_store, write_store
+from .errors import DataFormatError, DegenerateRowError, FingerprintMismatchError, ShapeError
+from .linalg import l2_normalize_rows, row_norms
 from .metrics import MetricsReport, judgments_by_id, metrics_from_ranks
 from .model import DualEncoderModel, model_fingerprint, project
 
@@ -75,10 +75,22 @@ def build_index(model: DualEncoderModel, images: EmbeddingStore) -> RetrievalInd
         raise ValueError(
             f"index must be built from an image_feature store, got kind {images.kind!r}"
         )
-    normed = l2_normalize_rows(project(model.image_head, images.vectors), "image", images.ids)
+    unit = _unit_rows(project(model.image_head, images.vectors), "image", images.ids)
     return RetrievalIndex(
-        ids=list(images.ids), vectors=normed.matrix, model_fingerprint=model_fingerprint(model)
+        ids=list(images.ids), vectors=unit, model_fingerprint=model_fingerprint(model)
     )
+
+
+def _unit_rows(raw, what, ids):
+    """The rows of ``raw`` at unit norm; one whose norm overflows raises DegenerateRowError."""
+    try:
+        return l2_normalize_rows(raw, what, ids).matrix
+    except ValueError as e:
+        with np.errstate(over="ignore", invalid="ignore"):
+            i = int(np.isfinite(row_norms(raw)).argmin())
+        raise DegenerateRowError(
+            f"{what} {ids[i]!r} projects to a vector whose norm overflows", row=i, row_id=ids[i]
+        ) from e
 
 
 def _check_fingerprint(index: RetrievalIndex, model: DualEncoderModel):
@@ -139,7 +151,7 @@ def _blocks(index, model, texts: EmbeddingStore, ids):
         raw = np.concatenate(
             [project(model.text_head, texts.vectors[r:r + 1]) for r in rows[start:start + size]]
         )
-        q = l2_normalize_rows(raw, "query", block).matrix
+        q = _unit_rows(raw, "query", block)
         yield block, q, np.matmul(q, index.vectors.T, out=scores[:len(block)])
 
 
@@ -230,17 +242,17 @@ def save_index(index: RetrievalIndex, path):
 
 
 def load_index(path) -> RetrievalIndex:
-    with open(path, "rb") as fh:
-        ids, vectors, kind = read_store(fh)
-        (length,) = struct.unpack("<I", _read_exact(fh, 4, "index fingerprint footer length"))
-        raw = _read_exact(fh, length, "index fingerprint footer")
-        if fh.read(1):
-            raise DataFormatError("trailing data after index footer")
+    r = _read(path)
+    ids, vectors, kind = read_store(r)
     if kind != "projected":
-        raise DataFormatError(f"index store must have kind 'projected', got {kind!r}")
+        raise r.fail(DataFormatError, 0, f"index store must have kind 'projected', got {kind!r}")
+    at = r.pos
+    (length,) = r.unpack(struct.Struct("<I"), "index fingerprint footer length")
     try:
-        fingerprint = raw.decode("utf-8")
+        fingerprint = str(r.take(length, "index fingerprint footer", at), "utf-8")
     except UnicodeDecodeError as e:
-        raise DataFormatError(f"index fingerprint footer is not valid UTF-8 ({e.reason})") from e
-    with value_errors_as(DataFormatError):
+        reason = f"index fingerprint footer is not valid UTF-8 ({e.reason})"
+        raise r.fail(DataFormatError, at, reason) from e
+    r.end("trailing data after index footer")
+    with r.contents():
         return RetrievalIndex(ids=ids, vectors=vectors, model_fingerprint=fingerprint)

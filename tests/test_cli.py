@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twotower import cli
+from twotower import cli, errors
 from twotower.data import EmbeddingStore, save_embeddings
 from twotower.model import init_model, load_checkpoint, save_checkpoint
 
@@ -207,8 +211,10 @@ class TestIngest:
         manifest.write_bytes((pipeline / "ds" / "manifest.jsonl").read_bytes() + b"\xff\n")
         code, _, err = run(["ingest"] + self.dataset_args(pipeline, manifest), capsys)
         assert code == 2
-        assert json.loads(err) == {"error": "ManifestError",
-                                   "message": "line 61: not valid UTF-8 (invalid start byte)"}
+        assert json.loads(err) == {
+            "error": "ManifestError",
+            "message": f"{manifest}: line 61: not valid UTF-8 (invalid start byte)",
+        }
 
 
 class TestTrainCommand:
@@ -240,6 +246,26 @@ class TestTrainCommand:
         report = json.loads(report_path.read_text())["report"]
         losses = report["train_loss"]
         assert max(losses) - min(losses) == 0.0
+
+    def test_no_train_pairs_exit_2(self, pipeline, tmp_path, capsys):
+        ds = pipeline / "ds"
+        rows = [json.loads(l) for l in (ds / "manifest.jsonl").read_text().splitlines()]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(
+            json.dumps({**r, "split": "val" if r["split"] == "train" else r["split"]}) + "\n"
+            for r in rows
+        ))
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(
+            ["train", "--manifest", str(manifest), "--images", str(ds / "images.emb"),
+             "--texts", str(ds / "texts.emb"), "--checkpoint", str(ckpt)] + SMALL + FAST_TRAIN,
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError", "message": f"{manifest}: no pairs in split 'train'"
+        }
+        assert not ckpt.exists()
 
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):
         ds = pipeline / "ds"
@@ -344,6 +370,18 @@ class TestQueryCommand:
         assert code == 4
         assert json.loads(err)["error"] == "FingerprintMismatchError"
 
+    @pytest.mark.parametrize("value", ["NaN", "1e400", "true"], ids=["nan", "overflow", "bool"])
+    def test_embedding_of_non_finite_numbers_is_usage_error(self, pipeline, capsys, value):
+        code, stdout, err = run(
+            ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
+             str(pipeline / "model.ckpt"), "--embedding", f"[{', '.join(['0.1'] * 7 + [value])}]"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {
+            "error": "usage", "message": "--embedding must be a JSON array of finite numbers"
+        }
+
     def test_wrong_embedding_width_exit_2(self, pipeline, capsys):
         code, _, err = run(
             ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
@@ -433,22 +471,41 @@ class TestEvalCommand:
         "lines, message",
         [
             ([b'{"query_id": "img00#c0", "relevant_ids": "img00", "correct_id": "0"}'],
-             "judgments line 1: query 'img00#c0': relevant_ids must be a set, not a str"),
+             "line 1: query 'img00#c0': relevant_ids must be a set, not a str"),
             ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}'] * 2,
-             "judgments line 2: duplicate judgment for query 'img00#c0'"),
+             "line 2: duplicate judgment for query 'img00#c0'"),
             ([b"", b'{"query_id": "img00#c0", "relevant_ids": ["img00\xff"]}'],
-             "judgments line 2: not valid UTF-8 (invalid start byte)"),
+             "line 2: not valid UTF-8 (invalid start byte)"),
             ([b'{"query_id": ["q"], "relevant_ids": ["img00"], "correct_id": "img00"}'],
-             "judgments line 1: query_id must be a str, got list"),
+             "line 1: query_id must be a str, got list"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": [1], "correct_id": 1}'],
+             "line 1: query 'img00#c0': relevant_ids and correct_id must be strings"),
         ],
-        ids=["str-relevant-ids", "duplicate-query", "not-utf8", "list-query-id"],
+        ids=["str-relevant-ids", "duplicate-query", "not-utf8", "list-query-id", "int-ids"],
     )
     def test_bad_judgments_exit_2(self, pipeline, tmp_path, capsys, lines, message):
         jpath = tmp_path / "j.jsonl"
         jpath.write_bytes(b"".join(line + b"\n" for line in lines))
         code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
         assert code == 2
-        assert json.loads(err) == {"error": "DataFormatError", "message": message}
+        assert json.loads(err) == {"error": "DataFormatError", "message": f"{jpath}: {message}"}
+
+    def test_manifest_repeated_text_id_exit_2(self, pipeline, tmp_path, capsys):
+        rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]
+        first, second = [r for r in rows if r["split"] == "test"][:2]
+        second["text_id"] = first["text_id"]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(pipeline / "ds" / "texts.emb"), "--manifest", str(manifest)],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{manifest}: text id {first['text_id']!r} appears in more than one pair",
+        }
 
     def test_no_judgments_exit_2(self, pipeline, tmp_path, capsys):
         jpath = tmp_path / "j.jsonl"
@@ -531,6 +588,39 @@ class TestErrorsAndHelp:
         assert json.loads(err) == {
             "error": "DataFormatError",
             "message": f"{texts}: expected a store of kind 'image_feature', got 'text_feature'",
+        }
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_texts_from_image_store_exit_2(self, pipeline, capsys, command):
+        images = pipeline / "ds" / "images.emb"
+        source = (["--text-id", "img00"] if command == "query"
+                  else ["--manifest", str(pipeline / "ds" / "manifest.jsonl")])
+        code, _, err = run(
+            [command, "--index", str(pipeline / "idx.azi"), "--checkpoint",
+             str(pipeline / "model.ckpt"), "--texts", str(images)] + source,
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{images}: expected a store of kind 'text_feature', got 'image_feature'",
+        }
+
+    def test_overflowing_image_projection_exit_2(self, pipeline, tmp_path, capsys):
+        model = load_checkpoint(pipeline / "model.ckpt")
+        model.image_head.w[0, 0] = 1e300  # finite, but its projections' squares overflow
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, ckpt)
+        code, _, err = run(
+            ["index", "--checkpoint", str(ckpt), "--images", str(pipeline / "ds" / "images.emb"),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DegenerateRowError",
+            "message": "image 'img00' projects to a vector whose norm overflows",
         }
         assert not (tmp_path / "o").exists()
 
@@ -683,6 +773,7 @@ class TestErrorsAndHelp:
         assert code == 2, err
         doc = json.loads(err)
         assert doc["error"] == "DataFormatError" and match in doc["message"]
+        assert doc["message"].startswith(f"{files[target]}: ")
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--set", "train.bogus=1"], capsys)
@@ -762,3 +853,66 @@ class TestConfigMachinery:
 
         with pytest.raises(ConfigError, match="data.synth.nz"):
             cli.effective_config(args)
+
+
+def package_errors(cls=errors.TwoTowerError):
+    """Names of ``cls`` and of every subclass of it."""
+    return {cls.__name__}.union(*(package_errors(sub) for sub in cls.__subclasses__()))
+
+
+# Each command reads one input from a corrupted copy and the others intact.
+CORRUPTIBLE = {
+    "images.emb": lambda p, bad: ["index", "--checkpoint", p / "model.ckpt", "--images", bad,
+                                  "--out", bad.parent / "o.azi"],
+    "texts.emb": lambda p, bad: ["query", "--index", p / "idx.azi", "--checkpoint", p / "model.ckpt",
+                                 "--texts", bad, "--text-id", "img00#c0"],
+    "model.ckpt": lambda p, bad: ["query", "--index", p / "idx.azi", "--checkpoint", bad,
+                                  "--texts", p / "ds" / "texts.emb", "--text-id", "img00#c0"],
+    "idx.azi": lambda p, bad: ["query", "--index", bad, "--checkpoint", p / "model.ckpt",
+                               "--texts", p / "ds" / "texts.emb", "--text-id", "img00#c0"],
+    "manifest.jsonl": lambda p, bad: ["eval", "--index", p / "idx.azi", "--checkpoint", p / "model.ckpt",
+                                      "--texts", p / "ds" / "texts.emb", "--manifest", bad],
+    "judgments.jsonl": lambda p, bad: ["eval", "--index", p / "idx.azi", "--checkpoint", p / "model.ckpt",
+                                       "--texts", p / "ds" / "texts.emb", "--judgments", bad],
+}
+
+
+@pytest.fixture(scope="module")
+def intact(pipeline):
+    """The bytes of each input in ``CORRUPTIBLE``; the judgments cover the test split."""
+    ds = pipeline / "ds"
+    rows = [json.loads(l) for l in (ds / "manifest.jsonl").read_text().splitlines()]
+    judgments = "".join(
+        json.dumps({"query_id": r["text_id"], "relevant_ids": [r["image_id"], "img01"],
+                    "correct_id": r["image_id"]}) + "\n"
+        for r in rows if r["split"] == "test"
+    )
+    files = {name: ds / name for name in ("images.emb", "texts.emb", "manifest.jsonl")}
+    files.update({name: pipeline / name for name in ("model.ckpt", "idx.azi")})
+    return {"judgments.jsonl": judgments.encode(), **{n: f.read_bytes() for n, f in files.items()}}
+
+
+@st.composite
+def corruptions(draw, raw):
+    """``raw`` truncated, or with one byte changed."""
+    at = draw(st.integers(0, len(raw) - 1))
+    if draw(st.booleans()):
+        return raw[:at]
+    flipped = bytearray(raw)
+    flipped[at] ^= draw(st.integers(1, 255))
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_corrupt_input_exits_with_a_package_error(pipeline, intact, tmp_path_factory, name, data):
+    bad = tmp_path_factory.getbasetemp() / "corrupt" / name
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(data.draw(corruptions(intact[name])))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in CORRUPTIBLE[name](pipeline, bad)])
+    assert code in (0, 2, 4), err.getvalue()
+    if code:
+        assert json.loads(err.getvalue())["error"] in package_errors(), err.getvalue()

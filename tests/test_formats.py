@@ -2,11 +2,13 @@
 
 Each format round-trips, every proper prefix of a valid file raises a
 DataFormatError, and every single-byte change either loads or raises one
-of the package's own errors. Writes are atomic: a failed save leaves the
-previous file and no temporary file behind.
+of the package's own errors. Every DataFormatError names the file, and a
+parse fault the byte offset where its structure starts. Writes are atomic:
+a failed save leaves the previous file and no temporary file behind.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
-from twotower.errors import DataFormatError, TwoTowerError
+from twotower.errors import BadMagicError, DataFormatError, TruncatedFileError, TwoTowerError
 from twotower.model import (
     DualEncoderModel,
     ProjectionHead,
@@ -120,7 +122,7 @@ def test_round_trip(path, kind, data):
 def test_every_proper_prefix_raises_data_format_error(path, kind, data):
     raw = file_bytes(kind, path, data.draw(ARTIFACTS[kind]))
     for end in range(len(raw)):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: byte \\d+: "):
             load_bytes(kind, path, raw[:end])
 
 
@@ -134,8 +136,44 @@ def test_every_byte_flip_loads_or_raises_a_package_error(path, kind, data, mask)
         flipped[at] ^= mask
         try:
             load_bytes(kind, path, bytes(flipped))
+        except DataFormatError as e:
+            assert str(e).startswith(f"{path}: ")
         except TwoTowerError:
             pass
+
+
+STORE = EmbeddingStore(ids=["b", "a"], vectors=[[1.0, 0.0], [0.0, 1.0]], kind="image_feature")
+MODEL = DualEncoderModel(
+    ProjectionHead(np.eye(2), np.zeros(2)), ProjectionHead(np.eye(2), np.zeros(2)), 2
+)
+INDEX = RetrievalIndex(ids=["a", "bc"], vectors=[[1.0, 0.0], [0.0, 1.0]], model_fingerprint="f" * 64)
+INDEX_FOOTER = 28 + 2 * 2 * 4 + (2 + 1) + (2 + 2)  # header, payload, ids "a" and "bc"
+
+
+@pytest.mark.parametrize(
+    "kind, obj, corrupt, error, message",
+    [
+        ("store", STORE, lambda raw: b"X" + raw[1:], BadMagicError,
+         "byte 0: expected magic b'AZEB', found b'XZEB'"),
+        ("store", STORE, lambda raw: raw[:28 + 5], TruncatedFileError,
+         "byte 28: file ends inside vector payload (wanted 16 bytes, got 5)"),
+        ("store", STORE, lambda raw: raw[:-1], TruncatedFileError,
+         "byte 47: file ends inside id 1 (wanted 1 bytes, got 0)"),
+        ("checkpoint", MODEL, lambda raw: raw[:20 + 3], TruncatedFileError,
+         "byte 20: file ends inside checkpoint image weights (wanted 32 bytes, got 3)"),
+        ("index", INDEX, lambda raw: raw[:-3], TruncatedFileError,
+         f"byte {INDEX_FOOTER}: file ends inside index fingerprint footer (wanted 64 bytes, got 61)"),
+        ("index", INDEX, lambda raw: raw[:INDEX_FOOTER + 2], TruncatedFileError,
+         f"byte {INDEX_FOOTER}: file ends inside index fingerprint footer length (wanted 4 bytes, got 2)"),
+    ],
+    ids=["store-magic", "store-payload", "store-id", "checkpoint-weights", "index-footer",
+         "index-footer-length"],
+)
+def test_fault_names_file_and_offset(tmp_path, kind, obj, corrupt, error, message):
+    path = tmp_path / "artifact"
+    with pytest.raises(error) as info:
+        load_bytes(kind, path, corrupt(file_bytes(kind, path, obj)))
+    assert str(info.value) == f"{path}: {message}"
 
 
 LONG_ID = "x" * 0x10000  # one byte past the u16 id length prefix

@@ -81,6 +81,12 @@ class TestBuildIndex:
             build_index(identity_model(), store)
         assert exc.value.row_id == "img1"
 
+    def test_overflowing_projection_names_image(self):
+        store = image_store([[1.0, 0.0, 0.0], [0.0, 1e300, 0.0]])  # its square overflows
+        with pytest.raises(DegenerateRowError, match="^image 'img1' projects to a vector whose norm overflows$") as exc:
+            build_index(identity_model(), store)
+        assert (exc.value.row, exc.value.row_id) == (1, "img1")
+
 
 class TestQuery:
     def test_self_match_first_with_unit_score(self):
@@ -105,6 +111,12 @@ class TestQuery:
         assert [h[0] for h in res.hits] == ["img0", "img1"]
         for _, score in res.hits:
             assert score == pytest.approx(0.70711, abs=5e-6)
+
+    def test_overflowing_query_names_it(self):
+        model = identity_model()
+        idx = build_index(model, image_store([[1.0, 0.0, 0.0]]))
+        with pytest.raises(DegenerateRowError, match="^query 'q' projects to a vector whose norm overflows$"):
+            query(idx, model, np.array([1e300, 0.0, 0.0]), k=1, query_id="q")
 
     def test_two_dimensional_query_is_a_shape_error(self):
         model = identity_model()

@@ -10,6 +10,10 @@
 # checkpoint, JSON-lines log, index, every stage's stdout, CLI query output
 # for the first test caption at --k 7 and --k 5000, and the dataset, ingest,
 # train and eval reports with their "meta" block removed (timing lives there).
+# It then truncates each binary artifact (stores, checkpoint, index) to half
+# its length, and separately flips all bits of its first byte, runs index and
+# query with the corrupt copy in place, and compares the exit code and the
+# stderr "error" kind of each run (corrupt.out); the messages are not compared.
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -69,7 +73,33 @@ print(next(r["text_id"] for r in map(json.loads, open(sys.argv[1])) if r["split"
             "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
                 --texts data/texts.emb --text-id "$qid" --k "$k" > "query$k.out"
         done
+        local f how code
+        for f in data/images.emb data/texts.emb model.ckpt images.idx; do
+            for how in truncated magic; do
+                cp "$f" intact.tmp
+                "$python" -c 'import sys
+path, how = sys.argv[1:]
+raw = open(path, "rb").read()
+raw = raw[: len(raw) // 2] if how == "truncated" else bytes([raw[0] ^ 0xFF]) + raw[1:]
+open(path, "wb").write(raw)' "$f" "$how"
+                code=0
+                "$python" -m twotower index --checkpoint model.ckpt --images data/images.emb \
+                    --out corrupt.idx > /dev/null 2> index.err || code=$?
+                echo "$f $how index $code $(error_kind index.err)" >> corrupt.out
+                code=0
+                "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
+                    --texts data/texts.emb --text-id "$qid" --k 7 > /dev/null 2> query.err || code=$?
+                echo "$f $how query $code $(error_kind query.err)" >> corrupt.out
+                mv intact.tmp "$f"
+            done
+        done
     )
+}
+
+error_kind() {  # the "error" field of a stderr file, or "-" when it is empty
+    "$python" -c 'import json, sys
+text = open(sys.argv[1], encoding="utf-8").read()
+print(json.loads(text)["error"] if text else "-")' "$1"
 }
 
 same_outside_meta() {  # two JSON report paths
@@ -91,7 +121,8 @@ for entry in "${configs[@]}"; do
     run_pipeline "$parent" "$work/$name/parent" "$sets"
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
-        images.idx synth.out ingest.out train.out index.out eval.out query7.out query5000.out; do
+        images.idx synth.out ingest.out train.out index.out eval.out query7.out query5000.out \
+        corrupt.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
