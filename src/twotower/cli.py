@@ -26,18 +26,17 @@ import json
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    CaptionRecord,
     _json_lines,
     augment_dataset,
     build_pairs,
     load_embeddings,
     load_manifest,
-    pairs_from_manifest,
     save_embeddings,
     save_manifest,
     synth_dataset,
@@ -164,11 +163,15 @@ def effective_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"config file is not valid JSON: {e.msg}") from e
+        with open(config_path, "rb") as fh:
+            raw = fh.read()
+        try:
+            user = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            reason = f"config file is not valid UTF-8 ({e.reason})"
+            raise DataFormatError(f"{config_path}: {reason}") from e
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"{config_path}: config file is not valid JSON: {e.msg}") from e
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = _merge_config(cfg, user)
@@ -235,17 +238,11 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(ds.image_store, out / "images.emb")
     save_embeddings(ds.text_store, out / "texts.emb")
-    records = [
-        CaptionRecord(
-            image_id=p.image_id,
-            caption=f"synthetic caption {p.text_id.split('#c')[-1]} of {p.image_id}",
-            lang="x-syn",
-            split=p.split,
-            text_id=p.text_id,
-        )
-        for p in ds.pairs
-    ]
-    save_manifest(records, out / "manifest.jsonl")
+    text_ids, image_ids, splits = zip(*ds.pairs)
+    captions = [f"synthetic caption {t.split('#c')[-1]} of {i}" for t, i, _ in ds.pairs]
+    manifest = {"image_id": image_ids, "caption": captions, "lang": ["x-syn"] * len(captions),
+                "split": splits, "text_id": text_ids}
+    save_manifest(manifest, out / "manifest.jsonl")
     _write_json(
         out / "dataset.json",
         {
@@ -370,19 +367,21 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _load_judgments(path) -> list:
-    seen = set()
-
-    def judgment(obj):
+def _judgments(chunks) -> list:
+    judgments, seen = [], set()
+    for obj in chain.from_iterable(chunks):
         j = QueryJudgment(
             query_id=obj["query_id"], relevant_ids=obj["relevant_ids"], correct_id=obj["correct_id"]
         )
         if j.query_id in seen:
             raise ValueError(f"duplicate judgment for query {j.query_id!r}")
         seen.add(j.query_id)
-        return j
+        judgments.append(j)
+    return judgments
 
-    judgments = list(_json_lines(path, judgment, DataFormatError))
+
+def _load_judgments(path) -> list:
+    judgments = _json_lines(path, _judgments, DataFormatError)
     if not judgments:
         raise DataFormatError(f"{path}: no judgments")
     return judgments
@@ -398,23 +397,19 @@ def cmd_eval(args) -> int:
     if args.judgments:
         judgments = _load_judgments(args.judgments)
     elif args.manifest:
-        pairs = pairs_from_manifest(load_manifest(args.manifest))
+        manifest = load_manifest(args.manifest)
         text_ids = set()
-        for p in pairs:
-            if p.text_id in text_ids:
-                raise DataFormatError(
-                    f"{args.manifest}: text id {p.text_id!r} appears in more than one pair"
-                )
-            text_ids.add(p.text_id)
-        pairs = [p for p in pairs if p.split == split]
-        if not pairs:
-            raise DataFormatError(f"manifest has no pairs in split {split!r}")
+        for t in manifest["text_id"]:
+            if t in text_ids:
+                raise DataFormatError(f"{args.manifest}: text id {t!r} appears in more than one pair")
+            text_ids.add(t)
         judgments = [
-            QueryJudgment(
-                query_id=p.text_id, relevant_ids=frozenset({p.image_id}), correct_id=p.image_id
-            )
-            for p in pairs
+            QueryJudgment(query_id=t, relevant_ids=frozenset({i}), correct_id=i)
+            for t, i, s in zip(manifest["text_id"], manifest["image_id"], manifest["split"])
+            if s == split
         ]
+        if not judgments:
+            raise DataFormatError(f"manifest has no pairs in split {split!r}")
     else:
         raise _UsageError("provide --judgments or --manifest to define ground truth")
 

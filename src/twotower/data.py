@@ -1,8 +1,9 @@
 """Datasets: caption manifests, embedding stores, batching, synthesis.
 
-Each input is checked where it enters: manifest lines by ``load_manifest``,
-stores by ``EmbeddingStore``, pairs by ``PairedDataset``, which resolves them
-to the store rows that ``split_rows`` gives training and augmentation.
+Each input is checked where it enters: manifests by ``load_manifest``, a
+column at a time, stores by ``EmbeddingStore``, pairs by ``PairedDataset``,
+which resolves them to the store rows that ``split_rows`` gives training and
+augmentation.
 
 Each binary file is read once and parsed by ``_Reader``: a fault reads
 ``<file>: byte <offset>: <reason>``, the offset where the structure at fault
@@ -25,9 +26,11 @@ stores must use the same ids.
 """
 
 import contextlib
+import io
 import json
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -68,7 +71,8 @@ class SplitMix64:
 
     Every shuffle in this package runs on this generator so that batch
     order is a stable, documented function of the seed, reproducible from
-    the equations above in any language.
+    the equations above in any language. ``splitmix64_below`` computes a
+    run of draws with the same equations on arrays.
     """
 
     _MASK = (1 << 64) - 1
@@ -93,106 +97,151 @@ class SplitMix64:
         return self.next_u64() % n
 
 
+def splitmix64_below(seed, bounds) -> np.ndarray:
+    """``[SplitMix64(seed).next_below(n) for n in bounds]``, as uint64 array arithmetic.
+
+    Draw k (from 1) mixes state seed + k * 0x9E3779B97F4A7C15; numpy's
+    uint64 ufuncs wrap modulo 2**64, as the equations ask.
+    """
+    u = np.uint64
+    z = np.arange(1, len(bounds) + 1, dtype=u) * u(0x9E3779B97F4A7C15) + u(seed & SplitMix64._MASK)
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    return (z ^ (z >> u(31))) % np.asarray(bounds, dtype=u)
+
+
 def shuffled(items, seed):
     """Return a list with ``items`` in Fisher-Yates order driven by SplitMix64."""
     out = list(items)
-    rng = SplitMix64(seed)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    draws = splitmix64_below(seed, np.arange(len(out), 1, -1)).tolist()
+    for i, j in zip(range(len(out) - 1, 0, -1), draws):
         out[i], out[j] = out[j], out[i]
     return out
 
 
-@dataclass(frozen=True)
-class CaptionRecord:
-    """One caption of one image, carried as metadata alongside features."""
-
-    image_id: str
-    caption: str
-    lang: str
-    split: str
-    text_id: str | None = None
-
-    def __post_init__(self):
-        if not self.image_id:
-            raise ValueError("image_id must be non-empty")
-        if self.split not in VALID_SPLITS:
-            raise ValueError(f"split must be one of {VALID_SPLITS}, got {self.split!r}")
-
-
 _MANIFEST_FIELDS = ("image_id", "caption", "lang", "split")
+_MANIFEST_COLUMNS = (*_MANIFEST_FIELDS, "text_id")
+_CHUNK = 1024  # lines per scan; one chunk of text and values is alive at a time
+_scan = json.JSONDecoder().scan_once  # json.loads' C scanner, without its whitespace skip
 
 
 def _json_lines(path, parse, error):
-    """Yield ``parse(value)`` for each non-blank line of a JSON-lines file, in file order.
+    """``parse(chunks)`` of a JSON-lines file, each chunk a list of non-blank lines' values.
 
-    Lines end at newline bytes. A line that is not UTF-8 JSON, or whose
-    value ``parse`` rejects with a KeyError, TypeError or ValueError,
-    raises ``error`` as ``<path>: line <n>: <reason>`` with ``line`` n.
+    ``parse`` takes the chunks in file order and returns what the file
+    holds. The file is read and decoded once, and each line is scanned on
+    its own, a chunk of lines at a time. On any fault, the same bytes are
+    read line by line and ``parse`` starts afresh on one-value chunks, so
+    the first fault in file order is the one raised: a line that is not
+    UTF-8 JSON, or whose value ``parse`` rejects with a KeyError, TypeError
+    or ValueError, raises ``error`` as ``<path>: line <n>: <reason>`` with
+    ``line`` n. Lines end at newline bytes.
     """
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    yield parse(json.loads(line))
-            except (KeyError, TypeError, ValueError) as e:
-                reason = e
-                if isinstance(e, UnicodeDecodeError):
-                    reason = f"not valid UTF-8 ({e.reason})"
-                elif isinstance(e, json.JSONDecodeError):
-                    reason = f"invalid JSON ({e.msg})"
-                raise error(f"{path}: line {lineno}: {reason}", line=lineno) from e
+        raw = fh.read()
+    try:
+        return parse(_scanned(raw))
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return _by_line(raw, path, parse, error)
 
 
-def load_manifest(path) -> list[CaptionRecord]:
-    """Parse a JSON-lines caption manifest in file order.
+def _scanned(raw):
+    """Chunks of the values of ``raw``'s non-blank lines; ValueError unless each holds one."""
+    ends = (np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)[_CHUNK - 1 :: _CHUNK] + 1).tolist()
+    for start, end in zip([0, *ends], [*ends, len(raw)]):
+        lines = raw[start:end].decode("utf-8").split("\n")
+        # json.loads skips the same three around a value, and the newline
+        text = [t for t in map(str.strip, lines, repeat(" \t\r")) if t]
+        found = list(map(_scan, text, repeat(0)))  # a StopIteration from _scan ends it early
+        if [stop for _, stop in found] != list(map(len, text)):
+            raise ValueError("not one JSON value per line")
+        yield [value for value, _ in found]
 
-    Blank lines are skipped. Any malformed line, invalid UTF-8 included,
-    raises ManifestError naming the file and the 1-based line; duplicate
-    (image_id, caption) pairs are rejected.
+
+def _by_line(raw, path, parse, error):
+    """``parse`` over one-value chunks, a line at a time, so a fault names its line."""
+    lineno = 0
+
+    def values():
+        nonlocal lineno
+        for lineno, line in enumerate(io.BytesIO(raw), start=1):
+            line = line.decode("utf-8")
+            if line.strip():
+                yield [json.loads(line)]
+
+    try:
+        return parse(values())
+    except (KeyError, TypeError, ValueError) as e:
+        reason = e
+        if isinstance(e, UnicodeDecodeError):
+            reason = f"not valid UTF-8 ({e.reason})"
+        elif isinstance(e, json.JSONDecodeError):
+            reason = f"invalid JSON ({e.msg})"
+        raise error(f"{path}: line {lineno}: {reason}", line=lineno) from e
+
+
+def _manifest_columns(chunks) -> dict:
+    """Check manifest values a chunk at a time, each check over a whole chunk.
+
+    On a one-value chunk each check raises the message of that line's
+    fault, and the checks run in the order a single line is read.
     """
+    columns = {k: [] for k in _MANIFEST_COLUMNS}
     seen = set()
-
-    def record(obj):
-        if not isinstance(obj, dict):
+    for values in chunks:
+        if not all(map(isinstance, values, repeat(dict))):
             raise TypeError("expected a JSON object")
-        missing = [k for k in _MANIFEST_FIELDS if k not in obj]
-        if missing:
-            raise ValueError(f"missing field(s): {', '.join(missing)}")
-        for k in _MANIFEST_FIELDS:
-            if not isinstance(obj[k], str):
+        try:
+            chunk = [list(map(dict.__getitem__, values, repeat(k))) for k in _MANIFEST_FIELDS]
+        except KeyError:
+            has = dict.__contains__
+            missing = [k for k in _MANIFEST_FIELDS if not all(map(has, values, repeat(k)))]
+            raise ValueError(f"missing field(s): {', '.join(missing)}") from None
+        chunk.append(list(map(dict.get, values, repeat("text_id"))))
+        for k, col in zip(_MANIFEST_FIELDS, chunk):
+            if not all(map(isinstance, col, repeat(str))):
                 raise TypeError(f"field {k!r} must be a string")
-        text_id = obj.get("text_id")
-        if text_id is not None and not isinstance(text_id, str):
+        image_ids, captions, _, splits, text_ids = chunk
+        if not all(map(isinstance, text_ids, repeat((str, type(None))))):
             raise TypeError("field 'text_id' must be a string")
-        key = (obj["image_id"], obj["caption"])
-        if key in seen:
+        seen.update(zip(image_ids, captions))
+        if len(seen) < len(columns["image_id"]) + len(values):
             raise ValueError("duplicate (image_id, caption) pair")
-        seen.add(key)
-        return CaptionRecord(
-            image_id=obj["image_id"],
-            caption=obj["caption"],
-            lang=obj["lang"],
-            split=obj["split"],
-            text_id=text_id,
-        )
-
-    return list(_json_lines(path, record, ManifestError))
+        if not all(image_ids):
+            raise ValueError("image_id must be non-empty")
+        bad = set(splits).difference(VALID_SPLITS)
+        if bad:
+            raise ValueError(f"split must be one of {VALID_SPLITS}, got {bad.pop()!r}")
+        for col, part in zip(columns.values(), chunk):
+            col += part
+    return columns
 
 
-def save_manifest(records, path):
+def load_manifest(path) -> dict:
+    """Parse a JSON-lines caption manifest into columns, in file order.
+
+    Returns a list per column, keyed ``image_id``, ``caption``, ``lang``,
+    ``split`` and ``text_id``; a line without a ``text_id`` gets the
+    positional id ``"<image_id>#c<j>"``. Blank lines are skipped. Any
+    malformed line, invalid UTF-8 included, raises ManifestError naming the
+    file and the 1-based line; duplicate (image_id, caption) pairs are
+    rejected.
+    """
+    columns = _json_lines(path, _manifest_columns, ManifestError)
+    if None in columns["text_id"]:
+        captions = {}
+        for k, (image_id, text_id) in enumerate(zip(columns["image_id"], columns["text_id"])):
+            j = captions[image_id] = captions.get(image_id, -1) + 1
+            if text_id is None:
+                columns["text_id"][k] = f"{image_id}#c{j}"
+    return columns
+
+
+def save_manifest(columns, path):
+    """Write manifest ``columns``, as ``load_manifest`` returns them, one line per row."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {
-                "image_id": rec.image_id,
-                "caption": rec.caption,
-                "lang": rec.lang,
-                "split": rec.split,
-            }
-            if rec.text_id is not None:
-                obj["text_id"] = rec.text_id
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        for row in zip(*(columns[k] for k in _MANIFEST_COLUMNS)):
+            fh.write(json.dumps(dict(zip(_MANIFEST_COLUMNS, row)), ensure_ascii=False) + "\n")
 
 
 @dataclass
@@ -403,9 +452,22 @@ class PairedDataset:
     _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.pairs = [Pair(*p) for p in self.pairs]
-        image_row, text_row = self.image_store._row_of, self.text_store._row_of
-        rows = {s: [] for s in VALID_SPLITS}
+        self.pairs = list(self.pairs)
+        text_ids, image_ids, splits = tuple(zip(*self.pairs)) or ((), (), ())
+        images = list(map(self.image_store._row_of.get, image_ids))
+        texts = list(map(self.text_store._row_of.get, text_ids))
+        if (None in images or None in texts or len(set(text_ids)) < len(text_ids)
+                or not set(splits).issubset(VALID_SPLITS)):
+            self._first_bad_pair()
+        rows = np.array([images, texts], dtype=np.intp)
+        of_split = np.array(list(map(VALID_SPLITS.index, splits)), dtype=np.intp)
+        self._rows = {}
+        for k, s in enumerate(VALID_SPLITS):
+            both = rows.compress(of_split == k, axis=1)
+            both.setflags(write=False)
+            self._rows[s] = tuple(both)
+
+    def _first_bad_pair(self):
         seen_text = set()
         for p in self.pairs:
             if p.split not in VALID_SPLITS:
@@ -413,15 +475,10 @@ class PairedDataset:
             if p.text_id in seen_text:
                 raise ValueError(f"text id {p.text_id!r} appears in more than one pair")
             seen_text.add(p.text_id)
-            if p.text_id not in text_row:
+            if p.text_id not in self.text_store:
                 raise ValueError(f"pair references unknown text id {p.text_id!r}")
-            if p.image_id not in image_row:
+            if p.image_id not in self.image_store:
                 raise ValueError(f"pair references unknown image id {p.image_id!r}")
-            rows[p.split].append((image_row[p.image_id], text_row[p.text_id]))
-        for s, r in rows.items():
-            rows[s] = np.array(r, dtype=np.intp).reshape(-1, 2).T.copy()
-            rows[s].setflags(write=False)
-        self._rows = {s: tuple(both) for s, both in rows.items()}
 
     def pairs_for_split(self, split) -> list[Pair]:
         if split not in VALID_SPLITS:
@@ -442,41 +499,21 @@ class PairedDataset:
         return {s: len(rows) for s, (rows, _) in self._rows.items()}
 
 
-def pairs_from_manifest(records) -> list[Pair]:
-    """Derive (text_id, image_id, split) pairs from manifest records.
-
-    Records without an explicit text_id get the positional id
-    ``"<image_id>#c<j>"`` where j counts that image's captions in record
-    order.
-    """
-    counter = {}
-    pairs = []
-    for rec in records:
-        j = counter.get(rec.image_id, 0)
-        counter[rec.image_id] = j + 1
-        text_id = rec.text_id if rec.text_id is not None else f"{rec.image_id}#c{j}"
-        pairs.append(Pair(text_id=text_id, image_id=rec.image_id, split=rec.split))
-    return pairs
-
-
 def build_pairs(
-    records,
+    manifest,
     image_store: EmbeddingStore,
     text_store: EmbeddingStore,
     captions_per_image=5,
     allow_ragged=False,
 ) -> PairedDataset:
-    """Pair a manifest with its stores, validating the caption-count rule.
+    """Pair manifest columns with their stores, validating the caption-count rule.
 
     Images whose caption count differs from ``captions_per_image`` skew
     whole-dataset statistics, so they are rejected unless ``allow_ragged``.
     """
-    pairs = pairs_from_manifest(records)
+    image_ids = manifest["image_id"]
     if not allow_ragged:
-        counts = {}
-        for p in pairs:
-            counts[p.image_id] = counts.get(p.image_id, 0) + 1
-        ragged = sorted(i for i, c in counts.items() if c != captions_per_image)
+        ragged = sorted(i for i, c in Counter(image_ids).items() if c != captions_per_image)
         if ragged:
             shown = ", ".join(repr(i) for i in ragged[:5])
             more = "" if len(ragged) <= 5 else f" (+{len(ragged) - 5} more)"
@@ -484,6 +521,7 @@ def build_pairs(
                 f"{len(ragged)} image(s) do not have exactly {captions_per_image} "
                 f"captions: {shown}{more}; pass allow_ragged to accept"
             )
+    pairs = list(map(Pair, manifest["text_id"], image_ids, manifest["split"]))
     with value_errors_as(DataFormatError):
         return PairedDataset(image_store=image_store, text_store=text_store, pairs=pairs)
 

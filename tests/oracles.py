@@ -4,10 +4,12 @@ Everything here is written directly from the defining formulas with plain
 loops, deliberately sharing no code with the package internals.
 """
 
+import json
 import math
 
 import numpy as np
 
+from twotower.errors import ManifestError
 from twotower.loss import loss_backward
 
 
@@ -240,3 +242,54 @@ def oracle_evaluate(results, judgments):
         for key in ("ap", "ar", "f1", "top1", "top5", "top10")
     }
     return agg, per
+
+
+def reference_load_manifest(path):
+    """A manifest's columns, read one line at a time as the format defines it.
+
+    Each line ending at a newline byte is decoded as UTF-8 and, unless it
+    is blank, parsed with ``json.loads`` and checked field by field. The
+    first bad line raises ManifestError ``<path>: line <n>: <reason>``.
+    """
+    columns = {k: [] for k in ("image_id", "caption", "lang", "split", "text_id")}
+    seen, captions = set(), {}
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError("expected a JSON object")
+                fields = ("image_id", "caption", "lang", "split")
+                missing = [k for k in fields if k not in obj]
+                if missing:
+                    raise ValueError(f"missing field(s): {', '.join(missing)}")
+                for k in fields:
+                    if not isinstance(obj[k], str):
+                        raise TypeError(f"field {k!r} must be a string")
+                text_id = obj.get("text_id")
+                if text_id is not None and not isinstance(text_id, str):
+                    raise TypeError("field 'text_id' must be a string")
+                if (obj["image_id"], obj["caption"]) in seen:
+                    raise ValueError("duplicate (image_id, caption) pair")
+                seen.add((obj["image_id"], obj["caption"]))
+                if not obj["image_id"]:
+                    raise ValueError("image_id must be non-empty")
+                if obj["split"] not in ("train", "val", "test"):
+                    raise ValueError(
+                        f"split must be one of ('train', 'val', 'test'), got {obj['split']!r}"
+                    )
+            except (KeyError, TypeError, ValueError) as e:
+                reason = e
+                if isinstance(e, UnicodeDecodeError):
+                    reason = f"not valid UTF-8 ({e.reason})"
+                elif isinstance(e, json.JSONDecodeError):
+                    reason = f"invalid JSON ({e.msg})"
+                raise ManifestError(f"{path}: line {lineno}: {reason}", line=lineno) from e
+            j = captions[obj["image_id"]] = captions.get(obj["image_id"], -1) + 1
+            for k in fields:
+                columns[k].append(obj[k])
+            columns["text_id"].append(f"{obj['image_id']}#c{j}" if text_id is None else text_id)
+    return columns

@@ -790,6 +790,16 @@ class TestErrorsAndHelp:
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--config", str(cfg)], capsys)
         assert code == 2
 
+    def test_config_file_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        code, _, err = run(["synth", "--out-dir", str(tmp_path / "d"), "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{cfg}: config file is not valid UTF-8 (invalid start byte)",
+        }
+
     def test_error_lines_are_single_json(self, capsys):
         code, _, err = run(["query", "--index", "/nope", "--checkpoint", "/nope",
                             "--embedding", "[1,2]"], capsys)

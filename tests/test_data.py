@@ -1,12 +1,16 @@
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocation import raises_small
+from oracles import reference_load_manifest
+from twotower import data
 from twotower.data import (
-    CaptionRecord,
     EmbeddingStore,
     Pair,
     PairedDataset,
@@ -19,6 +23,7 @@ from twotower.data import (
     save_embeddings,
     save_manifest,
     shuffled,
+    splitmix64_below,
     synth_dataset,
 )
 from twotower.errors import (
@@ -54,6 +59,16 @@ class TestSplitMix64:
             SplitMix64(1).next_below(0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(-(2**64), 2**64 - 1),
+    bounds=st.lists(st.integers(1, 2**64 - 1) | st.integers(1, 50), max_size=40),
+)
+def test_array_draws_equal_next_below(seed, bounds):
+    rng = SplitMix64(seed)
+    assert splitmix64_below(seed, bounds).tolist() == [rng.next_below(n) for n in bounds]
+
+
 AZ_LINE = (
     '{"image_id":"203564","caption":"Ön teker kimi saat olan velosiped nüsxesi.",'
     '"lang":"az","split":"train"}'
@@ -64,16 +79,18 @@ class TestManifest:
     def test_single_line(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text(AZ_LINE + "\n", encoding="utf-8")
-        recs = load_manifest(p)
-        assert len(recs) == 1
-        assert recs[0].image_id == "203564"
-        assert recs[0].lang == "az"
-        assert recs[0].caption.startswith("Ön teker")
+        cols = load_manifest(p)
+        assert len(cols["image_id"]) == 1
+        assert cols["image_id"][0] == "203564"
+        assert cols["lang"][0] == "az"
+        assert cols["caption"][0].startswith("Ön teker")
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text("", encoding="utf-8")
-        assert load_manifest(p) == []
+        assert load_manifest(p) == {
+            "image_id": [], "caption": [], "lang": [], "split": [], "text_id": []
+        }
 
     def test_missing_split_reports_line(self, tmp_path):
         p = tmp_path / "m.jsonl"
@@ -107,7 +124,7 @@ class TestManifest:
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text("\n" + AZ_LINE + "\n\n", encoding="utf-8")
-        assert len(load_manifest(p)) == 1
+        assert len(load_manifest(p)["image_id"]) == 1
 
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "m.jsonl"
@@ -124,6 +141,129 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 3: not valid UTF-8") as exc:
             load_manifest(p)
         assert exc.value.line == 3
+
+    def test_lines_are_never_joined(self, tmp_path):
+        # joined into one JSON array, these three lines would hold three records
+        p = tmp_path / "m.jsonl"
+        row = '"caption":"x","lang":"az","split":"train"'
+        p.write_text(
+            f'{{"image_id":"i0",{row},"x":[{{}}\n'
+            "{}]}\n"
+            f'{{"image_id":"i1",{row}}},{{"image_id":"i2",{row}}}\n'
+        )
+        with pytest.raises(ManifestError, match=r"line 1: invalid JSON \(Expecting ',' delimiter\)$") as exc:
+            load_manifest(p)
+        assert exc.value.line == 1
+
+    def test_json_fault_before_utf8_fault_is_the_one_named(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        bad = b'{"image_id":"1","caption":"\xff","lang":"az","split":"train"}\n'
+        p.write_bytes(AZ_LINE.encode() + b"\n{oops\n\n\n" + bad)
+        with pytest.raises(ManifestError, match="line 2: invalid JSON") as exc:
+            load_manifest(p)
+        assert exc.value.line == 2
+
+    def test_valid_manifest_is_read_without_the_per_line_path(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        rows = [
+            {"image_id": f"i{k // 3}", "caption": f"c{k}", "lang": "az", "split": "train"}
+            for k in range(3000)
+        ]
+        rows[7]["text_id"] = "explicit"
+        p.write_text(" \r\n".join(json.dumps(r) for r in rows) + "\n\n\t\n")
+        with mock.patch.object(data, "_by_line", side_effect=AssertionError("per-line path")):
+            cols = load_manifest(p)
+        assert cols == reference_load_manifest(p)
+        assert cols["text_id"][6:9] == ["i2#c0", "explicit", "i2#c2"]
+
+
+@st.composite
+def manifests(draw):
+    """Manifest bytes: rows, at most one with a bad field, odd lines, then a few byte edits."""
+    rows = [
+        {
+            "image_id": draw(st.sampled_from(["i0", "i1", "i2"])),
+            "caption": draw(st.text("ab\u00f6", max_size=3)) + str(k),
+            "lang": "az",
+            "split": draw(st.sampled_from(["train", "val", "test"])),
+            **({"text_id": draw(st.sampled_from(["t0", "t1", None]))} if draw(st.booleans()) else {}),
+        }
+        for k in range(draw(st.integers(0, 8)))
+    ]
+    if rows and draw(st.booleans()):  # one field missing, emptied, or not a string
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(["image_id", "caption", "lang", "split", "text_id"]))
+        fault = draw(st.sampled_from(["missing", "", "dev", 7, None, ["x"]]))
+        row.pop(key, None) if fault == "missing" else row.update({key: fault})
+    lines = [json.dumps(row, ensure_ascii=draw(st.booleans())) for row in rows]
+    odd = ["", " ", "\t\r", "\x0c", "\x0c{}", "\ufeff{}", "\r", "[1]", "{} {}", "1, 2", "\u2028"]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        line = draw(st.sampled_from(odd + lines[:1] * 4))  # the first row again: a duplicate
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    raw = bytearray(draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode())
+    if draw(st.booleans()):
+        raw += b"\n"
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if raw else 0):
+        at = draw(st.integers(0, len(raw) - 1))
+        edit = draw(st.sampled_from(["flip", "truncate", "newline", "join", "lead", "xff"]))
+        if edit == "flip":
+            raw[at] ^= draw(st.integers(1, 255))
+        elif edit == "truncate":
+            del raw[at:]
+        elif edit == "newline":  # splits a value over two lines
+            raw.insert(at, 10)
+        elif edit == "join" and 10 in raw:  # two values on one line
+            del raw[raw.index(10, at) if 10 in raw[at:] else raw.index(10)]
+        elif edit == "lead":  # a character before a line's value
+            at = raw.rfind(b"\n", 0, at) + 1
+            raw[at:at] = draw(st.sampled_from([b" ", b"\t", b"\x0c", b"\x1c", b"\xef\xbb\xbf"]))
+        elif edit == "xff":
+            raw.insert(at, 0xFF)
+        if not raw:
+            break
+    return bytes(raw)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ManifestError as e:
+        return type(e), str(e), e.line
+
+
+ROW = b'{"image_id":"i0","caption":"x","lang":"az","split":"train"}'
+ROW2 = b'{"image_id":"i0","caption":"y","lang":"az","split":"val"}'
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\x0c" + ROW,  # json.loads skips only space, tab, CR and LF
+        b"\x1c" + ROW + b"\n",
+        b"\xef\xbb\xbf" + ROW,  # a byte order mark
+        b" \t" + ROW + b" \r\n\x0c\n" + ROW2,  # a form feed alone is a blank line
+        ROW + b"\r" + ROW2,  # a lone CR ends no line
+        ROW + b"\xe2\x80\xa8" + ROW2,  # nor does U+2028
+        ROW + ROW2,
+        ROW[:-1] + b',"text_id":7}',
+        ROW[:-1] + b',"text_id":null}\n' + ROW2[:-1] + b',"text_id":"i0#c0"}',
+        b'"' + ROW,  # an unterminated string, with and without a newline after
+        b'"' + ROW + b"\n",
+    ],
+)
+def test_edge_lines_match_the_per_line_reference(tmp_path, raw):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(raw)
+    assert _outcome(load_manifest, path) == _outcome(reference_load_manifest, path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=manifests(), chunk=st.sampled_from([1, 2, 3, 1024]))
+def test_manifest_columns_match_the_per_line_reference(tmp_path_factory, raw, chunk):
+    path = tmp_path_factory.getbasetemp() / "property.jsonl"
+    path.write_bytes(raw)
+    with mock.patch.object(data, "_CHUNK", chunk):
+        assert _outcome(load_manifest, path) == _outcome(reference_load_manifest, path)
 
 
 def small_store(n=2, dim=3, kind="image_feature", seed=0):
@@ -232,9 +372,11 @@ class TestPairedDatasetInvariants:
         with pytest.raises(ValueError, match="split"):
             PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
 
-    def test_empty_image_id_rejected(self):
-        with pytest.raises(ValueError, match="image_id"):
-            CaptionRecord(image_id="", caption="x", lang="az", split="train")
+    def test_empty_image_id_rejected(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_text('{"image_id":"","caption":"x","lang":"az","split":"train"}\n')
+        with pytest.raises(ManifestError, match="line 1: image_id must be non-empty"):
+            load_manifest(p)
 
 
 class TestEmbeddingFile:

@@ -14,6 +14,11 @@
 # its length, and separately flips all bits of its first byte, runs index and
 # query with the corrupt copy in place, and compares the exit code and the
 # stderr "error" kind of each run (corrupt.out); the messages are not compared.
+# Last, it writes edited copies of the manifest, one fault each (bad JSON, a
+# missing or non-string field, a bad split, a duplicate pair, invalid UTF-8,
+# two values on one line, one value over two lines, a ragged image, an
+# unknown image id, a repeated text id), runs ingest and eval --manifest on
+# each, and compares the exit code and the whole stderr (manifest_faults.out).
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -93,6 +98,54 @@ open(path, "wb").write(raw)' "$f" "$how"
                 mv intact.tmp "$f"
             done
         done
+        mkdir -p faults
+        "$python" - data/manifest.jsonl faults <<'EOF'
+import json
+import sys
+
+source, out = sys.argv[1:]
+lines = open(source, "rb").read().split(b"\n")[:-1]
+rows = [json.loads(line) for line in lines]
+
+
+def edited(k, row):
+    return lines[:k] + [json.dumps(row, ensure_ascii=False).encode()] + lines[k + 1 :]
+
+
+head, tail = lines[11].split(b", ", 1)
+first = rows[0]["image_id"]
+faults = {
+    "bad-json": lines[:2] + [b"{not json}"] + lines[3:],
+    "missing-field": edited(3, {k: v for k, v in rows[3].items() if k != "lang"}),
+    "non-string-field": edited(4, {**rows[4], "caption": 7}),
+    "bad-split": edited(5, {**rows[5], "split": "dev"}),
+    "duplicate-pair": lines[:7] + [lines[0]] + lines[8:],
+    "not-utf8": lines[:8] + [lines[8].replace(b'"caption": "', b'"caption": "\xff')] + lines[9:],
+    "two-values-one-line": lines[:9] + [lines[9] + b" " + lines[10]] + lines[11:],
+    "value-over-two-lines": lines[:11] + [head + b",", tail] + lines[12:],
+    "ragged-image": lines[1:],
+    "unknown-image": [edited(k, {**r, "image_id": "ghost"})[k] if r["image_id"] == first else line
+                      for k, (r, line) in enumerate(zip(rows, lines))],
+    "repeated-text-id": edited(6, {**rows[6], "text_id": rows[5]["text_id"]}),
+}
+for name, edit in faults.items():
+    open(f"{out}/{name}.jsonl", "wb").write(b"\n".join(edit) + b"\n")
+EOF
+        local m
+        for m in faults/*.jsonl; do
+            for how in ingest eval; do
+                code=0
+                # shellcheck disable=SC2086  # the flags are meant to split
+                if [ "$how" = ingest ]; then
+                    "$python" -m twotower ingest $sets --manifest "$m" --images data/images.emb \
+                        --texts data/texts.emb > /dev/null 2> fault.err || code=$?
+                else
+                    "$python" -m twotower eval $sets --index images.idx --checkpoint model.ckpt \
+                        --texts data/texts.emb --manifest "$m" > /dev/null 2> fault.err || code=$?
+                fi
+                { echo "$m $how $code"; cat fault.err; } >> manifest_faults.out
+            done
+        done
     )
 }
 
@@ -122,7 +175,7 @@ for entry in "${configs[@]}"; do
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
         images.idx synth.out ingest.out train.out index.out eval.out query7.out query5000.out \
-        corrupt.out; do
+        corrupt.out manifest_faults.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
