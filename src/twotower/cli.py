@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    _JSON_FAULTS,
     _json_lines,
     augment_dataset,
     build_pairs,
@@ -50,7 +51,7 @@ from .errors import (
     value_errors_as,
 )
 from .loss import LossConfig
-from .metrics import QueryJudgment, format_table
+from .metrics import QueryJudgment, format_table, judgments_by_id
 from .model import init_model, load_checkpoint
 from .retrieval import build_index, evaluate, load_index, query, save_index
 from .train import TrainConfig, train
@@ -74,23 +75,11 @@ DEFAULT_CONFIG = {
     },
     # encoder names are provenance only: features arrive precomputed
     "model": {"shared_dim": 32, "image_encoder": "precomputed", "text_encoder": "precomputed"},
-    "loss": {
-        "lambda": 1.0,
-        "margin": 0.2,
-        "temperature": 1.0,
-        "margin_mode": "literal",
-        "symmetric": False,
-    },
+    # the loss and train sections are the dataclass defaults; the config says lambda for lam
+    "loss": {"lambda" if k == "lam" else k: v for k, v in vars(LossConfig()).items()},
     "train": {
-        "epochs": 30,
-        "batch_size": 64,
-        "lr_max": 1e-3,
-        "lr_min": 1e-5,
-        "warmup_steps": 50,
-        "weight_decay": 0.01,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
+        k: v for k, v in vars(TrainConfig()).items()
+        if k not in ("seed", "loss", "checkpoint_path", "log_path")  # set per run by cmd_train
     },
     "eval": {"split": "test", "dataset_name": "dataset"},
 }
@@ -150,7 +139,7 @@ def _parse_set(expr):
     keys = dotted.strip().split(".")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except _JSON_FAULTS:
         value = raw  # bare strings are convenient: --set loss.margin_mode=literal
     node = value
     for key in reversed(keys):
@@ -170,8 +159,9 @@ def effective_config(args) -> dict:
         except UnicodeDecodeError as e:
             reason = f"config file is not valid UTF-8 ({e.reason})"
             raise DataFormatError(f"{config_path}: {reason}") from e
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{config_path}: config file is not valid JSON: {e.msg}") from e
+        except _JSON_FAULTS as e:
+            reason = f"config file is not valid JSON: {getattr(e, 'msg', e)}"
+            raise DataFormatError(f"{config_path}: {reason}") from e
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = _merge_config(cfg, user)
@@ -180,17 +170,6 @@ def effective_config(args) -> dict:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg
-
-
-def _loss_config(cfg) -> LossConfig:
-    c = cfg["loss"]
-    return LossConfig(
-        lam=c["lambda"],
-        margin=c["margin"],
-        temperature=c["temperature"],
-        margin_mode=c["margin_mode"],
-        symmetric=c["symmetric"],
-    )
 
 
 def _meta_block() -> dict:
@@ -282,7 +261,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args, cfg)
     if not ds.split_sizes()["train"]:
         raise DataFormatError(f"{args.manifest}: no pairs in split 'train'")
-    aug = cfg["data"]["augment"]
+    aug, loss = cfg["data"]["augment"], dict(cfg["loss"])
     with value_errors_as(ConfigError):
         ds = augment_dataset(ds, sigma=aug["sigma"], copies=aug["copies"], seed=cfg["seed"] + 3)
         model = init_model(
@@ -295,7 +274,7 @@ def cmd_train(args) -> int:
         train_cfg = TrainConfig(
             **cfg["train"],
             seed=cfg["seed"] + 2,
-            loss=_loss_config(cfg),
+            loss=LossConfig(lam=loss.pop("lambda"), **loss),
             checkpoint_path=str(args.checkpoint),
             log_path=str(args.log) if args.log else None,
         )
@@ -333,8 +312,8 @@ def _query_vector(args):
     if args.embedding is not None:
         try:
             vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
-        except json.JSONDecodeError as e:
-            raise _UsageError(f"--embedding is not valid JSON: {e.msg}") from e
+        except _JSON_FAULTS as e:
+            raise _UsageError(f"--embedding is not valid JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(vec, list) or not all(
             isinstance(x, float) and math.isfinite(x) for x in vec
         ):
@@ -368,16 +347,11 @@ def cmd_query(args) -> int:
 
 
 def _judgments(chunks) -> list:
-    judgments, seen = [], set()
-    for obj in chain.from_iterable(chunks):
-        j = QueryJudgment(
-            query_id=obj["query_id"], relevant_ids=obj["relevant_ids"], correct_id=obj["correct_id"]
-        )
-        if j.query_id in seen:
-            raise ValueError(f"duplicate judgment for query {j.query_id!r}")
-        seen.add(j.query_id)
-        judgments.append(j)
-    return judgments
+    judgments = (
+        QueryJudgment(query_id=o["query_id"], relevant_ids=o["relevant_ids"], correct_id=o["correct_id"])
+        for o in chain.from_iterable(chunks)
+    )
+    return list(judgments_by_id(judgments).values())  # consumed lazily: a duplicate names its line
 
 
 def _load_judgments(path) -> list:
@@ -513,8 +487,6 @@ _ERROR_EXITS = (
     (FileNotFoundError, EXIT_DATA),
     (IsADirectoryError, EXIT_DATA),
     (PermissionError, EXIT_DATA),
-    (KeyError, EXIT_DATA),
-    (ValueError, EXIT_DATA),
 )
 
 

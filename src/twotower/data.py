@@ -123,6 +123,8 @@ _MANIFEST_FIELDS = ("image_id", "caption", "lang", "split")
 _MANIFEST_COLUMNS = (*_MANIFEST_FIELDS, "text_id")
 _CHUNK = 1024  # lines per scan; one chunk of text and values is alive at a time
 _scan = json.JSONDecoder().scan_once  # json.loads' C scanner, without its whitespace skip
+# json.loads' faults: not UTF-8 or JSON, an integer too long (ValueError), deep nesting
+_JSON_FAULTS = (ValueError, RecursionError)
 
 
 def _json_lines(path, parse, error):
@@ -133,15 +135,16 @@ def _json_lines(path, parse, error):
     its own, a chunk of lines at a time. On any fault, the same bytes are
     read line by line and ``parse`` starts afresh on one-value chunks, so
     the first fault in file order is the one raised: a line that is not
-    UTF-8 JSON, or whose value ``parse`` rejects with a KeyError, TypeError
-    or ValueError, raises ``error`` as ``<path>: line <n>: <reason>`` with
-    ``line`` n. Lines end at newline bytes.
+    UTF-8 JSON, nests too deep or holds an integer too long to convert, or
+    whose value ``parse`` rejects with a KeyError, TypeError or ValueError,
+    raises ``error`` as ``<path>: line <n>: <reason>`` with ``line`` n.
+    Lines end at newline bytes.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return parse(_scanned(raw))
-    except (KeyError, TypeError, ValueError, RecursionError):
+    except (KeyError, TypeError, *_JSON_FAULTS):
         return _by_line(raw, path, parse, error)
 
 
@@ -171,7 +174,7 @@ def _by_line(raw, path, parse, error):
 
     try:
         return parse(values())
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, *_JSON_FAULTS) as e:
         reason = e
         if isinstance(e, UnicodeDecodeError):
             reason = f"not valid UTF-8 ({e.reason})"

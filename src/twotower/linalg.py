@@ -8,8 +8,9 @@ Finiteness is checked where data enters: ``as_matrix`` at each public entry
 point. ``row_norms`` and ``log_softmax_rows`` are unchecked helpers behind
 those entry points; their callers pass finite float64 matrices.
 
-``l2_normalize_rows`` is the one row normaliser: training and retrieval
-both take their norms from ``row_norms``, and a zero row raises
+``unit_rows`` is the one row normaliser, and ``l2_normalize_rows`` its
+checked entry point: training and retrieval both take their norms from
+``row_norms``, and a row whose norm is zero or overflows raises
 ``DegenerateRowError`` in ``check_norms`` and nowhere else.
 """
 
@@ -48,31 +49,37 @@ def row_norms(m) -> np.ndarray:
 
 
 def check_norms(norms, what, ids):
-    """Raise unless every row norm is finite and at least ``ZERO_NORM_EPS``.
+    """Raise DegenerateRowError unless every row norm is finite and at least ``ZERO_NORM_EPS``.
 
-    A non-finite norm means the rows overflowed (ValueError). A norm below
-    ``ZERO_NORM_EPS`` has no direction, so no cosine can be taken with its
-    row: it raises DegenerateRowError naming the row as ``"<what> row <i>"``,
-    or as ``"<what> <id>"`` when ``ids`` (one per row) is given, with
-    ``row`` and ``row_id`` set.
+    A row whose norm is not finite overflowed, and one whose norm is below
+    ``ZERO_NORM_EPS`` has no direction: no cosine can be taken with either.
+    The first overflowing row is named, else the first zero row, as
+    ``"<what> row <i>"``, or as ``"<what> <id>"`` when ``ids`` (one per row)
+    is given, with ``row`` and ``row_id`` set.
     """
-    if not np.isfinite(norms).all():
-        raise ValueError("row norms overflowed to non-finite values")
-    zero = norms < ZERO_NORM_EPS
-    if zero.any():
-        i = int(zero.argmax())
+    finite = np.isfinite(norms)
+    bad = norms < ZERO_NORM_EPS if finite.all() else ~finite
+    if bad.any():
+        i = int(bad.argmax())
         row_id = None if ids is None else ids[i]
         name = f"row {i}" if ids is None else repr(row_id)
-        raise DegenerateRowError(f"{what} {name} projects to a zero vector", row=i, row_id=row_id)
+        fault = "to a zero vector" if finite.all() else "to a vector whose norm overflows"
+        raise DegenerateRowError(f"{what} {name} projects {fault}", row=i, row_id=row_id)
 
 
 def l2_normalize_rows(m, what, ids) -> NormalizedRows:
-    """Scale each row of ``m`` to unit Euclidean norm; ``check_norms`` gives the errors.
+    """``unit_rows`` of ``m`` once ``as_matrix`` has checked it is finite."""
+    return unit_rows(as_matrix(m), what, ids)
 
-    The norms come back with the unit rows, for the backward pass through
-    the normalization.
+
+def unit_rows(m, what, ids) -> NormalizedRows:
+    """Scale each row of a float64 matrix to unit Euclidean norm; ``check_norms`` gives the errors.
+
+    ``m`` is not scanned: a row holding an infinity or NaN, such as a
+    projection that overflowed, has no finite norm and raises as one. The
+    norms come back with the unit rows, for the backward pass through the
+    normalization.
     """
-    m = as_matrix(m)
     with np.errstate(over="ignore"):
         norms = row_norms(m)
     check_norms(norms, what, ids)

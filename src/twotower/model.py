@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _read, _Reader, _write_atomic
+from .data import _JSON_FAULTS, _read, _Reader, _write_atomic
 from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError
 from .linalg import as_matrix
 
@@ -188,7 +188,7 @@ def _read_checkpoint(r: _Reader) -> DualEncoderModel:
     (meta_len,) = r.unpack(struct.Struct("<I"), "checkpoint meta length")
     try:
         meta = json.loads(str(r.take(meta_len, "checkpoint meta block", at), "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except _JSON_FAULTS as e:
         raise r.fail(DataFormatError, at, f"checkpoint meta block is not UTF-8 JSON: {e}") from e
     r.end("checkpoint has trailing data beyond the declared blocks")
     with r.contents():

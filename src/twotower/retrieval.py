@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EmbeddingStore, _read, _write_atomic, read_store, write_store
-from .errors import DataFormatError, DegenerateRowError, FingerprintMismatchError, ShapeError
-from .linalg import l2_normalize_rows, row_norms
+from .errors import DataFormatError, FingerprintMismatchError, ShapeError
+from .linalg import row_norms, unit_rows
 from .metrics import MetricsReport, judgments_by_id, metrics_from_ranks
 from .model import DualEncoderModel, model_fingerprint, project
 
@@ -44,7 +44,7 @@ class RetrievalIndex:
         self.vectors = self.store.vectors  # copied, read-only, float64
         if not self.model_fingerprint:
             raise ValueError("model_fingerprint must be non-empty")
-        norms = np.sqrt((self.vectors * self.vectors).sum(axis=1))
+        norms = row_norms(self.vectors)
         off = np.abs(norms - 1.0)
         if off.size and off.max() > UNIT_NORM_TOL:
             i = int(off.argmax())
@@ -75,22 +75,10 @@ def build_index(model: DualEncoderModel, images: EmbeddingStore) -> RetrievalInd
         raise ValueError(
             f"index must be built from an image_feature store, got kind {images.kind!r}"
         )
-    unit = _unit_rows(project(model.image_head, images.vectors), "image", images.ids)
+    unit = unit_rows(project(model.image_head, images.vectors), "image", images.ids).matrix
     return RetrievalIndex(
         ids=list(images.ids), vectors=unit, model_fingerprint=model_fingerprint(model)
     )
-
-
-def _unit_rows(raw, what, ids):
-    """The rows of ``raw`` at unit norm; one whose norm overflows raises DegenerateRowError."""
-    try:
-        return l2_normalize_rows(raw, what, ids).matrix
-    except ValueError as e:
-        with np.errstate(over="ignore", invalid="ignore"):
-            i = int(np.isfinite(row_norms(raw)).argmin())
-        raise DegenerateRowError(
-            f"{what} {ids[i]!r} projects to a vector whose norm overflows", row=i, row_id=ids[i]
-        ) from e
 
 
 def _check_fingerprint(index: RetrievalIndex, model: DualEncoderModel):
@@ -151,7 +139,7 @@ def _blocks(index, model, texts: EmbeddingStore, ids):
         raw = np.concatenate(
             [project(model.text_head, texts.vectors[r:r + 1]) for r in rows[start:start + size]]
         )
-        q = _unit_rows(raw, "query", block)
+        q = unit_rows(raw, "query", block).matrix
         yield block, q, np.matmul(q, index.vectors.T, out=scores[:len(block)])
 
 

@@ -176,24 +176,6 @@ def _step_line(step, epoch, lr, loss, ce_term, margin_term) -> str:
     )
 
 
-class _JsonlLog:
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-
-    def write(self, record):
-        if self._fh is not None:
-            self._fh.write(json.dumps(record) + "\n")
-
-    def step(self, *fields):
-        """Write one step's line; ``fields`` are ``_step_line``'s arguments."""
-        if self._fh is not None:
-            self._fh.write(_step_line(*fields))
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
-
-
 def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     """Run the full training loop and return (best model, TrainReport).
 
@@ -229,7 +211,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     params = model.params
     images, texts = ds.image_store.vectors, ds.text_store.vectors
     batch_rows = [(image_rows[batch], text_rows[batch]) for batch in batches]
-    log = _JsonlLog(cfg.log_path)
+    log = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
     best = math.inf
     best_epoch = 0
     best_snapshot = None
@@ -248,7 +230,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                     out, grads = loss_backward(
                         images.take(img_rows, axis=0), texts.take(txt_rows, axis=0), model, cfg.loss
                     )
-                except (ValueError, DegenerateRowError) as e:
+                except DegenerateRowError as e:
                     raise DivergenceError(
                         f"training aborted at step {step} (epoch {epoch}): {e}"
                     ) from e
@@ -267,7 +249,9 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                 n = len(img_rows)
                 loss_sum += out.total
                 rows += n
-                log.step(step, epoch, lr, out.total / n, out.ce_term / n, out.margin_term / n)
+                if log:
+                    terms = (out.total / n, out.ce_term / n, out.margin_term / n)
+                    log.write(_step_line(step, epoch, lr, *terms))
             train_loss = loss_sum / rows
             if has_val:
                 val = evaluate_loss(model, ds, "val", cfg.loss, cfg.batch_size)
@@ -285,11 +269,13 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
             train_losses.append(train_loss)
             val_losses.append(val)
             flags.append(improved)
-            log.write(
-                {"epoch": epoch, "train_loss": train_loss, "val_loss": val, "checkpointed": improved}
-            )
+            if log:
+                record = {"epoch": epoch, "train_loss": train_loss, "val_loss": val,
+                          "checkpointed": improved}
+                log.write(json.dumps(record) + "\n")
     finally:
-        log.close()
+        if log:
+            log.close()
 
     report = TrainReport(
         train_loss=train_losses,

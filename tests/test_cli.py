@@ -49,6 +49,14 @@ _CAPPED_CLI = (
 )
 
 
+def run_quiet(argv):
+    """``cli.main`` of ``argv``, as strings, for tests without ``capsys``: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
 def run_capped(argv):
     """Run the command line in a child whose address space is capped.
 
@@ -474,6 +482,9 @@ class TestEvalCommand:
              "line 1: query 'img00#c0': relevant_ids must be a set, not a str"),
             ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}'] * 2,
              "line 2: duplicate judgment for query 'img00#c0'"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}'] * 2
+             + [b'{"query_id": "img00#c1", "relevant_ids": ["img00"], "correct_id": "img00"}'],
+             "line 2: duplicate judgment for query 'img00#c0'"),
             ([b"", b'{"query_id": "img00#c0", "relevant_ids": ["img00\xff"]}'],
              "line 2: not valid UTF-8 (invalid start byte)"),
             ([b'{"query_id": ["q"], "relevant_ids": ["img00"], "correct_id": "img00"}'],
@@ -481,7 +492,8 @@ class TestEvalCommand:
             ([b'{"query_id": "img00#c0", "relevant_ids": [1], "correct_id": 1}'],
              "line 1: query 'img00#c0': relevant_ids and correct_id must be strings"),
         ],
-        ids=["str-relevant-ids", "duplicate-query", "not-utf8", "list-query-id", "int-ids"],
+        ids=["str-relevant-ids", "duplicate-query", "duplicate-query-mid-file", "not-utf8",
+             "list-query-id", "int-ids"],
     )
     def test_bad_judgments_exit_2(self, pipeline, tmp_path, capsys, lines, message):
         jpath = tmp_path / "j.jsonl"
@@ -623,6 +635,24 @@ class TestErrorsAndHelp:
             "message": "image 'img00' projects to a vector whose norm overflows",
         }
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_query_projecting_to_infinity_exit_2(self, pipeline, tmp_path, capsys):
+        model = load_checkpoint(pipeline / "model.ckpt")
+        model.text_head.w[:] = 1e308  # any query of ones projects to +inf in every column
+        ckpt, idx = tmp_path / "m.ckpt", tmp_path / "i.azi"
+        save_checkpoint(model, ckpt)
+        run(["index", "--checkpoint", str(ckpt), "--images", str(pipeline / "ds" / "images.emb"),
+             "--out", str(idx)], capsys)
+        code, stdout, err = run(
+            ["query", "--index", str(idx), "--checkpoint", str(ckpt), "--embedding", json.dumps([1.0] * 8)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(err) == {
+            "error": "DegenerateRowError",
+            "message": "query 'inline' projects to a vector whose norm overflows",
+        }
 
     def test_store_id_not_utf8_exit_2(self, tmp_path, capsys):
         ckpt, images = tmp_path / "m.ckpt", tmp_path / "images.emb"
@@ -827,21 +857,11 @@ class TestErrorsAndHelp:
 
 class TestConfigMachinery:
     def test_defaults_match_documented_values(self):
-        cfg = cli.DEFAULT_CONFIG
-        assert cfg["data"]["synth"]["n_images"] == 200
-        assert cfg["data"]["synth"]["captions_per_image"] == 5
-        assert cfg["data"]["synth"]["latent_dim"] == 16
-        assert cfg["data"]["synth"]["img_dim"] == 64
-        assert cfg["data"]["synth"]["txt_dim"] == 48
-        assert cfg["data"]["synth"]["noise_sigma"] == 0.05
-        assert cfg["model"]["shared_dim"] == 32
-        assert cfg["train"]["epochs"] == 30
-        assert cfg["train"]["batch_size"] == 64
-        assert cfg["train"]["warmup_steps"] == 50
-        assert cfg["train"]["lr_max"] == 1e-3
-        assert cfg["loss"]["lambda"] == 1.0
-        assert cfg["loss"]["margin"] == 0.2
-        assert cfg["loss"]["temperature"] == 1.0
+        # README's "Defaults:" block, every key and value, spelled as JSON spells them
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Defaults:\n\n```json\n", 1)[1].split("```", 1)[0]
+        canonical = lambda cfg: json.dumps(cfg, sort_keys=True)
+        assert canonical(json.loads(block)) == canonical(cli.DEFAULT_CONFIG)
 
     def test_flags_win_over_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"
@@ -870,6 +890,13 @@ def package_errors(cls=errors.TwoTowerError):
     return {cls.__name__}.union(*(package_errors(sub) for sub in cls.__subclasses__()))
 
 
+def ingest(p, *flags):
+    """``ingest`` of the pipeline's dataset with ``flags``."""
+    ds = p / "ds"
+    return ["ingest", *flags, "--manifest", ds / "manifest.jsonl", "--images", ds / "images.emb",
+            "--texts", ds / "texts.emb"]
+
+
 # Each command reads one input from a corrupted copy and the others intact.
 CORRUPTIBLE = {
     "images.emb": lambda p, bad: ["index", "--checkpoint", p / "model.ckpt", "--images", bad,
@@ -884,7 +911,10 @@ CORRUPTIBLE = {
                                       "--texts", p / "ds" / "texts.emb", "--manifest", bad],
     "judgments.jsonl": lambda p, bad: ["eval", "--index", p / "idx.azi", "--checkpoint", p / "model.ckpt",
                                        "--texts", p / "ds" / "texts.emb", "--judgments", bad],
+    "config.json": lambda p, bad: ingest(p, "--config", bad),
 }
+# The exit codes a corrupt copy may give; a config file's keys and values can also be wrong (1).
+CORRUPT_EXITS = {**dict.fromkeys(CORRUPTIBLE, (0, 2, 4)), "config.json": (0, 1, 2)}
 
 
 @pytest.fixture(scope="module")
@@ -899,7 +929,9 @@ def intact(pipeline):
     )
     files = {name: ds / name for name in ("images.emb", "texts.emb", "manifest.jsonl")}
     files.update({name: pipeline / name for name in ("model.ckpt", "idx.azi")})
-    return {"judgments.jsonl": judgments.encode(), **{n: f.read_bytes() for n, f in files.items()}}
+    config = {**cli.DEFAULT_CONFIG, "data": {**cli.DEFAULT_CONFIG["data"], "captions_per_image": 2}}
+    return {"judgments.jsonl": judgments.encode(), "config.json": json.dumps(config, indent=2).encode(),
+            **{n: f.read_bytes() for n, f in files.items()}}
 
 
 @st.composite
@@ -920,9 +952,86 @@ def test_corrupt_input_exits_with_a_package_error(pipeline, intact, tmp_path_fac
     bad = tmp_path_factory.getbasetemp() / "corrupt" / name
     bad.parent.mkdir(exist_ok=True)
     bad.write_bytes(data.draw(corruptions(intact[name])))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(a) for a in CORRUPTIBLE[name](pipeline, bad)])
-    assert code in (0, 2, 4), err.getvalue()
+    code, err = run_quiet(CORRUPTIBLE[name](pipeline, bad))
+    assert code in CORRUPT_EXITS[name], err
     if code:
-        assert json.loads(err.getvalue())["error"] in package_errors(), err.getvalue()
+        assert json.loads(err)["error"] in package_errors(), err
+
+
+def _config_keys(cfg, prefix=""):
+    for key, value in cfg.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _config_keys(value, f"{prefix}{key}.")
+
+
+# Every section and key of the config, and names that are none of them.
+SET_KEYS = sorted(_config_keys(cli.DEFAULT_CONFIG)) + ["", "nope", "data.nope", "seed.x", "data..synth"]
+DEEP = "[" * 100_000 + "]" * 100_000  # past any recursion limit of the json scanner
+LONG = "1" * 5_000  # past the 4,300 digits int() converts from text
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SET_KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+set_values = st.one_of(
+    json_values.map(json.dumps),
+    st.text(max_size=12),
+    st.sampled_from([DEEP, LONG, "NaN", "-Infinity", "1e400", "{", "[1,", '"x', "true", "2"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sets=st.lists(st.tuples(st.sampled_from(SET_KEYS), set_values), min_size=1, max_size=3))
+def test_set_values_exit_with_a_package_error(pipeline, sets):
+    # ingest reads only seed and the data section: no drawn value starts a run or a synth
+    code, err = run_quiet(ingest(pipeline, *(f for k, v in sets for f in ("--set", f"{k}={v}"))))
+    assert code in (0, 1, 2), err
+    if code:
+        assert json.loads(err)["error"] in package_errors() | {"usage"}, err
+
+
+def _checkpoint_with_meta(p, text, bad):
+    save_checkpoint(init_model(10, 8, 2, seed=0), bad)  # meta {} is the last 4 + 2 bytes
+    meta = text.encode()
+    bad.write_bytes(bad.read_bytes()[:-6] + struct.pack("<I", len(meta)) + meta)
+    return ["index", "--checkpoint", bad, "--images", p / "ds" / "images.emb", "--out", bad.parent / "o"]
+
+
+def _jsonl_after_one_line(command, first):
+    def argv(p, text, bad):
+        bad.write_text(first + "\n" + text + "\n")
+        return command(p, bad)
+    return argv
+
+
+def _config_file(p, text, bad):
+    bad.write_text('{"seed": %s}' % text)
+    return ingest(p, "--config", bad)
+
+
+# Each JSON input with ``text`` in it, as (argv builder, the error kinds it may give).
+JSON_INPUTS = {
+    "manifest": (_jsonl_after_one_line(CORRUPTIBLE["manifest.jsonl"], json.dumps(
+        {"image_id": "img00", "caption": "c", "lang": "x", "split": "test", "text_id": "img00#c0"})),
+        {"ManifestError"}),
+    "judgments": (_jsonl_after_one_line(CORRUPTIBLE["judgments.jsonl"], json.dumps(
+        {"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"})),
+        {"DataFormatError"}),
+    "config": (_config_file, {"DataFormatError"}),
+    "set": (lambda p, text, bad: ingest(p, "--set", f"data.allow_ragged={text}"), {"ConfigError"}),
+    "embedding": (lambda p, text, bad: ["query", "--index", p / "idx.azi", "--checkpoint",
+                                        p / "model.ckpt", "--embedding", text], {"usage"}),
+    "checkpoint-meta": (_checkpoint_with_meta, {"DataFormatError"}),
+}
+
+
+@pytest.mark.parametrize("payload", [DEEP, LONG], ids=["deep", "long-int"])
+@pytest.mark.parametrize("site", JSON_INPUTS)
+def test_deep_or_long_json_is_a_typed_error(pipeline, tmp_path, site, payload):
+    argv, kinds = JSON_INPUTS[site]
+    code, err = run_quiet(argv(pipeline, payload, tmp_path / "bad"))
+    assert code in (1, 2), err
+    assert len(err.splitlines()) == 1, err
+    assert json.loads(err)["error"] in kinds, err

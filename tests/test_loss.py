@@ -426,6 +426,8 @@ class TestFusedStepMatchesReference:
     def test_overflowing_projection_raises_without_warnings(self, recwarn):
         model = init_model(4, 3, 2, seed=36)
         img = np.full((2, 4), 1e300)
-        with pytest.raises(ValueError, match="^row norms overflowed to non-finite values$"):
+        message = "^image row 0 projects to a vector whose norm overflows$"
+        with pytest.raises(DegenerateRowError, match=message) as exc:
             loss_backward(img, np.ones((2, 3)), model, LossConfig())
+        assert exc.value.row == 0
         assert not recwarn.list

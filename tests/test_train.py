@@ -229,7 +229,8 @@ class TestTrain:
         ds = tiny_dataset(seed=12)
         model = init_model(8, 6, 4, seed=13)
         cfg = tiny_cfg(lr_max=1e200, lr_min=1e200, warmup_steps=0, weight_decay=0.0)
-        with pytest.raises(DivergenceError, match="training aborted at step 2"):
+        message = r"^training aborted at step 2 \(epoch 1\): image row 0 projects to a vector whose norm overflows$"
+        with pytest.raises(DivergenceError, match=message):
             train(model, ds, cfg)
 
     def test_batch_size_larger_than_split(self):
