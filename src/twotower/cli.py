@@ -499,7 +499,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a value that overflows is named by check_norms or the divergence guard,
+        # in the one JSON line on stderr, not by a numpy warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _UsageError as e:
         return _fail("usage", str(e), EXIT_USAGE)
     except tuple(t for t, _ in _ERROR_EXITS) as e:

@@ -79,6 +79,8 @@ class DualEncoderModel:
     meta: dict = field(default_factory=dict)
     params: np.ndarray = field(init=False, repr=False)
     _layout: tuple = field(init=False, repr=False)  # (name, slice of params, shape) per block
+    # (checkpoint parts, their SHA-256 hex digest) from the last model_fingerprint call
+    _fingerprint: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.image_head.d_out != self.shared_dim or self.text_head.d_out != self.shared_dim:
@@ -152,13 +154,18 @@ def _meta_bytes(meta: dict) -> bytes:
     )
 
 
-def checkpoint_bytes(model: DualEncoderModel) -> bytes:
-    """Serialize a model to its canonical checkpoint byte string."""
+def _checkpoint_parts(model: DualEncoderModel) -> tuple:
+    """(header, params as <f8, meta length, canonical meta): the checkpoint, in order."""
     header = _CKPT_HEADER.pack(
         CKPT_MAGIC, CKPT_VERSION, model.image_head.d_in, model.text_head.d_in, model.shared_dim
     )
     meta = _meta_bytes(model.meta)
-    return header + model.params.astype("<f8").tobytes() + struct.pack("<I", len(meta)) + meta
+    return header, model.params.astype("<f8").tobytes(), struct.pack("<I", len(meta)), meta
+
+
+def checkpoint_bytes(model: DualEncoderModel) -> bytes:
+    """Serialize a model to its canonical checkpoint byte string."""
+    return b"".join(_checkpoint_parts(model))
 
 
 def save_checkpoint(model: DualEncoderModel, path):
@@ -212,6 +219,12 @@ def model_fingerprint(model: DualEncoderModel) -> str:
     """SHA-256 hex digest of the canonical checkpoint bytes.
 
     Binds retrieval indexes to the exact parameters (and config echo) that
-    produced them.
+    produced them. The checkpoint bytes are rebuilt on every call and hashed
+    only when they differ from the last call's, so each model state is hashed
+    once, and any write to ``params`` (through a head or not) or to ``meta``
+    (in place or not) is seen byte for byte.
     """
-    return hashlib.sha256(checkpoint_bytes(model)).hexdigest()
+    parts = _checkpoint_parts(model)
+    if model._fingerprint is None or model._fingerprint[0] != parts:
+        model._fingerprint = (parts, hashlib.sha256(b"".join(parts)).hexdigest())
+    return model._fingerprint[1]

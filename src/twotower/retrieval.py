@@ -192,7 +192,8 @@ def batch_query(index, model, texts: EmbeddingStore, k) -> list:
             rows = np.flatnonzero(gv >= t - reach)
             s = _exact(index, qv, rows)
             order = np.argsort(-s, kind="stable")[:k]
-            hits = [(index.ids[rows[i]], float(np.clip(s[i], -1.0, 1.0))) for i in order]
+            hit_ids = [index.ids[i] for i in rows[order].tolist()]
+            hits = list(zip(hit_ids, np.clip(s[order], -1.0, 1.0).tolist()))
             results.append(RankedResult(query_id=qid, hits=hits, k=k))
     return results
 

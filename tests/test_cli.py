@@ -636,7 +636,7 @@ class TestErrorsAndHelp:
         }
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_query_projecting_to_infinity_exit_2(self, pipeline, tmp_path, capsys):
         model = load_checkpoint(pipeline / "model.ckpt")
         model.text_head.w[:] = 1e308  # any query of ones projects to +inf in every column

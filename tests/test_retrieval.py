@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from allocation import raises_small
 from oracles import oracle_topk
+from twotower import model as model_module
 from twotower import retrieval
 from twotower.data import EmbeddingStore
 from twotower.errors import (
@@ -144,6 +147,14 @@ class TestQuery:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert all(-1.0 <= s <= 1.0 for s in scores)
 
+    def test_scores_past_one_are_clipped(self):
+        # rows within UNIT_NORM_TOL of unit norm score just past +/-1 before clipping
+        model = identity_model()
+        idx = index_of(model, np.array([[1.0 + 1e-7, 0.0, 0.0], [-1.0 - 1e-7, 0.0, 0.0]]))
+        hits = query(idx, model, np.array([1.0, 0.0, 0.0]), k=2).hits
+        assert hits == [("img0", 1.0), ("img1", -1.0)]
+        assert all(type(score) is float for _, score in hits)
+
     def test_zero_query_rejected(self):
         model = identity_model()
         idx = build_index(model, image_store(unit_rows([[1, 0, 0]])))
@@ -258,6 +269,80 @@ class TestAgainstFullSortOracle:
             assert [h[0] for h in got.hits] == want_ids
             for (_, s), w in zip(got.hits, want_scores):
                 assert s == pytest.approx(w, abs=1e-12)
+            # hits are (str, float) pairs, each score float(np.clip(score, -1.0, 1.0))
+            one = EmbeddingStore(ids=["q"], vectors=q[None, :], kind="text_feature")
+            assert batch_query(idx, model, one, k)[0].hits == got.hits
+            assert got.hits == list(zip(*per_row_topk(store.ids, idx.vectors, model, q, k)))
+            for hit in got.hits:
+                assert type(hit) is tuple and type(hit[0]) is str and type(hit[1]) is float
+
+
+class TestFingerprintCache:
+    """Each model state is hashed once, and any change to its checkpoint bytes is seen."""
+
+    def _pair(self):
+        model = init_model(4, 4, 3, seed=5, meta={"run": {"epochs": 1, "sigma": 0.0}, "note": "a"})
+        idx = build_index(model, image_store(np.random.default_rng(4).standard_normal((3, 4))))
+        return model, idx
+
+    def _rejected_then_restored(self, model, idx, change, restore):
+        query(idx, model, np.ones(4), k=1)
+        change()
+        with pytest.raises(FingerprintMismatchError):
+            query(idx, model, np.ones(4), k=1)
+        restore()
+        assert query(idx, model, np.ones(4), k=1).hits
+
+    def test_write_through_a_head(self):
+        model, idx = self._pair()
+        w = model.image_head.w
+        before = w[0, 0]
+
+        def change():
+            w[0, 0] += 1.0
+
+        def restore():
+            w[0, 0] = before
+
+        self._rejected_then_restored(model, idx, change, restore)
+
+    def test_nested_meta_edited_in_place(self):
+        model, idx = self._pair()
+        run = model.meta["run"]
+        self._rejected_then_restored(
+            model, idx, lambda: run.update(epochs=2), lambda: run.update(epochs=1)
+        )
+
+    @pytest.mark.parametrize(
+        "key,value", [("epochs", 1.0), ("epochs", True), ("sigma", -0.0)], ids=["1.0", "True", "-0.0"]
+    )
+    def test_equal_meta_value_with_other_bytes(self, key, value):
+        model, idx = self._pair()
+        run = model.meta["run"]
+        old = run[key]
+        assert value == old  # equality cannot see this change; the bytes can
+        self._rejected_then_restored(
+            model, idx, lambda: run.update({key: value}), lambda: run.update({key: old})
+        )
+
+    def test_each_state_hashed_once(self, monkeypatch):
+        calls = []
+        sha256 = hashlib.sha256
+
+        def counting(*args):
+            calls.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(model_module.hashlib, "sha256", counting)
+        model, idx = self._pair()
+        for _ in range(50):
+            query(idx, model, np.ones(4), k=2)
+        assert len(calls) == 1
+        model.text_head.w[0, 0] += 1.0
+        for _ in range(3):
+            with pytest.raises(FingerprintMismatchError):
+                query(idx, model, np.ones(4), k=2)
+        assert len(calls) == 2
 
 
 def index_of(model, vectors):
