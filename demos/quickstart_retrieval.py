@@ -56,9 +56,8 @@ cfg = tt.TrainConfig(
     warmup_steps=50,
     seed=44,
     loss=tt.LossConfig(lam=1.0, margin=0.2, temperature=1.0),
-    checkpoint_path=str(out / "model.ckpt"),
 )
-best, report = tt.train(model, ds, cfg)
+best, report = tt.train(model, ds, cfg, checkpoint_path=out / "model.ckpt")
 print(f"epoch  1: train loss {report.train_loss[0]:.4f}  val loss {report.val_loss[0]:.4f}")
 print(f"epoch {cfg.epochs}: train loss {report.train_loss[-1]:.4f}  val loss {report.val_loss[-1]:.4f}")
 print(f"best val loss {report.best_val_loss:.4f} at epoch {report.best_epoch}, "

@@ -6,10 +6,10 @@ gradients and an AdamW loop trains them; exact cosine top-k search answers
 text queries against an indexed image corpus; and an IR metrics suite
 (MAP, MAR, MAF1, Top-k accuracy) scores the results.
 
-The top level exports the pipeline and what the demos use. Everything
-else is importable from its submodule (``twotower.data``, ``.linalg``,
-``.loss``, ``.model``, ``.retrieval``, ``.train``, ``.metrics``), and the
-command line lives in ``twotower.cli``.
+The top level exports the pipeline, what the demos use and the reference
+paths tests compare against (``batch_query``, ``evaluate_run``); the rest
+is in its submodule (``twotower.data``, ``.linalg``, ``.loss``, ``.model``,
+``.retrieval``, ``.train``, ``.metrics``), the command line in ``.cli``.
 """
 
 from . import errors

@@ -77,10 +77,7 @@ DEFAULT_CONFIG = {
     "model": {"shared_dim": 32, "image_encoder": "precomputed", "text_encoder": "precomputed"},
     # the loss and train sections are the dataclass defaults; the config says lambda for lam
     "loss": {"lambda" if k == "lam" else k: v for k, v in vars(LossConfig()).items()},
-    "train": {
-        k: v for k, v in vars(TrainConfig()).items()
-        if k not in ("seed", "loss", "checkpoint_path", "log_path")  # set per run by cmd_train
-    },
+    "train": {k: v for k, v in vars(TrainConfig()).items() if k not in ("seed", "loss")},
     "eval": {"split": "test", "dataset_name": "dataset"},
 }
 
@@ -148,7 +145,11 @@ def _parse_set(expr):
 
 
 def effective_config(args) -> dict:
-    """DEFAULT_CONFIG, overlaid with the config file, then --set/--seed flags."""
+    """DEFAULT_CONFIG, overlaid with the config file, then --set and the flags named for keys.
+
+    --seed, --allow-ragged, --split and --dataset-name write their keys, so
+    commands read only the config and its echo matches the run.
+    """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -169,6 +170,9 @@ def effective_config(args) -> dict:
         cfg = _merge_config(cfg, _parse_set(expr))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
+    for section, key in (("data", "allow_ragged"), ("eval", "split"), ("eval", "dataset_name")):
+        if value := getattr(args, key, None):  # given: store_true set, or a non-empty string
+            cfg[section][key] = value
     return cfg
 
 
@@ -194,7 +198,7 @@ def _load_dataset(args, cfg):
         _load_store(args.images, "image_feature"),
         _load_store(args.texts, "text_feature"),
         captions_per_image=cfg["data"]["captions_per_image"],
-        allow_ragged=cfg["data"]["allow_ragged"] or args.allow_ragged,
+        allow_ragged=cfg["data"]["allow_ragged"],
     )
 
 
@@ -202,17 +206,7 @@ def cmd_synth(args) -> int:
     cfg = effective_config(args)
     s = cfg["data"]["synth"]
     with value_errors_as(ConfigError):
-        ds = synth_dataset(
-            n_images=s["n_images"],
-            captions_per_image=s["captions_per_image"],
-            latent_dim=s["latent_dim"],
-            img_dim=s["img_dim"],
-            txt_dim=s["txt_dim"],
-            noise_sigma=s["noise_sigma"],
-            seed=cfg["seed"],
-            train_frac=s["train_frac"],
-            val_frac=s["val_frac"],
-        )
+        ds = synth_dataset(**s, seed=cfg["seed"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(ds.image_store, out / "images.emb")
@@ -275,10 +269,8 @@ def cmd_train(args) -> int:
             **cfg["train"],
             seed=cfg["seed"] + 2,
             loss=LossConfig(lam=loss.pop("lambda"), **loss),
-            checkpoint_path=str(args.checkpoint),
-            log_path=str(args.log) if args.log else None,
         )
-    best, report = train(model, ds, train_cfg)
+    best, report = train(model, ds, train_cfg, checkpoint_path=args.checkpoint, log_path=args.log)
     payload = report.as_dict()
     wall = payload.pop("wall_seconds")
     if args.report:
@@ -366,7 +358,7 @@ def cmd_eval(args) -> int:
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     texts = _load_store(args.texts, "text_feature")
-    split = args.split or cfg["eval"]["split"]
+    split = cfg["eval"]["split"]
 
     if args.judgments:
         judgments = _load_judgments(args.judgments)
@@ -383,13 +375,21 @@ def cmd_eval(args) -> int:
             if s == split
         ]
         if not judgments:
-            raise DataFormatError(f"manifest has no pairs in split {split!r}")
+            raise DataFormatError(f"{args.manifest}: manifest has no pairs in split {split!r}")
     else:
         raise _UsageError("provide --judgments or --manifest to define ground truth")
+    # the library scores an unindexed image as a miss; here it is a fault in the inputs
+    for j in judgments:
+        for i in sorted(j.relevant_ids):
+            if i not in index.store:
+                raise DataFormatError(
+                    f"{args.judgments or args.manifest}: query {j.query_id!r} names image id "
+                    f"{i!r}, which is not in index {args.index}"
+                )
 
     report = evaluate(index, model, texts, judgments)
 
-    dataset_name = args.dataset_name or cfg["eval"]["dataset_name"]
+    dataset_name = cfg["eval"]["dataset_name"]
     model_name = args.model_name or Path(args.checkpoint).stem
     metrics = report.as_dict()
     row = {"model": model_name, "dataset": dataset_name, **metrics}
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="caption manifest (JSON-lines)")
     p.add_argument("--images", required=True, help="image embedding store")
     p.add_argument("--texts", required=True, help="text embedding store")
-    p.add_argument("--allow-ragged", action="store_true", help="accept images with a caption count other than data.captions_per_image (default: reject)")
+    p.add_argument("--allow-ragged", action="store_true", help="accept images with a caption count other than data.captions_per_image; sets data.allow_ragged (default: reject)")
     p.add_argument("--out", default=None, help="write a JSON ingest report here (default: stdout summary only)")
     p.set_defaults(func=cmd_ingest)
 
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="caption manifest (JSON-lines)")
     p.add_argument("--images", required=True, help="image embedding store")
     p.add_argument("--texts", required=True, help="text embedding store")
-    p.add_argument("--allow-ragged", action="store_true", help="accept ragged caption counts (default: reject)")
+    p.add_argument("--allow-ragged", action="store_true", help="accept ragged caption counts; sets data.allow_ragged (default: reject)")
     p.add_argument("--checkpoint", required=True, help="path for the best-validation checkpoint")
     p.add_argument("--log", default=None, help="JSON-lines training log path (default: no log)")
     p.add_argument("--report", default=None, help="JSON training report path (default: no report)")
@@ -470,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--texts", required=True, help="text embedding store holding the query rows")
     p.add_argument("--manifest", default=None, help="manifest to derive singleton judgments from (default: use --judgments)")
     p.add_argument("--judgments", default=None, help="JSON-lines judgments {query_id, relevant_ids, correct_id} (default: derive from --manifest)")
-    p.add_argument("--split", default=None, help="manifest split to evaluate (default: eval.split config, 'test')")
-    p.add_argument("--dataset-name", default=None, help="dataset label for the report table (default: eval.dataset_name config)")
+    p.add_argument("--split", default=None, help="manifest split to evaluate; sets eval.split (default: 'test')")
+    p.add_argument("--dataset-name", default=None, help="dataset label for the report table; sets eval.dataset_name (default: 'dataset')")
     p.add_argument("--model-name", default=None, help="model label for the report table (default: checkpoint stem)")
     p.add_argument("--report", default=None, help="JSON metrics report path (default: no report)")
     p.set_defaults(func=cmd_eval)
@@ -506,11 +506,8 @@ def main(argv=None) -> int:
     except _UsageError as e:
         return _fail("usage", str(e), EXIT_USAGE)
     except tuple(t for t, _ in _ERROR_EXITS) as e:
-        for err_type, code in _ERROR_EXITS:
-            if isinstance(e, err_type):
-                kind = type(e).__name__
-                return _fail(kind, str(e), code)
-        raise AssertionError("unreachable")
+        code = next(code for err_type, code in _ERROR_EXITS if isinstance(e, err_type))
+        return _fail(type(e).__name__, str(e), code)
 
 
 def entrypoint():

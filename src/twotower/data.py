@@ -334,14 +334,6 @@ class _Reader:
         if self.pos != len(self.data):
             raise self.fail(DataFormatError, self.pos, reason)
 
-    @contextlib.contextmanager
-    def contents(self):
-        """Re-raise a ValueError from building the parsed contents, naming the file."""
-        try:
-            yield
-        except ValueError as e:
-            raise DataFormatError(f"{self.name}: {e}") from e
-
 
 def _read(path) -> _Reader:
     with open(path, "rb") as fh:
@@ -429,7 +421,7 @@ def load_embeddings(path) -> EmbeddingStore:
     r = _read(path)
     ids, vectors, kind = read_store(r)
     r.end("trailing data after id block")
-    with r.contents():
+    with value_errors_as(DataFormatError, f"{r.name}: "):
         return EmbeddingStore(ids=ids, vectors=vectors, kind=kind)
 
 

@@ -65,12 +65,13 @@ class FingerprintMismatchError(TwoTowerError):
 
 
 @contextlib.contextmanager
-def value_errors_as(kind):
-    """Re-raise a ValueError from the block as ``kind``, keeping its message.
+def value_errors_as(kind, prefix=""):
+    """Re-raise a ValueError from the block as ``kind``, its message after ``prefix``.
 
-    For outside values a constructor rejects: config values, file contents.
+    For outside values a constructor rejects: config values, file contents
+    (with the file's name as ``prefix``).
     """
     try:
         yield
     except ValueError as e:
-        raise kind(str(e)) from e
+        raise kind(f"{prefix}{e}") from e

@@ -170,8 +170,8 @@ def _features(img_feat, txt_feat, model: DualEncoderModel):
             f"batch sizes differ: {img_feat.shape[0]} images vs {txt_feat.shape[0]} texts"
         )
     for x, head in ((img_feat, model.image_head), (txt_feat, model.text_head)):
-        if x.shape[1] != head.d_in:
-            raise ShapeError(f"features have width {x.shape[1]} but head expects {head.d_in}")
+        if x.shape[1] != head.w.shape[0]:
+            raise ShapeError(f"features have width {x.shape[1]} but head expects {head.w.shape[0]}")
     return img_feat, txt_feat
 
 

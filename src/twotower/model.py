@@ -19,11 +19,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import _JSON_FAULTS, _read, _Reader, _write_atomic
-from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError
+from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError, value_errors_as
 from .linalg import as_matrix
 
 CKPT_MAGIC = b"AZCK"
@@ -31,46 +32,27 @@ CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIII")
 
 
-@dataclass
-class ProjectionHead:
+class ProjectionHead(NamedTuple):
     """One linear map from a native feature space into the shared space.
 
-    Float64 arrays are kept as given, not copied; a model copies its heads
-    into its own buffer.
+    Immutable: a model's heads are views of its ``params``, so a write
+    through ``w`` or ``b`` is a write to the model, and neither can be
+    rebound. Checked by the model that holds it, not on its own.
     """
 
     w: np.ndarray  # (d_in, d_out)
     b: np.ndarray  # (d_out,)
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64, order="C")
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.w.ndim != 2:
-            raise ShapeError(f"weights must be 2-D, got shape {self.w.shape}")
-        if self.b.shape != (self.w.shape[1],):
-            raise ShapeError(
-                f"bias shape {self.b.shape} does not match weight columns {self.w.shape[1]}"
-            )
-        if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
-            raise ValueError("head parameters contain non-finite entries")
-
-    @property
-    def d_in(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w.shape[1]
 
 
 @dataclass
 class DualEncoderModel:
     """Image-side and text-side heads sharing one output dimension.
 
-    Construction copies both heads' arrays into ``params`` and replaces the
-    heads with new ones viewing it, so the model never aliases its caller's
-    arrays. ``meta`` is a free-form JSON-serializable config echo persisted
-    with checkpoints (upstream encoder names, effective run config, and so on).
+    Construction checks both heads, copies their arrays into ``params`` and
+    replaces the heads with views of it, so the model never aliases its
+    caller's arrays. ``meta`` is a free-form JSON-serializable config echo
+    persisted with checkpoints (upstream encoder names, effective run
+    config, and so on).
     """
 
     image_head: ProjectionHead
@@ -83,26 +65,28 @@ class DualEncoderModel:
     _fingerprint: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.image_head.d_out != self.shared_dim or self.text_head.d_out != self.shared_dim:
-            raise ShapeError(
-                f"head outputs ({self.image_head.d_out}, {self.text_head.d_out}) "
-                f"must equal shared_dim {self.shared_dim}"
-            )
+        arrays = []
+        for head in (self.image_head, self.text_head):
+            w, b = (np.asarray(a, dtype=np.float64) for a in head)
+            if w.ndim != 2:
+                raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
+            if b.shape != (w.shape[1],):
+                raise ShapeError(f"bias shape {b.shape} does not match weight columns {w.shape[1]}")
+            arrays += [w, b]
+        image_w, _, text_w, _ = arrays
         d = self.shared_dim
-        shapes = {
-            "image_w": (self.image_head.d_in, d),
-            "image_b": (d,),
-            "text_w": (self.text_head.d_in, d),
-            "text_b": (d,),
-        }
+        if image_w.shape[1] != d or text_w.shape[1] != d:
+            raise ShapeError(
+                f"head outputs ({image_w.shape[1]}, {text_w.shape[1]}) must equal shared_dim {d}"
+            )
         layout, start = [], 0
-        for name, shape in shapes.items():
-            end = start + math.prod(shape)
-            layout.append((name, slice(start, end), shape))
-            start = end
+        for name, a in zip(("image_w", "image_b", "text_w", "text_b"), arrays):
+            layout.append((name, slice(start, start + a.size), a.shape))
+            start += a.size
         self._layout = tuple(layout)
-        heads = (self.image_head, self.text_head)
-        self.params = np.concatenate([a.ravel() for h in heads for a in (h.w, h.b)])
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        if not np.isfinite(self.params).all():
+            raise ValueError("head parameters contain non-finite entries")
         views = self.blocks(self.params)
         self.image_head = ProjectionHead(views["image_w"], views["image_b"])
         self.text_head = ProjectionHead(views["text_w"], views["text_b"])
@@ -141,10 +125,8 @@ def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderMode
 def project(head: ProjectionHead, x) -> np.ndarray:
     """Apply ``x @ w + b`` row-wise. Output is raw; normalization is the caller's."""
     x = as_matrix(x, "features")
-    if x.shape[1] != head.d_in:
-        raise ShapeError(
-            f"features have width {x.shape[1]} but head expects {head.d_in}"
-        )
+    if x.shape[1] != head.w.shape[0]:
+        raise ShapeError(f"features have width {x.shape[1]} but head expects {head.w.shape[0]}")
     return x @ head.w + head.b
 
 
@@ -157,7 +139,7 @@ def _meta_bytes(meta: dict) -> bytes:
 def _checkpoint_parts(model: DualEncoderModel) -> tuple:
     """(header, params as <f8, meta length, canonical meta): the checkpoint, in order."""
     header = _CKPT_HEADER.pack(
-        CKPT_MAGIC, CKPT_VERSION, model.image_head.d_in, model.text_head.d_in, model.shared_dim
+        CKPT_MAGIC, CKPT_VERSION, len(model.image_head.w), len(model.text_head.w), model.shared_dim
     )
     meta = _meta_bytes(model.meta)
     return header, model.params.astype("<f8").tobytes(), struct.pack("<I", len(meta)), meta
@@ -198,7 +180,7 @@ def _read_checkpoint(r: _Reader) -> DualEncoderModel:
     except _JSON_FAULTS as e:
         raise r.fail(DataFormatError, at, f"checkpoint meta block is not UTF-8 JSON: {e}") from e
     r.end("checkpoint has trailing data beyond the declared blocks")
-    with r.contents():
+    with value_errors_as(DataFormatError, f"{r.name}: "):
         return DualEncoderModel(
             image_head=ProjectionHead(w=image_w, b=image_b),
             text_head=ProjectionHead(w=text_w, b=text_b),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EmbeddingStore, _read, _write_atomic, read_store, write_store
-from .errors import DataFormatError, FingerprintMismatchError, ShapeError
+from .errors import DataFormatError, FingerprintMismatchError, ShapeError, value_errors_as
 from .linalg import row_norms, unit_rows
 from .metrics import MetricsReport, judgments_by_id, metrics_from_ranks
 from .model import DualEncoderModel, model_fingerprint, project
@@ -243,5 +243,5 @@ def load_index(path) -> RetrievalIndex:
         reason = f"index fingerprint footer is not valid UTF-8 ({e.reason})"
         raise r.fail(DataFormatError, at, reason) from e
     r.end("trailing data after index footer")
-    with r.contents():
+    with value_errors_as(DataFormatError, f"{r.name}: "):
         return RetrievalIndex(ids=ids, vectors=vectors, model_fingerprint=fingerprint)

@@ -37,8 +37,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    checkpoint_path: str | None = None
-    log_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -176,14 +174,16 @@ def _step_line(step, epoch, lr, loss, ce_term, margin_term) -> str:
     )
 
 
-def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
+def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
+          checkpoint_path=None, log_path=None):
     """Run the full training loop and return (best model, TrainReport).
 
     The passed model is trained in place through the final epoch; the
     returned model is the snapshot from the epoch with the best validation
-    loss (strictly-improving checkpoints, written to
-    ``cfg.checkpoint_path`` when set). Datasets without a val split fall
-    back to the epoch's mean train loss for checkpoint selection.
+    loss (strictly-improving checkpoints, written to ``checkpoint_path``
+    when given). Datasets without a val split fall back to the epoch's mean
+    train loss for checkpoint selection. ``log_path``, when given, receives
+    one JSON line per step and per epoch.
 
     One seeded shuffle (dropping a final short batch) fixes the batch
     sequence, which every epoch then replays; with a zero learning rate
@@ -202,16 +202,13 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
     has_val = ds.split_sizes()["val"] > 0
 
     model.meta = dict(model.meta)
-    echo = _jsonable(asdict(cfg))
-    echo.pop("checkpoint_path", None)  # keep artifacts path-independent
-    echo.pop("log_path", None)
-    model.meta["train_config"] = echo
+    model.meta["train_config"] = _jsonable(asdict(cfg))
 
     state = OptimizerState.for_params(model.params)
     params = model.params
     images, texts = ds.image_store.vectors, ds.text_store.vectors
     batch_rows = [(image_rows[batch], text_rows[batch]) for batch in batches]
-    log = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
+    log = open(log_path, "w", encoding="utf-8") if log_path else None
     best = math.inf
     best_epoch = 0
     best_snapshot = None
@@ -263,8 +260,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig):
                 best_epoch = epoch
                 writes += 1
                 best_snapshot = checkpoint_bytes(model)
-                if cfg.checkpoint_path:
-                    with _write_atomic(cfg.checkpoint_path) as fh:
+                if checkpoint_path:
+                    with _write_atomic(checkpoint_path) as fh:
                         fh.write(best_snapshot)
             train_losses.append(train_loss)
             val_losses.append(val)

@@ -275,6 +275,21 @@ class TestTrainCommand:
         }
         assert not ckpt.exists()
 
+    def test_allow_ragged_flag_is_echoed(self, pipeline, tmp_path, capsys):
+        ds = pipeline / "ds"
+        ragged = tmp_path / "ragged.jsonl"
+        ragged.write_text("".join((ds / "manifest.jsonl").read_text().splitlines(True)[1:]))
+        ckpt, report_path = tmp_path / "m.ckpt", tmp_path / "r.json"
+        code, _, _ = run(
+            ["train", "--manifest", str(ragged), "--images", str(ds / "images.emb"),
+             "--texts", str(ds / "texts.emb"), "--checkpoint", str(ckpt), "--allow-ragged",
+             "--report", str(report_path)] + SMALL + FAST_TRAIN,
+            capsys,
+        )
+        assert code == 0
+        assert load_checkpoint(ckpt).meta["config"]["data"]["allow_ragged"] is True
+        assert json.loads(report_path.read_text())["config"]["data"]["allow_ragged"] is True
+
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):
         ds = pipeline / "ds"
         code, _, err = run(
@@ -440,6 +455,20 @@ class TestEvalCommand:
              if json.loads(line)["split"] == "test"]
         )
 
+    def test_split_and_dataset_name_flags_are_echoed(self, pipeline, tmp_path, capsys):
+        ds = pipeline / "ds"
+        report_path = tmp_path / "eval.json"
+        code, _, _ = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(ds / "texts.emb"), "--manifest", str(ds / "manifest.jsonl"),
+             "--split", "val", "--dataset-name", "synth-val", "--report", str(report_path)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["config"]["eval"] == {"split": "val", "dataset_name": "synth-val"}
+        assert (doc["split"], doc["dataset"]) == ("val", "synth-val")
+
     def test_judgments_file(self, pipeline, tmp_path, capsys):
         ds = pipeline / "ds"
         manifest = [json.loads(l) for l in (ds / "manifest.jsonl").read_text().splitlines()]
@@ -501,6 +530,46 @@ class TestEvalCommand:
         code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
         assert code == 2
         assert json.loads(err) == {"error": "DataFormatError", "message": f"{jpath}: {message}"}
+
+    @pytest.mark.parametrize("source", ["judgments", "manifest"])
+    def test_unindexed_relevant_image_exit_2(self, pipeline, tmp_path, capsys, source):
+        rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]
+        first, second = [r for r in rows if r["split"] == "test"][:2]
+        second["image_id"] = "ghost"
+        truth = tmp_path / "truth.jsonl"
+        if source == "judgments":
+            truth.write_text("".join(
+                json.dumps({"query_id": r["text_id"], "relevant_ids": [r["image_id"], first["image_id"]],
+                            "correct_id": r["image_id"]}) + "\n"
+                for r in (first, second)
+            ))
+        else:
+            truth.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(pipeline / "ds" / "texts.emb"), f"--{source}", str(truth)],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{truth}: query {second['text_id']!r} names image id 'ghost', "
+                       f"which is not in index {pipeline / 'idx.azi'}",
+        }
+
+    def test_manifest_without_the_split_exit_2(self, pipeline, capsys):
+        manifest = pipeline / "ds" / "manifest.jsonl"
+        code, _, err = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(pipeline / "ds" / "texts.emb"), "--manifest", str(manifest),
+             "--split", "dev"],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{manifest}: manifest has no pairs in split 'dev'",
+        }
 
     def test_manifest_repeated_text_id_exit_2(self, pipeline, tmp_path, capsys):
         rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]

@@ -67,8 +67,9 @@ class TestProject:
         np.testing.assert_array_equal(out, np.tile([5.0, -1.0], (4, 1)))
 
     def test_hand_case(self):
-        head = ProjectionHead(w=[[2.0]], b=[1.0])
-        np.testing.assert_array_equal(project(head, [[3.0]]), [[7.0]])
+        # a model makes float64 arrays of its heads' lists; a bare head holds them as given
+        m = DualEncoderModel(ProjectionHead(w=[[2.0]], b=[1.0]), ProjectionHead([[1.0]], [0.0]), 1)
+        np.testing.assert_array_equal(project(m.image_head, [[3.0]]), [[7.0]])
 
     def test_dim_mismatch(self):
         head = ProjectionHead(w=np.eye(3), b=np.zeros(3))
@@ -261,6 +262,12 @@ class TestParameterBuffer:
 
 
 class TestModelValidation:
+    """A head is checked by the model that holds it, once, at construction."""
+
+    @staticmethod
+    def with_image_head(w, b):
+        return DualEncoderModel(ProjectionHead(w, b), ProjectionHead(np.eye(2), np.zeros(2)), 2)
+
     def test_head_output_must_match_shared_dim(self):
         with pytest.raises(ShapeError):
             DualEncoderModel(
@@ -269,10 +276,38 @@ class TestModelValidation:
                 shared_dim=3,
             )
 
+    def test_weights_must_be_2d(self):
+        with pytest.raises(ShapeError, match=r"^weights must be 2-D, got shape \(2,\)$"):
+            self.with_image_head(np.zeros(2), np.zeros(2))
+
     def test_bias_shape_checked(self):
-        with pytest.raises(ShapeError):
-            ProjectionHead(w=np.zeros((4, 3)), b=np.zeros(4))
+        message = r"^bias shape \(4,\) does not match weight columns 2$"
+        with pytest.raises(ShapeError, match=message):
+            self.with_image_head(np.zeros((4, 2)), np.zeros(4))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            ProjectionHead(w=np.full((2, 2), np.nan), b=np.zeros(2))
+        for bad in (np.nan, np.inf):
+            w = np.eye(2)
+            w[1, 0] = bad
+            with pytest.raises(ValueError, match="^head parameters contain non-finite entries$"):
+                self.with_image_head(w, np.zeros(2))
+
+    def test_heads_cannot_be_rebound(self):
+        # a rebound array would detach the head from params and the fingerprint
+        m = make_model()
+        for head in (m.image_head, m.text_head):
+            with pytest.raises(AttributeError):
+                head.w = np.zeros_like(head.w)
+            with pytest.raises(AttributeError):
+                head.b = np.zeros_like(head.b)
+        assert all(np.shares_memory(a, m.params) for h in (m.image_head, m.text_head) for a in h)
+
+    def test_checkpoint_with_non_finite_params_names_the_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(make_model(), p)
+        data = bytearray(p.read_bytes())
+        data[20:28] = struct.pack("<d", np.nan)  # image_w[0, 0]
+        p.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == f"{p}: head parameters contain non-finite entries"

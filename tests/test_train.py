@@ -131,7 +131,7 @@ def tiny_dataset(seed=0, n_images=24, cpi=2):
     )
 
 
-def tiny_cfg(tmp_path=None, **kw):
+def tiny_cfg(**kw):
     defaults = dict(
         epochs=3,
         batch_size=8,
@@ -142,8 +142,6 @@ def tiny_cfg(tmp_path=None, **kw):
         loss=LossConfig(lam=1.0, margin=0.2),
     )
     defaults.update(kw)
-    if tmp_path is not None:
-        defaults["checkpoint_path"] = str(tmp_path / "best.ckpt")
     return TrainConfig(**defaults)
 
 
@@ -164,8 +162,7 @@ class TestTrain:
         for sub in ("a", "b"):
             ds = tiny_dataset(seed=5)
             model = init_model(8, 6, 4, seed=2)
-            cfg = tiny_cfg(tmp_path / sub)
-            best, report = train(model, ds, cfg)
+            best, report = train(model, ds, tiny_cfg(), checkpoint_path=tmp_path / sub / "best.ckpt")
             outs.append((checkpoint_bytes(best), report))
         assert outs[0][0] == outs[1][0]
         r0, r1 = outs[0][1], outs[1][1]
@@ -178,8 +175,8 @@ class TestTrain:
     def test_best_val_loss_reproducible(self, tmp_path):
         ds = tiny_dataset(seed=3)
         model = init_model(8, 6, 4, seed=4)
-        cfg = tiny_cfg(tmp_path, epochs=4)
-        best, report = train(model, ds, cfg)
+        cfg = tiny_cfg(epochs=4)
+        best, report = train(model, ds, cfg, checkpoint_path=tmp_path / "best.ckpt")
         assert report.best_val_loss == min(report.val_loss)
         re_eval = evaluate_loss(best, ds, "val", cfg.loss, cfg.batch_size)
         assert re_eval == pytest.approx(report.best_val_loss, abs=1e-12)
@@ -187,7 +184,7 @@ class TestTrain:
     def test_checkpoint_writes_count_strict_improvements(self, tmp_path):
         ds = tiny_dataset(seed=6)
         model = init_model(8, 6, 4, seed=7)
-        best, report = train(model, ds, tiny_cfg(tmp_path, epochs=5))
+        best, report = train(model, ds, tiny_cfg(epochs=5), checkpoint_path=tmp_path / "best.ckpt")
         improvements = 0
         best_so_far = math.inf
         for v in report.val_loss:
@@ -211,8 +208,8 @@ class TestTrain:
     def test_training_reduces_loss(self, tmp_path):
         ds = tiny_dataset(seed=10, n_images=40)
         model = init_model(8, 6, 4, seed=11)
-        cfg = tiny_cfg(tmp_path, epochs=10, lr_max=5e-3)
-        best, report = train(model, ds, cfg)
+        cfg = tiny_cfg(epochs=10, lr_max=5e-3)
+        best, report = train(model, ds, cfg, checkpoint_path=tmp_path / "best.ckpt")
         assert report.train_loss[-1] < report.train_loss[0]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -243,8 +240,8 @@ class TestTrain:
         ds = tiny_dataset(seed=14)
         model = init_model(8, 6, 4, seed=15)
         log_path = tmp_path / "train.jsonl"
-        cfg = tiny_cfg(tmp_path, epochs=2, log_path=str(log_path))
-        train(model, ds, cfg)
+        cfg = tiny_cfg(epochs=2)
+        train(model, ds, cfg, checkpoint_path=tmp_path / "best.ckpt", log_path=log_path)
         records = [json.loads(line) for line in log_path.read_text().splitlines()]
         steps = [r for r in records if "step" in r]
         epochs = [r for r in records if "step" not in r]
@@ -257,8 +254,8 @@ class TestTrain:
     def test_step_lines_are_the_json_of_their_records(self, tmp_path):
         ds = tiny_dataset(seed=14)
         log_path = tmp_path / "train.jsonl"
-        cfg = tiny_cfg(tmp_path, epochs=2, log_path=str(log_path), loss=LossConfig(lam=3.0))
-        train(init_model(8, 6, 4, seed=15), ds, cfg)
+        cfg = tiny_cfg(epochs=2, loss=LossConfig(lam=3.0))
+        train(init_model(8, 6, 4, seed=15), ds, cfg, log_path=log_path)
         lines = log_path.read_text().splitlines()
         for line in lines:
             assert line == json.dumps(json.loads(line))
@@ -294,7 +291,7 @@ class TestTrain:
         ds = tiny_dataset(seed=18)
         in_memory, _ = train(init_model(8, 6, 4, seed=19), ds, tiny_cfg(epochs=4))
         live = init_model(8, 6, 4, seed=19)
-        on_disk, report = train(live, ds, tiny_cfg(tmp_path, epochs=4))
+        on_disk, report = train(live, ds, tiny_cfg(epochs=4), checkpoint_path=tmp_path / "best.ckpt")
         assert report.checkpointed == [True, False, False, False]
         assert checkpoint_bytes(in_memory) == checkpoint_bytes(on_disk)
         assert (tmp_path / "best.ckpt").read_bytes() == checkpoint_bytes(on_disk)

@@ -18,7 +18,9 @@
 # missing or non-string field, a bad split, a duplicate pair, invalid UTF-8,
 # two values on one line, one value over two lines, a ragged image, an
 # unknown image id, a repeated text id), runs ingest and eval --manifest on
-# each, and compares the exit code and the whole stderr (manifest_faults.out).
+# each, then runs eval --judgments on a judgments file whose one line names an
+# unknown image id, and compares the exit code and the whole stderr of every
+# run (manifest_faults.out).
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -130,6 +132,9 @@ faults = {
 }
 for name, edit in faults.items():
     open(f"{out}/{name}.jsonl", "wb").write(b"\n".join(edit) + b"\n")
+qid = next(r["text_id"] for r in rows if r["split"] == "test")
+ghost = {"query_id": qid, "relevant_ids": ["ghost"], "correct_id": "ghost"}
+open(f"{out}/unknown-image.judgments", "w").write(json.dumps(ghost) + "\n")
 EOF
         local m
         for m in faults/*.jsonl; do
@@ -146,6 +151,12 @@ EOF
                 { echo "$m $how $code"; cat fault.err; } >> manifest_faults.out
             done
         done
+        code=0
+        # shellcheck disable=SC2086  # the flags are meant to split
+        "$python" -m twotower eval $sets --index images.idx --checkpoint model.ckpt \
+            --texts data/texts.emb --judgments faults/unknown-image.judgments \
+            > /dev/null 2> fault.err || code=$?
+        { echo "faults/unknown-image.judgments eval $code"; cat fault.err; } >> manifest_faults.out
     )
 }
 
