@@ -354,15 +354,18 @@ def _load_judgments(path) -> list:
 
 
 def cmd_eval(args) -> int:
+    if args.judgments and args.split:
+        raise _UsageError("--split selects manifest pairs; a --judgments file names its own queries")
     cfg = effective_config(args)
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     texts = _load_store(args.texts, "text_feature")
-    split = cfg["eval"]["split"]
+    split = None  # a judgments file's queries may come from any split
 
     if args.judgments:
         judgments = _load_judgments(args.judgments)
     elif args.manifest:
+        split = cfg["eval"]["split"]
         manifest = load_manifest(args.manifest)
         text_ids = set()
         for t in manifest["text_id"]:
@@ -470,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--texts", required=True, help="text embedding store holding the query rows")
     p.add_argument("--manifest", default=None, help="manifest to derive singleton judgments from (default: use --judgments)")
     p.add_argument("--judgments", default=None, help="JSON-lines judgments {query_id, relevant_ids, correct_id} (default: derive from --manifest)")
-    p.add_argument("--split", default=None, help="manifest split to evaluate; sets eval.split (default: 'test')")
+    p.add_argument("--split", default=None, help="manifest split to evaluate, not used with --judgments; sets eval.split (default: 'test')")
     p.add_argument("--dataset-name", default=None, help="dataset label for the report table; sets eval.dataset_name (default: 'dataset')")
     p.add_argument("--model-name", default=None, help="model label for the report table (default: checkpoint stem)")
     p.add_argument("--report", default=None, help="JSON metrics report path (default: no report)")

@@ -389,6 +389,41 @@ def read_store(r: _Reader):
     payload = r.take(count * dim * 4, "vector payload", r.pos)
     # float32 view of the file bytes; the store makes the one float64 copy
     vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    ids = _fixed_width_ids(r, count)
+    if ids is None:
+        ids = _ids_one_by_one(r, count)
+    return ids, vectors, CODE_TO_KIND[kind_code]
+
+
+def _fixed_width_ids(r: _Reader, count):
+    """The id block at the read position in one array pass, or None to read it id by id.
+
+    With L the first length prefix, the block is taken as ``count`` ids of L
+    bytes when its ``count * (L + 2)`` bytes are there, every prefix on that
+    grid is L and every id byte is ASCII; each id then decodes as one byte
+    per character. Any other block, faults included, returns None.
+    """
+    data, pos = r.data, r.pos
+    if pos + 2 > len(data):
+        return None
+    width = data[pos] | data[pos + 1] << 8
+    stride = width + 2
+    if pos + count * stride > len(data):
+        return None
+    prefixes = np.ndarray((count,), "<u2", data, pos, (stride,))
+    cells = np.ndarray((count, width), np.uint8, data, pos + 2, (stride, 1))
+    if not ((prefixes == width).all() and (cells < 0x80).all()):
+        return None
+    # each id, then 0x80, which no ASCII id holds, to split on; numpy's "S"
+    # dtype would drop an id's trailing NUL bytes
+    delimited = np.full((count, width + 1), 0x80, np.uint8)
+    delimited[:, :width] = cells
+    r.pos = pos + count * stride
+    return delimited.tobytes().decode("latin-1").split("\x80")[:-1]
+
+
+def _ids_one_by_one(r: _Reader, count):
+    """The id block at the read position, id by id; each fault names its id and offset."""
     data, end, pos = r.data, len(r.data), r.pos  # inline: a take per id is 2x slower
     ids = []
     for i in range(count):
@@ -409,7 +444,7 @@ def read_store(r: _Reader):
             raise r.fail(DataFormatError, pos - 2, f"id {i} is not valid UTF-8 ({e.reason})") from e
         pos = stop
     r.pos = pos
-    return ids, vectors, CODE_TO_KIND[kind_code]
+    return ids
 
 
 def save_embeddings(store: EmbeddingStore, path):

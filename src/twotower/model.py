@@ -30,6 +30,7 @@ from .linalg import as_matrix
 CKPT_MAGIC = b"AZCK"
 CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIII")
+_BOUND_FIELDS = ("image_head", "text_head", "params", "_layout")  # fixed once a model is built
 
 
 class ProjectionHead(NamedTuple):
@@ -50,9 +51,11 @@ class DualEncoderModel:
 
     Construction checks both heads, copies their arrays into ``params`` and
     replaces the heads with views of it, so the model never aliases its
-    caller's arrays. ``meta`` is a free-form JSON-serializable config echo
-    persisted with checkpoints (upstream encoder names, effective run
-    config, and so on).
+    caller's arrays. From then on ``image_head``, ``text_head``, ``params``
+    and their layout cannot be rebound, only written through, so the heads
+    and the checkpoint bytes stay one state. ``meta`` is a free-form
+    JSON-serializable config echo persisted with checkpoints (upstream
+    encoder names, effective run config, and so on); it can be rebound.
     """
 
     image_head: ProjectionHead
@@ -90,6 +93,13 @@ class DualEncoderModel:
         views = self.blocks(self.params)
         self.image_head = ProjectionHead(views["image_w"], views["image_b"])
         self.text_head = ProjectionHead(views["text_w"], views["text_b"])
+        object.__setattr__(self, "_bound", True)
+
+    def __setattr__(self, name, value):
+        # ``model.params -= step`` writes in place, then rebinds the same array
+        if name in _BOUND_FIELDS and getattr(self, "_bound", False) and value is not getattr(self, name):
+            raise AttributeError(f"cannot rebind {name!r} of a built model; write into its params")
+        object.__setattr__(self, name, value)
 
     def blocks(self, flat) -> dict:
         """Views of ``flat``, a vector in the ``params`` layout, keyed by block name."""

@@ -6,10 +6,11 @@ loops, deliberately sharing no code with the package internals.
 
 import json
 import math
+import struct
 
 import numpy as np
 
-from twotower.errors import ManifestError
+from twotower.errors import DataFormatError, IdCountMismatchError, ManifestError, TruncatedFileError
 from twotower.loss import loss_backward
 
 
@@ -207,6 +208,59 @@ def oracle_topk(index_ids, index_vectors, model, text_feature, k):
         [index_ids[i] for i in order],
         [min(1.0, max(-1.0, scores[i])) for i in order],
     )
+
+
+def oracle_rank(index, q, g, r, band):
+    """1-based place of index row ``r`` in the exact order of unit query ``q``, one query at a time.
+
+    ``g`` holds the query's GEMM scores, each within ``band`` of its exact
+    per-row score ``(index.vectors[row] * q).sum()``. With e the exact score
+    of ``r``, rows whose GEMM score is above e + band score above e, rows
+    below e - band score below it, and only the rest are re-scored; a tie
+    counts when it falls before ``r``.
+    """
+
+    def exact(rows):
+        return (index.vectors[rows] * q).sum(axis=1)
+
+    e = exact([r])[0]
+    near = np.flatnonzero(g >= e - band)
+    above = g[near] > e + band
+    near = near[~above]
+    s = exact(near)
+    return 1 + int(above.sum() + (s > e).sum() + ((s == e) & (near < r)).sum())
+
+
+def reference_read_ids(r, count):
+    """A store's id block at reader ``r``'s position, one id at a time, as the format defines it.
+
+    Each id is a u16 byte length, then that many bytes of UTF-8. Leaves
+    ``r.pos`` past the block. A fault raises the package's error for it,
+    ``<name>: byte <offset>: <reason>`` with the offset of the id's length
+    prefix, or of the end of the file when ids are missing.
+    """
+    data, pos, ids = r.data, r.pos, []
+    for i in range(count):
+        if pos == len(data):
+            raise IdCountMismatchError(
+                f"{r.name}: byte {pos}: header declares {count} ids but file ends after {i}"
+            )
+        if pos + 2 > len(data):
+            raise TruncatedFileError(f"{r.name}: byte {pos}: file ends inside an id length prefix")
+        (length,) = struct.unpack_from("<H", data, pos)
+        raw = data[pos + 2 : pos + 2 + length]
+        if len(raw) < length:
+            raise TruncatedFileError(
+                f"{r.name}: byte {pos}: file ends inside id {i} "
+                f"(wanted {length} bytes, got {len(raw)})"
+            )
+        try:
+            ids.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{r.name}: byte {pos}: id {i} is not valid UTF-8 ({e.reason})") from e
+        pos += 2 + length
+    r.pos = pos
+    return ids
 
 
 def oracle_evaluate(results, judgments):

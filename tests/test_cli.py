@@ -483,13 +483,28 @@ class TestEvalCommand:
                 for r in test_rows
             )
         )
+        report_path = tmp_path / "eval.json"
         code, stdout, _ = run(
             ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
-             "--texts", str(ds / "texts.emb"), "--judgments", str(jpath)],
+             "--texts", str(ds / "texts.emb"), "--judgments", str(jpath), "--report", str(report_path)],
             capsys,
         )
         assert code == 0
         assert "MAP" in stdout
+        # the judgments name their own queries: no split was evaluated
+        assert json.loads(report_path.read_text())["split"] is None
+
+    def test_split_with_judgments_exit_1(self, pipeline, tmp_path, capsys):
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_text(json.dumps({"query_id": "img00#c0", "relevant_ids": ["img00"],
+                                     "correct_id": "img00"}) + "\n")
+        code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath) + ["--split", "val"],
+                           capsys)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "--split selects manifest pairs; a --judgments file names its own queries",
+        }
 
     def eval_args(self, pipeline, checkpoint, judgments, texts=None):
         return ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(checkpoint),

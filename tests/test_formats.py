@@ -3,19 +3,24 @@
 Each format round-trips, every proper prefix of a valid file raises a
 DataFormatError, and every single-byte change either loads or raises one
 of the package's own errors. Every DataFormatError names the file, and a
-parse fault the byte offset where its structure starts. Writes are atomic:
-a failed save leaves the previous file and no temporary file behind.
+parse fault the byte offset where its structure starts. A store's id
+block, of one width or mixed, reads as the per-id reference reader reads
+it, faults included. Writes are atomic: a failed save leaves the previous
+file and no temporary file behind.
 """
 
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import reference_read_ids
+from twotower import data
 from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
 from twotower.errors import BadMagicError, DataFormatError, TruncatedFileError, TwoTowerError
 from twotower.model import (
@@ -207,3 +212,84 @@ def test_failed_save_keeps_previous_file(tmp_path, kind, good, bad, error):
         save(bad, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+# Id text: ASCII (NUL and DEL included) and characters of two and three UTF-8 bytes.
+ID_CHARS = st.sampled_from(["a", "Z", "0", "#", "\x00", "\x7f", "\u00e9", "\u20ac"])
+
+
+@st.composite
+def id_blocks(draw):
+    """Ids as UTF-8 bytes: of mixed widths, or padded to one width (an id may end in NUL)."""
+    ids = [t.encode() for t in draw(st.lists(st.text(ID_CHARS, max_size=3), max_size=5))]
+    if draw(st.booleans()):
+        pad = draw(st.sampled_from([b"\x00", b"b"]))
+        width = max(map(len, ids), default=0)
+        ids = [i + pad * (width - len(i)) for i in ids]
+    return ids
+
+
+ID_FAULTS = ["truncated-prefix", "truncated-id", "byte-ff", "prefix-up", "prefix-down"]
+
+
+def store_file(ids, fault, k):
+    """(store bytes, index bytes) holding ``ids``, with ``fault`` at id ``k % len(ids)``."""
+    head = data._EMBED_HEADER.pack(data.EMBED_MAGIC, data.EMBED_VERSION, len(ids), 1, 2)
+    raw = bytearray(head + np.ones(len(ids), "<f4").tobytes())
+    starts = []
+    for i in ids:
+        starts.append(len(raw))
+        raw += struct.pack("<H", len(i)) + i
+    footer = struct.pack("<I", 4) + b"ffff"
+    if fault is None or not ids:
+        return bytes(raw), bytes(raw + footer)
+    k %= len(ids)
+    at, width = starts[k], len(ids[k])
+    if fault == "truncated-prefix":
+        return bytes(raw[: at + 1]), bytes(raw[: at + 1])
+    if fault == "truncated-id":
+        return bytes(raw[: at + 2 + width // 2]), bytes(raw[: at + 2 + width // 2])
+    if fault == "byte-ff":
+        raw[at + 2 + width // 2 if width else at] = 0xFF
+    else:
+        struct.pack_into("<H", raw, at, (width + (1 if fault == "prefix-up" else -1)) % 0x10000)
+    return bytes(raw), bytes(raw + footer)
+
+
+def outcome(read):
+    """What ``read()`` returns, or the type and message of the package error it raises."""
+    try:
+        return read()
+    except DataFormatError as e:
+        return type(e), str(e)
+
+
+def id_outcomes(path, store, index):
+    """``read_store``'s ids and end position, and the ids ``load_embeddings`` and ``load_index`` give."""
+
+    def read_store():
+        r = data._Reader(store, str(path))
+        return data.read_store(r)[0], r.pos
+
+    path.write_bytes(store)
+    outcomes = [outcome(read_store), outcome(lambda: load_embeddings(path).ids)]
+    path.write_bytes(index)
+    return outcomes + [outcome(lambda: load_index(path).ids)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ids=id_blocks(), fault=st.none() | st.sampled_from(ID_FAULTS), k=st.integers(0, 4))
+@example(ids=[b"a\x00", b"bc"], fault=None, k=0)  # an id that ends in NUL
+@example(ids=["\u00e9".encode(), b"ab"], fault=None, k=0)  # one width, not ASCII
+@example(ids=[b"", b""], fault=None, k=0)  # width 0
+@example(ids=[b"ab", b"cd", b"ef"], fault="byte-ff", k=1)
+@example(ids=[b"ab", b"cd", b"ef"], fault="prefix-up", k=1)
+@example(ids=[b"ab", b"cd", b"ef"], fault="truncated-id", k=2)
+def test_id_block_reads_as_one_id_at_a_time(path, ids, fault, k):
+    """Every id block gives the ids, end position or fault of the per-id reference reader."""
+    store, index = store_file(ids, fault, k)
+    got = id_outcomes(path, store, index)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_fixed_width_ids", lambda r, count: None)
+        m.setattr(data, "_ids_one_by_one", reference_read_ids)
+        assert got == id_outcomes(path, store, index)

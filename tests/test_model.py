@@ -302,6 +302,20 @@ class TestModelValidation:
                 head.b = np.zeros_like(head.b)
         assert all(np.shares_memory(a, m.params) for h in (m.image_head, m.text_head) for a in h)
 
+    @pytest.mark.parametrize("name", ["image_head", "text_head", "params", "_layout"])
+    def test_model_fields_cannot_be_rebound(self, name):
+        # a rebound head or params would detach project() from the fingerprint
+        m = make_model()
+        before = checkpoint_bytes(m)
+        other = {"image_head": ProjectionHead(*m.image_head), "text_head": ProjectionHead(*m.text_head),
+                 "params": m.params.copy(), "_layout": tuple(list(m._layout))}[name]
+        assert other is not getattr(m, name)
+        with pytest.raises(AttributeError, match=f"^cannot rebind '{name}' of a built model"):
+            setattr(m, name, other)
+        m.params -= 1.0  # in place: the same array is bound again
+        assert checkpoint_bytes(m) != before
+        assert all(np.shares_memory(a, m.params) for h in (m.image_head, m.text_head) for a in h)
+
     def test_checkpoint_with_non_finite_params_names_the_file(self, tmp_path):
         p = tmp_path / "m.ckpt"
         save_checkpoint(make_model(), p)

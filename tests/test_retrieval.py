@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from allocation import raises_small
-from oracles import oracle_topk
+from oracles import oracle_rank, oracle_topk
 from twotower import model as model_module
 from twotower import retrieval
 from twotower.data import EmbeddingStore
@@ -363,8 +363,11 @@ def per_row_topk(index_ids, index_vectors, model, text_feature, k):
 def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, relevant=None):
     """``query`` and ``batch_query`` equal ``reference``; ``evaluate``'s ranks are places.
 
-    Each rank ``evaluate`` gives a relevant row (every row unless
-    ``relevant`` names some) must be that row's place in ``batch_query(k=n)``.
+    Even queries judge every relevant row (every row unless ``relevant``
+    names some), odd ones every other; every third also judges an id the
+    index lacks, which gets no rank. Each rank ``evaluate`` gives must be
+    the row's place in ``batch_query(k=n)`` and ``oracle_rank``'s rank
+    from the same block scores.
     """
     for k in ks:
         for qid, v, res in zip(texts.ids, texts.vectors, batch_query(index, model, texts, k)):
@@ -380,14 +383,25 @@ def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, rele
         return metrics_from_ranks(pairs)
 
     monkeypatch.setattr(retrieval, "metrics_from_ranks", keep_ranks)
-    relevant = frozenset(relevant or index.ids)
-    first = sorted(relevant)[0]
-    evaluate(index, model, texts, [QueryJudgment(q, relevant, first) for q in texts.ids])
+    relevant = sorted(relevant or index.ids)
+    judgments = []
+    for t, q in enumerate(texts.ids):
+        rows = relevant[t % 2 :: 1 + t % 2] + ["unindexed"] * (t % 3 == 0)
+        judgments.append(QueryJudgment(q, frozenset(rows), rows[0]))
+    evaluate(index, model, texts, judgments[::-1])
     full = batch_query(index, model, texts, len(index))
+    by_id = {j.query_id: j for j in judgments}
+    band = retrieval._score_band(index.vectors.shape[1])
+    oracle = []
+    for ids, q, g in retrieval._blocks(index, model, texts, texts.ids):
+        for qid, qv, gv in zip(ids, q, g):
+            found = [d for d in by_id[qid].relevant_ids if d in index.store]
+            oracle.append({d: oracle_rank(index, qv, gv, index.ids.index(d), band) for d in found})
     assert len(judged) == len(full)
-    for (_, ranks), res in zip(judged, full):
+    for (j, ranks), res, want in zip(judged, full, oracle):
         places = {doc: place for place, (doc, _) in enumerate(res.hits, start=1)}
-        assert ranks == {doc: places[doc] for doc in relevant}
+        assert ranks == {doc: places[doc] for doc in j.relevant_ids if doc != "unindexed"}
+        assert ranks == want
 
 
 class TestScoreBand:

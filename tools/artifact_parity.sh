@@ -3,7 +3,7 @@
 #
 #   tools/artifact_parity.sh PARENT_SRC CHANGE_SRC
 #
-# Each argument is a checkout root holding src/twotower. For each of five
+# Each argument is a checkout root holding src/twotower. For each of six
 # configs, the script runs synth -> ingest -> train -> index -> eval -> query
 # through the CLI once per tree, each in its own directory with the same
 # relative paths, and compares the results file by file: stores, manifest,
@@ -14,6 +14,13 @@
 # its length, and separately flips all bits of its first byte, runs index and
 # query with the corrupt copy in place, and compares the exit code and the
 # stderr "error" kind of each run (corrupt.out); the messages are not compared.
+# In the same way it edits the id block of each store and the index at its
+# middle id (cut inside the id, a 0xFF id byte, the length prefix one too
+# large) and compares the exit code and whole stderr of each run
+# (id_faults.out): a fixed-width id block is read in one pass, and every
+# fault must still be found by the per-id reader, with its message and byte
+# offset. The "c12" config gives text ids of two widths ("#c9", "#c10"), so
+# its text store is read id by id.
 # Last, it writes edited copies of the manifest, one fault each (bad JSON, a
 # missing or non-string field, a bad split, a duplicate pair, invalid UTF-8,
 # two values on one line, one value over two lines, a ragged image, an
@@ -49,6 +56,7 @@ configs=(
     "n2000-sym-aug|$big --set loss.symmetric=true --set data.augment.copies=2 --set data.augment.sigma=0.1"
     "n2000-hard|$big --set loss.margin_mode=hard_negative"
     "n2000-t05|$big --set loss.temperature=0.5"
+    "c12|--set data.synth.captions_per_image=12 --set data.captions_per_image=12"
 )
 
 run_pipeline() {  # tree, run dir, config flags
@@ -97,6 +105,39 @@ open(path, "wb").write(raw)' "$f" "$how"
                 "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
                     --texts data/texts.emb --text-id "$qid" --k 7 > /dev/null 2> query.err || code=$?
                 echo "$f $how query $code $(error_kind query.err)" >> corrupt.out
+                mv intact.tmp "$f"
+            done
+        done
+        for f in data/images.emb data/texts.emb images.idx; do
+            for how in id-truncated id-byte-ff id-prefix-up; do
+                cp "$f" intact.tmp
+                "$python" - "$f" "$how" <<'EOF'
+import struct
+import sys
+
+path, how = sys.argv[1:]
+raw = bytearray(open(path, "rb").read())
+count, dim = struct.unpack_from("<QI", raw, 8)
+at = 28 + 4 * count * dim  # the id block, past the header and the float32 rows
+for _ in range(count // 2):  # to the length prefix of the middle id
+    at += 2 + struct.unpack_from("<H", raw, at)[0]
+(width,) = struct.unpack_from("<H", raw, at)
+if how == "id-truncated":
+    raw = raw[: at + 2 + width // 2]
+elif how == "id-byte-ff":
+    raw[at + 2 + width // 2] = 0xFF
+else:
+    struct.pack_into("<H", raw, at, width + 1)
+open(path, "wb").write(raw)
+EOF
+                code=0
+                "$python" -m twotower index --checkpoint model.ckpt --images data/images.emb \
+                    --out corrupt.idx > /dev/null 2> index.err || code=$?
+                { echo "$f $how index $code"; cat index.err; } >> id_faults.out
+                code=0
+                "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
+                    --texts data/texts.emb --text-id "$qid" --k 7 > /dev/null 2> query.err || code=$?
+                { echo "$f $how query $code"; cat query.err; } >> id_faults.out
                 mv intact.tmp "$f"
             done
         done
@@ -186,7 +227,7 @@ for entry in "${configs[@]}"; do
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
         images.idx synth.out ingest.out train.out index.out eval.out query7.out query5000.out \
-        corrupt.out manifest_faults.out; do
+        corrupt.out id_faults.out manifest_faults.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
