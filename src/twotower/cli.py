@@ -80,6 +80,8 @@ DEFAULT_CONFIG = {
     "train": {k: v for k, v in vars(TrainConfig()).items() if k not in ("seed", "loss")},
     "eval": {"split": "test", "dataset_name": "dataset"},
 }
+# a judgments file names its own queries: eval then uses no split, and none may be given
+_JUDGMENTS_CONFIG = {**DEFAULT_CONFIG, "eval": {**DEFAULT_CONFIG["eval"], "split": None}}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,13 +146,13 @@ def _parse_set(expr):
     return node
 
 
-def effective_config(args) -> dict:
-    """DEFAULT_CONFIG, overlaid with the config file, then --set and the flags named for keys.
+def effective_config(args, defaults=DEFAULT_CONFIG) -> dict:
+    """``defaults``, overlaid with the config file, then --set and the flags named for keys.
 
     --seed, --allow-ragged, --split and --dataset-name write their keys, so
     commands read only the config and its echo matches the run.
     """
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = copy.deepcopy(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, "rb") as fh:
@@ -354,18 +356,18 @@ def _load_judgments(path) -> list:
 
 
 def cmd_eval(args) -> int:
-    if args.judgments and args.split:
-        raise _UsageError("--split selects manifest pairs; a --judgments file names its own queries")
-    cfg = effective_config(args)
+    cfg = effective_config(args, _JUDGMENTS_CONFIG if args.judgments else DEFAULT_CONFIG)
+    split = cfg["eval"]["split"]
+    if args.judgments and split is not None:  # from the flag, --set or the config file
+        given = "--split" if args.split else "eval.split"
+        raise _UsageError(f"{given} selects manifest pairs; a --judgments file names its own queries")
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     texts = _load_store(args.texts, "text_feature")
-    split = None  # a judgments file's queries may come from any split
 
     if args.judgments:
         judgments = _load_judgments(args.judgments)
     elif args.manifest:
-        split = cfg["eval"]["split"]
         manifest = load_manifest(args.manifest)
         text_ids = set()
         for t in manifest["text_id"]:

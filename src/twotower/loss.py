@@ -162,28 +162,28 @@ def _contrastive(s, cfg: LossConfig) -> LossOutput:
 
 
 def _features(img_feat, txt_feat, model: DualEncoderModel):
-    """Both feature batches as checked float64 matrices that fit their heads."""
+    """Both feature batches as checked float64 matrices that fit their heads, and the heads."""
     img_feat = as_matrix(img_feat, "image features")
     txt_feat = as_matrix(txt_feat, "text features")
     if img_feat.shape[0] != txt_feat.shape[0]:
         raise ShapeError(
             f"batch sizes differ: {img_feat.shape[0]} images vs {txt_feat.shape[0]} texts"
         )
-    for x, head in ((img_feat, model.image_head), (txt_feat, model.text_head)):
+    heads = model.image_head, model.text_head  # each read builds views of params: read once
+    for x, head in zip((img_feat, txt_feat), heads):
         if x.shape[1] != head.w.shape[0]:
             raise ShapeError(f"features have width {x.shape[1]} but head expects {head.w.shape[0]}")
-    return img_feat, txt_feat
+    return img_feat, txt_feat, heads
 
 
-def _unit_rows(img_feat, txt_feat, model: DualEncoderModel) -> NormalizedRows:
+def _unit_rows(img_feat, txt_feat, heads) -> NormalizedRows:
     # Both projections, image rows over text rows in one buffer, scaled to
     # unit rows: each row's arithmetic is that of project and
     # l2_normalize_rows, and the row-wise steps run once for both towers.
     n = img_feat.shape[0]
-    p = np.empty((2 * n, model.shared_dim))
-    towers = ((img_feat, model.image_head, p[:n]), (txt_feat, model.text_head, p[n:]))
+    p = np.empty((2 * n, heads[0].b.size))
     with np.errstate(over="ignore"):  # an overflowing projection fails check_norms
-        for x, head, part in towers:
+        for x, head, part in zip((img_feat, txt_feat), heads, (p[:n], p[n:])):
             np.matmul(x, head.w, out=part)
             part += head.b
         norms = row_norms(p)
@@ -193,10 +193,10 @@ def _unit_rows(img_feat, txt_feat, model: DualEncoderModel) -> NormalizedRows:
     return NormalizedRows(p, norms)
 
 
-def _forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
-    # loss_forward on features that _features has checked; also returns the unit rows
+def _forward(img_feat, txt_feat, heads, cfg: LossConfig):
+    # loss_forward on what _features returns; also returns the unit rows
     n = img_feat.shape[0]
-    rows = _unit_rows(img_feat, txt_feat, model)
+    rows = _unit_rows(img_feat, txt_feat, heads)
     s = rows.matrix[:n] @ rows.matrix[n:].T
     if cfg.temperature != 1:  # dividing by 1 is exact: skip it
         s /= cfg.temperature
@@ -209,8 +209,7 @@ def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig) -
     Chains project -> row L2-normalization -> cosine / temperature ->
     ``contrastive_loss``, the forward half of ``loss_backward``.
     """
-    img_feat, txt_feat = _features(img_feat, txt_feat, model)
-    return _forward(img_feat, txt_feat, model, cfg)[0]
+    return _forward(*_features(img_feat, txt_feat, model), cfg)[0]
 
 
 def _rownorm_backward(rows, du):
@@ -228,8 +227,8 @@ def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
     Returns the LossOutput and the gradient as a new vector in the layout
     of ``model.params``.
     """
-    img_feat, txt_feat = _features(img_feat, txt_feat, model)
-    out, rows = _forward(img_feat, txt_feat, model, cfg)
+    img_feat, txt_feat, heads = _features(img_feat, txt_feat, model)
+    out, rows = _forward(img_feat, txt_feat, heads, cfg)
     n = img_feat.shape[0]
     g = out.grad_sim / cfg.temperature if cfg.temperature != 1 else out.grad_sim
     d_p = np.empty_like(rows.matrix)  # image rows over text rows, as in rows

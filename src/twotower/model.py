@@ -1,12 +1,12 @@
 """The trainable artifact: two linear projection heads over precomputed features.
 
-All trainable parameters live in one contiguous float64 vector,
-``DualEncoderModel.params``. It holds four row-major blocks in checkpoint
+A model is its parameters: one contiguous float64 vector,
+``DualEncoderModel.params``, holding four row-major blocks in checkpoint
 order: image weights (image input x shared), image bias (shared), text
-weights (text input x shared), text bias (shared). ``image_head.w/.b`` and
-``text_head.w/.b`` are views into it. The gradient and the optimizer moments use
-the same layout, and ``DualEncoderModel.blocks`` gives the named views of
-any vector in it; no other module knows the layout.
+weights (text input x shared), text bias (shared). The heads, the gradient
+and the optimizer moments are views in that layout, which
+``DualEncoderModel.blocks`` works out from the model's dims; no other code
+knows it.
 
 Checkpoint format (binary, little-endian): magic "AZCK", version u32=1,
 dims u32 x 3 (image input, text input, shared output), then ``params`` as
@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -30,46 +29,37 @@ from .linalg import as_matrix
 CKPT_MAGIC = b"AZCK"
 CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIII")
-_BOUND_FIELDS = ("image_head", "text_head", "params", "_layout")  # fixed once a model is built
 
 
 class ProjectionHead(NamedTuple):
     """One linear map from a native feature space into the shared space.
 
     Immutable: a model's heads are views of its ``params``, so a write
-    through ``w`` or ``b`` is a write to the model, and neither can be
-    rebound. Checked by the model that holds it, not on its own.
+    through ``w`` or ``b`` is a write to the model. Checked by the model
+    that holds it, not on its own.
     """
 
     w: np.ndarray  # (d_in, d_out)
     b: np.ndarray  # (d_out,)
 
 
-@dataclass
 class DualEncoderModel:
     """Image-side and text-side heads sharing one output dimension.
 
-    Construction checks both heads, copies their arrays into ``params`` and
-    replaces the heads with views of it, so the model never aliases its
-    caller's arrays. From then on ``image_head``, ``text_head``, ``params``
-    and their layout cannot be rebound, only written through, so the heads
-    and the checkpoint bytes stay one state. ``meta`` is a free-form
-    JSON-serializable config echo persisted with checkpoints (upstream
-    encoder names, effective run config, and so on); it can be rebound.
+    The model holds ``params``, its ``dims`` (image input, text input,
+    shared output) and ``meta`` as canonical JSON bytes. Construction checks
+    both heads and copies their arrays into ``params``, never aliasing the
+    caller's. Each read of a head builds views of ``params`` (read it once
+    in a loop), so writes to ``params``, a same-shape rebind of it, copies
+    and pickles never detach a head. ``meta`` is a JSON config echo saved
+    with checkpoints (encoder names, effective run config): a read decodes
+    a new dict, and only assigning one changes the model.
     """
 
-    image_head: ProjectionHead
-    text_head: ProjectionHead
-    shared_dim: int
-    meta: dict = field(default_factory=dict)
-    params: np.ndarray = field(init=False, repr=False)
-    _layout: tuple = field(init=False, repr=False)  # (name, slice of params, shape) per block
-    # (checkpoint parts, their SHA-256 hex digest) from the last model_fingerprint call
-    _fingerprint: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, image_head: ProjectionHead, text_head: ProjectionHead, shared_dim: int,
+                 meta=None):
         arrays = []
-        for head in (self.image_head, self.text_head):
+        for head in (image_head, text_head):
             w, b = (np.asarray(a, dtype=np.float64) for a in head)
             if w.ndim != 2:
                 raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
@@ -77,33 +67,48 @@ class DualEncoderModel:
                 raise ShapeError(f"bias shape {b.shape} does not match weight columns {w.shape[1]}")
             arrays += [w, b]
         image_w, _, text_w, _ = arrays
-        d = self.shared_dim
+        d = shared_dim
         if image_w.shape[1] != d or text_w.shape[1] != d:
             raise ShapeError(
                 f"head outputs ({image_w.shape[1]}, {text_w.shape[1]}) must equal shared_dim {d}"
             )
-        layout, start = [], 0
-        for name, a in zip(("image_w", "image_b", "text_w", "text_b"), arrays):
-            layout.append((name, slice(start, start + a.size), a.shape))
-            start += a.size
-        self._layout = tuple(layout)
+        self.dims = (len(image_w), len(text_w), d)
         self.params = np.concatenate([a.ravel() for a in arrays])
         if not np.isfinite(self.params).all():
             raise ValueError("head parameters contain non-finite entries")
-        views = self.blocks(self.params)
-        self.image_head = ProjectionHead(views["image_w"], views["image_b"])
-        self.text_head = ProjectionHead(views["text_w"], views["text_b"])
-        object.__setattr__(self, "_bound", True)
+        self.meta = {} if meta is None else meta
+        self._fingerprint = None  # (checkpoint parts, their SHA-256 hex digest) from the last call
 
-    def __setattr__(self, name, value):
-        # ``model.params -= step`` writes in place, then rebinds the same array
-        if name in _BOUND_FIELDS and getattr(self, "_bound", False) and value is not getattr(self, name):
-            raise AttributeError(f"cannot rebind {name!r} of a built model; write into its params")
-        object.__setattr__(self, name, value)
+    @property
+    def shared_dim(self) -> int:
+        return self.dims[2]
+
+    @property
+    def meta(self) -> dict:
+        return json.loads(self._meta)
+
+    @meta.setter
+    def meta(self, value):  # the canonical checkpoint form, so a bad value fails here
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        self._meta = text.encode("utf-8")
+
+    @property
+    def image_head(self) -> ProjectionHead:
+        image_w, image_b, _, _ = self.blocks(self.params).values()
+        return ProjectionHead(image_w, image_b)
+
+    @property
+    def text_head(self) -> ProjectionHead:
+        _, _, text_w, text_b = self.blocks(self.params).values()
+        return ProjectionHead(text_w, text_b)
 
     def blocks(self, flat) -> dict:
         """Views of ``flat``, a vector in the ``params`` layout, keyed by block name."""
-        return {name: flat[span].reshape(shape) for name, span, shape in self._layout}
+        d_img, d_txt, d = self.dims
+        i, t = d_img * d, (d_img + 1) * d
+        end = t + d_txt * d
+        return {"image_w": flat[:i].reshape(d_img, d), "image_b": flat[i:t],
+                "text_w": flat[t:end].reshape(d_txt, d), "text_b": flat[end:end + d]}
 
 
 def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderModel:
@@ -124,12 +129,7 @@ def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderMode
 
     image_head = ProjectionHead(w=glorot(img_dim, shared_dim), b=np.zeros(shared_dim))
     text_head = ProjectionHead(w=glorot(txt_dim, shared_dim), b=np.zeros(shared_dim))
-    return DualEncoderModel(
-        image_head=image_head,
-        text_head=text_head,
-        shared_dim=shared_dim,
-        meta=dict(meta or {}),
-    )
+    return DualEncoderModel(image_head, text_head, shared_dim, meta)
 
 
 def project(head: ProjectionHead, x) -> np.ndarray:
@@ -140,19 +140,11 @@ def project(head: ProjectionHead, x) -> np.ndarray:
     return x @ head.w + head.b
 
 
-def _meta_bytes(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode(
-        "utf-8"
-    )
-
-
 def _checkpoint_parts(model: DualEncoderModel) -> tuple:
     """(header, params as <f8, meta length, canonical meta): the checkpoint, in order."""
-    header = _CKPT_HEADER.pack(
-        CKPT_MAGIC, CKPT_VERSION, len(model.image_head.w), len(model.text_head.w), model.shared_dim
-    )
-    meta = _meta_bytes(model.meta)
-    return header, model.params.astype("<f8").tobytes(), struct.pack("<I", len(meta)), meta
+    header = _CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, *model.dims)
+    meta = model._meta
+    return header, model.params.astype("<f8", copy=False).tobytes(), struct.pack("<I", len(meta)), meta
 
 
 def checkpoint_bytes(model: DualEncoderModel) -> bytes:
@@ -191,12 +183,8 @@ def _read_checkpoint(r: _Reader) -> DualEncoderModel:
         raise r.fail(DataFormatError, at, f"checkpoint meta block is not UTF-8 JSON: {e}") from e
     r.end("checkpoint has trailing data beyond the declared blocks")
     with value_errors_as(DataFormatError, f"{r.name}: "):
-        return DualEncoderModel(
-            image_head=ProjectionHead(w=image_w, b=image_b),
-            text_head=ProjectionHead(w=text_w, b=text_b),
-            shared_dim=shared_dim,
-            meta=meta,
-        )
+        return DualEncoderModel(ProjectionHead(image_w, image_b), ProjectionHead(text_w, text_b),
+                                shared_dim, meta)
 
 
 def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
@@ -211,10 +199,11 @@ def model_fingerprint(model: DualEncoderModel) -> str:
     """SHA-256 hex digest of the canonical checkpoint bytes.
 
     Binds retrieval indexes to the exact parameters (and config echo) that
-    produced them. The checkpoint bytes are rebuilt on every call and hashed
-    only when they differ from the last call's, so each model state is hashed
-    once, and any write to ``params`` (through a head or not) or to ``meta``
-    (in place or not) is seen byte for byte.
+    produced them. The checkpoint bytes are rebuilt from ``params`` and the
+    held ``meta`` bytes on every call and hashed only when they differ from
+    the last call's, so each model state is hashed once, and any write to
+    ``params`` (through a head or not) or assignment to ``meta`` is seen
+    byte for byte.
     """
     parts = _checkpoint_parts(model)
     if model._fingerprint is None or model._fingerprint[0] != parts:

@@ -135,11 +135,10 @@ def _blocks(index, model, texts: EmbeddingStore, ids):
     rows = texts.index(ids)
     size = max(1, _BLOCK_BYTES // (8 * max(len(index), 1)))
     scores = np.empty((min(size, len(ids)), len(index)))  # reused: valid until the next block
+    head = model.text_head  # each read builds views of params: read once
     for start in range(0, len(ids), size):
         block = ids[start:start + size]
-        raw = np.concatenate(
-            [project(model.text_head, texts.vectors[r:r + 1]) for r in rows[start:start + size]]
-        )
+        raw = np.concatenate([project(head, texts.vectors[r:r + 1]) for r in rows[start:start + size]])
         q = unit_rows(raw, "query", block).matrix
         yield block, q, np.matmul(q, index.vectors.T, out=scores[:len(block)])
 

@@ -201,8 +201,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     total_steps = cfg.epochs * len(batches)
     has_val = ds.split_sizes()["val"] > 0
 
-    model.meta = dict(model.meta)
-    model.meta["train_config"] = _jsonable(asdict(cfg))
+    model.meta = {**model.meta, "train_config": _jsonable(asdict(cfg))}
 
     state = OptimizerState.for_params(model.params)
     params = model.params

@@ -491,8 +491,9 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "MAP" in stdout
-        # the judgments name their own queries: no split was evaluated
-        assert json.loads(report_path.read_text())["split"] is None
+        # the judgments name their own queries: no split was evaluated or echoed
+        doc = json.loads(report_path.read_text())
+        assert doc["split"] is None and doc["config"]["eval"]["split"] is None
 
     def test_split_with_judgments_exit_1(self, pipeline, tmp_path, capsys):
         jpath = tmp_path / "j.jsonl"
@@ -505,6 +506,24 @@ class TestEvalCommand:
             "error": "usage",
             "message": "--split selects manifest pairs; a --judgments file names its own queries",
         }
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_config_split_with_judgments_exit_1(self, pipeline, tmp_path, capsys, source):
+        # a split from --set or a config file is refused as the flag is, not echoed unused
+        jpath, report = tmp_path / "j.jsonl", tmp_path / "eval.json"
+        jpath.write_text(json.dumps({"query_id": "img00#c0", "relevant_ids": ["img00"],
+                                     "correct_id": "img00"}) + "\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"eval": {"split": "val"}}))
+        given = {"set": ["--set", "eval.split=val"], "config": ["--config", str(config)]}[source]
+        code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath) + given
+                           + ["--report", str(report)], capsys)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "eval.split selects manifest pairs; a --judgments file names its own queries",
+        }
+        assert not report.exists()
 
     def eval_args(self, pipeline, checkpoint, judgments, texts=None):
         return ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(checkpoint),
@@ -847,6 +866,27 @@ class TestErrorsAndHelp:
         assert code == 1, err
         assert json.loads(err)["error"] == "ConfigError"
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_config_text_utf8_cannot_encode_exit_1(self, pipeline, tmp_path, capsys, source):
+        # argv decodes a 0xFF byte to a lone surrogate and a config file can escape one; the
+        # checkpoint's UTF-8 config echo cannot hold either, so train stops before its first step
+        config = tmp_path / "run.json"
+        config.write_text('{"eval": {"dataset_name": "\\ud800"}}')
+        given = {"set": ["--set", "eval.dataset_name=a\udcff"], "config": ["--config", str(config)]}
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "train.log"
+        code, _, err = run(
+            ["train", "--manifest", str(pipeline / "ds" / "manifest.jsonl"),
+             "--images", str(pipeline / "ds" / "images.emb"),
+             "--texts", str(pipeline / "ds" / "texts.emb"),
+             "--checkpoint", str(ckpt), "--log", str(log)] + SMALL + FAST_TRAIN + given[source],
+            capsys,
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError" and "can't encode" in doc["message"]
+        assert not ckpt.exists() and not log.exists()
 
     def test_out_of_range_synth_config_exit_1(self, tmp_path, capsys):
         code, _, err = run(

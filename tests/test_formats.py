@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import reference_read_ids
-from twotower import data
+from twotower import data, model
 from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
 from twotower.errors import BadMagicError, DataFormatError, TruncatedFileError, TwoTowerError
 from twotower.model import (
@@ -191,11 +191,7 @@ LONG_ID = "x" * 0x10000  # one byte past the u16 id length prefix
          EmbeddingStore(ids=["a"], vectors=[[1.0, 0.0]], kind="text_feature"),
          EmbeddingStore(ids=["a", LONG_ID], vectors=[[1.0, 0.0], [0.0, 1.0]], kind="text_feature"),
          ValueError),
-        ("checkpoint",
-         DualEncoderModel(ProjectionHead(np.eye(2), np.zeros(2)), ProjectionHead(np.eye(2), np.zeros(2)), 2),
-         DualEncoderModel(ProjectionHead(np.eye(2), np.zeros(2)), ProjectionHead(np.eye(2), np.zeros(2)), 2,
-                          meta={"unserialisable": object()}),
-         TypeError),
+        ("checkpoint", MODEL, MODEL, OSError),  # its bytes fail to form: see below
         ("index",
          RetrievalIndex(ids=["a"], vectors=[[1.0, 0.0]], model_fingerprint="f"),
          RetrievalIndex(ids=["a", LONG_ID], vectors=[[1.0, 0.0], [0.0, 1.0]], model_fingerprint="f"),
@@ -203,11 +199,17 @@ LONG_ID = "x" * 0x10000  # one byte past the u16 id length prefix
     ],
     ids=["store", "checkpoint", "index"],
 )
-def test_failed_save_keeps_previous_file(tmp_path, kind, good, bad, error):
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, kind, good, bad, error):
     save, _ = FORMATS[kind]
     path = tmp_path / "artifact"
     save(good, path)
     before = path.read_bytes()
+    if kind == "checkpoint":  # a built model always serialises (its meta is checked when set)
+
+        def fail(m):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(model, "checkpoint_bytes", fail)
     with pytest.raises(error):
         save(bad, path)
     assert path.read_bytes() == before

@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -178,15 +181,21 @@ class TestCheckpoint:
         err = raises_small(TruncatedFileError, load_checkpoint, p, match="image weights")
         assert f"wanted {(2**32 - 1) ** 2 * 8} bytes" in str(err)
 
-    @pytest.mark.parametrize("meta", [b'{"a":"\xff"}', b'{"a":1'], ids=["utf8", "json"])
-    def test_bad_meta_block_rejected(self, tmp_path, meta):
+    @pytest.mark.parametrize(
+        "meta, match",
+        [(b'{"a":"\xff"}', "checkpoint meta block"), (b'{"a":1', "checkpoint meta block"),
+         (b'{"a":"\\ud800"}', "'utf-8' codec can't encode")],  # an escaped lone surrogate
+        ids=["utf8", "json", "surrogate"],
+    )
+    def test_bad_meta_block_rejected(self, tmp_path, meta, match):
         m = make_model()
         m.meta = {"a": 1}
         good = checkpoint_bytes(m)
         p = tmp_path / "m.ckpt"
         p.write_bytes(good[: -len(b'{"a":1}') - 4] + struct.pack("<I", len(meta)) + meta)
-        with pytest.raises(DataFormatError, match="checkpoint meta block"):
+        with pytest.raises(DataFormatError) as err:
             load_checkpoint(p)
+        assert str(err.value).startswith(f"{p}: ") and match in str(err.value)
 
 
 class TestFingerprint:
@@ -199,13 +208,15 @@ class TestFingerprint:
         assert model_fingerprint(a) != model_fingerprint(b)
 
     def test_sensitive_to_meta(self):
+        # meta is set as a whole: a read is a copy, and editing it changes nothing
         a, b = make_model(), make_model()
+        before = checkpoint_bytes(b)
         b.meta["note"] = "changed"
-        assert model_fingerprint(a) != model_fingerprint(b)
+        assert checkpoint_bytes(b) == before and model_fingerprint(a) == model_fingerprint(b)
+        b.meta = {**b.meta, "note": "changed"}
+        assert checkpoint_bytes(b) != before and model_fingerprint(a) != model_fingerprint(b)
 
     def test_matches_file_bytes(self, tmp_path):
-        import hashlib
-
         m = make_model()
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
@@ -302,19 +313,57 @@ class TestModelValidation:
                 head.b = np.zeros_like(head.b)
         assert all(np.shares_memory(a, m.params) for h in (m.image_head, m.text_head) for a in h)
 
-    @pytest.mark.parametrize("name", ["image_head", "text_head", "params", "_layout"])
+    @pytest.mark.parametrize("name", ["image_head", "text_head"])
     def test_model_fields_cannot_be_rebound(self, name):
-        # a rebound head or params would detach project() from the fingerprint
+        # a head is read from params; there is nothing to rebind
         m = make_model()
-        before = checkpoint_bytes(m)
-        other = {"image_head": ProjectionHead(*m.image_head), "text_head": ProjectionHead(*m.text_head),
-                 "params": m.params.copy(), "_layout": tuple(list(m._layout))}[name]
-        assert other is not getattr(m, name)
-        with pytest.raises(AttributeError, match=f"^cannot rebind '{name}' of a built model"):
-            setattr(m, name, other)
+        with pytest.raises(AttributeError):
+            setattr(m, name, ProjectionHead(*getattr(m, name)))
+
+    def test_params_rebind_is_followed(self):
+        # heads, checkpoint and fingerprint all read the vector bound now
+        m = make_model()
+        old = m.params
         m.params -= 1.0  # in place: the same array is bound again
-        assert checkpoint_bytes(m) != before
-        assert all(np.shares_memory(a, m.params) for h in (m.image_head, m.text_head) for a in h)
+        assert m.params is old and m.image_head.w[0, 0] == old[0]
+        fresh = np.arange(old.size, dtype=np.float64)
+        m.params = fresh
+        x = np.ones((1, 6))
+        views = m.blocks(fresh)
+        np.testing.assert_array_equal(project(m.image_head, x), x @ views["image_w"] + views["image_b"])
+        assert all(np.shares_memory(a, fresh) for h in (m.image_head, m.text_head) for a in h)
+        assert checkpoint_bytes(m)[20:20 + fresh.nbytes] == fresh.tobytes()
+        assert model_fingerprint(m) == hashlib.sha256(checkpoint_bytes(m)).hexdigest()
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_stay_bound_to_their_params(self, duplicate):
+        m = make_model()
+        model_fingerprint(m)  # the copy carries the memo too
+        c = duplicate(m)
+        c.params[:] = 0.0
+        zeroed = init_model(6, 5, 4, seed=0, meta=m.meta)
+        zeroed.params[:] = 0.0
+        assert not project(c.image_head, np.ones((1, 6))).any()
+        assert not project(c.text_head, np.ones((1, 5))).any()
+        assert checkpoint_bytes(c) == checkpoint_bytes(zeroed)
+        assert model_fingerprint(c) == model_fingerprint(zeroed) != model_fingerprint(m)
+        assert project(m.image_head, np.ones((1, 6))).any()
+
+    @pytest.mark.parametrize(
+        "meta, error",
+        [({"unserialisable": object()}, TypeError), ({"name": "a\udcff"}, UnicodeEncodeError)],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_meta_that_cannot_be_saved_rejected_when_set(self, meta, error):
+        # meta is encoded when set, so a save cannot fail on it later
+        with pytest.raises(error):
+            init_model(2, 2, 2, seed=0, meta=meta)
+        m = make_model()
+        with pytest.raises(error):
+            m.meta = meta
+        assert m.meta == {"note": "unit-test", "n": 3}
 
     def test_checkpoint_with_non_finite_params_names_the_file(self, tmp_path):
         p = tmp_path / "m.ckpt"

@@ -20,6 +20,7 @@ from twotower.metrics import QueryJudgment, evaluate_run, metrics_from_ranks
 from twotower.model import (
     DualEncoderModel,
     ProjectionHead,
+    checkpoint_bytes,
     init_model,
     model_fingerprint,
     project,
@@ -307,22 +308,28 @@ class TestFingerprintCache:
         self._rejected_then_restored(model, idx, change, restore)
 
     def test_nested_meta_edited_in_place(self):
+        # a read of meta is a copy: editing it leaves the model; assigning the edit does not
         model, idx = self._pair()
-        run = model.meta["run"]
+        meta = model.meta
+        before = checkpoint_bytes(model)
+        meta["run"]["epochs"] = 2
+        assert query(idx, model, np.ones(4), k=1).hits and checkpoint_bytes(model) == before
+        original = model.meta
         self._rejected_then_restored(
-            model, idx, lambda: run.update(epochs=2), lambda: run.update(epochs=1)
+            model, idx, lambda: setattr(model, "meta", meta), lambda: setattr(model, "meta", original)
         )
+        assert checkpoint_bytes(model) == before
 
     @pytest.mark.parametrize(
         "key,value", [("epochs", 1.0), ("epochs", True), ("sigma", -0.0)], ids=["1.0", "True", "-0.0"]
     )
     def test_equal_meta_value_with_other_bytes(self, key, value):
         model, idx = self._pair()
-        run = model.meta["run"]
-        old = run[key]
-        assert value == old  # equality cannot see this change; the bytes can
+        original = model.meta
+        changed = {**original, "run": {**original["run"], key: value}}
+        assert changed == original  # equality cannot see this change; the bytes can
         self._rejected_then_restored(
-            model, idx, lambda: run.update({key: value}), lambda: run.update({key: old})
+            model, idx, lambda: setattr(model, "meta", changed), lambda: setattr(model, "meta", original)
         )
 
     def test_each_state_hashed_once(self, monkeypatch):
