@@ -111,8 +111,8 @@ def _same_kind(default, value):
     return True
 
 
-def _merge_config(base, override, path=""):
-    out = copy.deepcopy(base)
+def _merge_config(cfg, override, base=DEFAULT_CONFIG, path=""):
+    """Write ``override`` into ``cfg`` in place; ``base``, the defaults, names each key and type."""
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -120,41 +120,46 @@ def _merge_config(base, override, path=""):
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
-            out[key] = _merge_config(base[key], value, where)
+            _merge_config(cfg[key], value, base[key], where)
+        elif not _same_kind(base[key], value):
+            raise ConfigError(
+                f"config key {where!r} has the wrong type (expected {type(base[key]).__name__})"
+            )
         else:
-            if not _same_kind(base[key], value):
-                raise ConfigError(
-                    f"config key {where!r} has the wrong type "
-                    f"(expected {type(base[key]).__name__})"
-                )
-            out[key] = value
-    return out
+            cfg[key] = value
+
+
+def _nest(dotted, value):
+    """``{"a": {"b": value}}`` for the dotted key ``"a.b"``."""
+    for key in reversed(dotted.split(".")):
+        value = {key.strip(): value}
+    return value
 
 
 def _parse_set(expr):
     if "=" not in expr:
         raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {expr!r}")
     dotted, raw = expr.split("=", 1)
-    keys = dotted.strip().split(".")
     try:
         value = json.loads(raw)
     except _JSON_FAULTS:
         value = raw  # bare strings are convenient: --set loss.margin_mode=literal
-    node = value
-    for key in reversed(keys):
-        node = {key.strip(): node}
-    return node
+    return _nest(dotted.strip(), value)
+
+
+# The config key each flag writes; a flag is given when its value is not None.
+_FLAG_KEYS = ("seed", "data.allow_ragged", "eval.split", "eval.dataset_name")
 
 
 def effective_config(args, defaults=DEFAULT_CONFIG) -> dict:
-    """``defaults``, overlaid with the config file, then --set and the flags named for keys.
+    """``defaults``, overlaid with the config file, then each --set, then the flags named for keys.
 
+    Each is one merge, checked against the keys and types of ``DEFAULT_CONFIG``.
     --seed, --allow-ragged, --split and --dataset-name write their keys, so
     commands read only the config and its echo matches the run.
     """
     cfg = copy.deepcopy(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if (config_path := getattr(args, "config", None)) is not None:
         with open(config_path, "rb") as fh:
             raw = fh.read()
         try:
@@ -167,14 +172,12 @@ def effective_config(args, defaults=DEFAULT_CONFIG) -> dict:
             raise DataFormatError(f"{config_path}: {reason}") from e
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
-        cfg = _merge_config(cfg, user)
+        _merge_config(cfg, user)
     for expr in getattr(args, "set", None) or []:
-        cfg = _merge_config(cfg, _parse_set(expr))
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    for section, key in (("data", "allow_ragged"), ("eval", "split"), ("eval", "dataset_name")):
-        if value := getattr(args, key, None):  # given: store_true set, or a non-empty string
-            cfg[section][key] = value
+        _merge_config(cfg, _parse_set(expr))
+    for dotted in _FLAG_KEYS:
+        if (value := getattr(args, dotted.split(".")[-1], None)) is not None:
+            _merge_config(cfg, _nest(dotted, value))
     return cfg
 
 
@@ -356,18 +359,19 @@ def _load_judgments(path) -> list:
 
 
 def cmd_eval(args) -> int:
-    cfg = effective_config(args, _JUDGMENTS_CONFIG if args.judgments else DEFAULT_CONFIG)
+    judged = args.judgments is not None  # else --manifest: the parser requires exactly one
+    cfg = effective_config(args, _JUDGMENTS_CONFIG if judged else DEFAULT_CONFIG)
     split = cfg["eval"]["split"]
-    if args.judgments and split is not None:  # from the flag, --set or the config file
-        given = "--split" if args.split else "eval.split"
+    if judged and split is not None:  # from the flag, --set or the config file
+        given = "--split" if args.split is not None else "eval.split"
         raise _UsageError(f"{given} selects manifest pairs; a --judgments file names its own queries")
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     texts = _load_store(args.texts, "text_feature")
 
-    if args.judgments:
+    if judged:
         judgments = _load_judgments(args.judgments)
-    elif args.manifest:
+    else:
         manifest = load_manifest(args.manifest)
         text_ids = set()
         for t in manifest["text_id"]:
@@ -381,15 +385,13 @@ def cmd_eval(args) -> int:
         ]
         if not judgments:
             raise DataFormatError(f"{args.manifest}: manifest has no pairs in split {split!r}")
-    else:
-        raise _UsageError("provide --judgments or --manifest to define ground truth")
     # the library scores an unindexed image as a miss; here it is a fault in the inputs
+    truth = args.judgments if judged else args.manifest
     for j in judgments:
         for i in sorted(j.relevant_ids):
             if i not in index.store:
                 raise DataFormatError(
-                    f"{args.judgments or args.manifest}: query {j.query_id!r} names image id "
-                    f"{i!r}, which is not in index {args.index}"
+                    f"{truth}: query {j.query_id!r} names image id {i!r}, which is not in index {args.index}"
                 )
 
     report = evaluate(index, model, texts, judgments)
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="caption manifest (JSON-lines)")
     p.add_argument("--images", required=True, help="image embedding store")
     p.add_argument("--texts", required=True, help="text embedding store")
-    p.add_argument("--allow-ragged", action="store_true", help="accept images with a caption count other than data.captions_per_image; sets data.allow_ragged (default: reject)")
+    p.add_argument("--allow-ragged", action="store_true", default=None, help="accept images with a caption count other than data.captions_per_image; sets data.allow_ragged (default: the config's data.allow_ragged, false)")
     p.add_argument("--out", default=None, help="write a JSON ingest report here (default: stdout summary only)")
     p.set_defaults(func=cmd_ingest)
 
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="caption manifest (JSON-lines)")
     p.add_argument("--images", required=True, help="image embedding store")
     p.add_argument("--texts", required=True, help="text embedding store")
-    p.add_argument("--allow-ragged", action="store_true", help="accept ragged caption counts; sets data.allow_ragged (default: reject)")
+    p.add_argument("--allow-ragged", action="store_true", default=None, help="accept ragged caption counts; sets data.allow_ragged (default: the config's data.allow_ragged, false)")
     p.add_argument("--checkpoint", required=True, help="path for the best-validation checkpoint")
     p.add_argument("--log", default=None, help="JSON-lines training log path (default: no log)")
     p.add_argument("--report", default=None, help="JSON training report path (default: no report)")
@@ -473,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index file from the index command")
     p.add_argument("--checkpoint", required=True, help="the checkpoint that built the index")
     p.add_argument("--texts", required=True, help="text embedding store holding the query rows")
-    p.add_argument("--manifest", default=None, help="manifest to derive singleton judgments from (default: use --judgments)")
-    p.add_argument("--judgments", default=None, help="JSON-lines judgments {query_id, relevant_ids, correct_id} (default: derive from --manifest)")
+    truth = p.add_mutually_exclusive_group(required=True)
+    truth.add_argument("--manifest", default=None, help="manifest to derive singleton judgments from")
+    truth.add_argument("--judgments", default=None, help="JSON-lines judgments {query_id, relevant_ids, correct_id}")
     p.add_argument("--split", default=None, help="manifest split to evaluate, not used with --judgments; sets eval.split (default: 'test')")
     p.add_argument("--dataset-name", default=None, help="dataset label for the report table; sets eval.dataset_name (default: 'dataset')")
     p.add_argument("--model-name", default=None, help="model label for the report table (default: checkpoint stem)")
@@ -489,9 +492,7 @@ _ERROR_EXITS = (
     (DivergenceError, EXIT_DIVERGENCE),
     (ConfigError, EXIT_USAGE),
     (TwoTowerError, EXIT_DATA),
-    (FileNotFoundError, EXIT_DATA),
-    (IsADirectoryError, EXIT_DATA),
-    (PermissionError, EXIT_DATA),
+    (OSError, EXIT_DATA),
 )
 
 

@@ -301,10 +301,6 @@ class EmbeddingStore:
     def row(self, id_) -> np.ndarray:
         return self.vectors[self.index([id_])[0]]
 
-    def rows(self, ids) -> np.ndarray:
-        """Gather rows for ``ids`` in order, as a fresh writable matrix."""
-        return self.vectors[self.index(ids)]
-
 
 class _Reader:
     """A whole binary file's bytes, its name and a position; sizes are bounded by the bytes left."""

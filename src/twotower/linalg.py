@@ -8,8 +8,8 @@ Finiteness is checked where data enters: ``as_matrix`` at each public entry
 point. ``row_norms`` and ``log_softmax_rows`` are unchecked helpers behind
 those entry points; their callers pass finite float64 matrices.
 
-``unit_rows`` is the one row normaliser, and ``l2_normalize_rows`` its
-checked entry point: training and retrieval both take their norms from
+``unit_rows`` is the one row normaliser, over rows already checked where
+they entered: training and retrieval both take their norms from
 ``row_norms``, and a row whose norm is zero or overflows raises
 ``DegenerateRowError`` in ``check_norms`` and nowhere else.
 """
@@ -65,11 +65,6 @@ def check_norms(norms, what, ids):
         name = f"row {i}" if ids is None else repr(row_id)
         fault = "to a zero vector" if finite.all() else "to a vector whose norm overflows"
         raise DegenerateRowError(f"{what} {name} projects {fault}", row=i, row_id=row_id)
-
-
-def l2_normalize_rows(m, what, ids) -> NormalizedRows:
-    """``unit_rows`` of ``m`` once ``as_matrix`` has checked it is finite."""
-    return unit_rows(as_matrix(m), what, ids)
 
 
 def unit_rows(m, what, ids) -> NormalizedRows:

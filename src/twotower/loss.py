@@ -178,8 +178,8 @@ def _features(img_feat, txt_feat, model: DualEncoderModel):
 
 def _unit_rows(img_feat, txt_feat, heads) -> NormalizedRows:
     # Both projections, image rows over text rows in one buffer, scaled to
-    # unit rows: each row's arithmetic is that of project and
-    # l2_normalize_rows, and the row-wise steps run once for both towers.
+    # unit rows: each row's arithmetic is that of project and unit_rows,
+    # and the row-wise steps run once for both towers.
     n = img_feat.shape[0]
     p = np.empty((2 * n, heads[0].b.size))
     with np.errstate(over="ignore"):  # an overflowing projection fails check_norms

@@ -122,23 +122,26 @@ def _exact(index, q, rows):
     return (index.vectors[rows] * q).sum(axis=1)
 
 
-def _blocks(index, model, texts: EmbeddingStore, ids):
+def _blocks(index, model, features, ids):
     """Yield (query ids, unit query rows, GEMM scores against the index) per block.
 
-    The one place query text is projected. Each row is projected on its own,
-    as for a single query, since a block product can differ from it in the
-    last ulp; the block is then normalised at once and scored with one GEMM.
-    GEMM scores are within ``_score_band`` of ``_exact``'s, so callers decide
-    with them and re-score only the rows near their decision point.
+    The one place query text is projected. ``features`` holds one checked
+    row per id, finite float64 as a store holds them. Each row is projected
+    on its own, a one-row product as for a single query, since a block
+    product can differ from it in the last ulp; the block is then normalised
+    at once and scored with one GEMM. GEMM scores are within ``_score_band``
+    of ``_exact``'s, so callers decide with them and re-score only the rows
+    near their decision point.
     """
     _check_fingerprint(index, model)
-    rows = texts.index(ids)
+    head = model.text_head  # each read builds views of params: read once
+    if features.shape[1] != head.w.shape[0]:
+        raise ShapeError(f"features have width {features.shape[1]} but head expects {head.w.shape[0]}")
     size = max(1, _BLOCK_BYTES // (8 * max(len(index), 1)))
     scores = np.empty((min(size, len(ids)), len(index)))  # reused: valid until the next block
-    head = model.text_head  # each read builds views of params: read once
     for start in range(0, len(ids), size):
         block = ids[start:start + size]
-        raw = np.concatenate([project(head, texts.vectors[r:r + 1]) for r in rows[start:start + size]])
+        raw = np.matmul(features[start:start + size, None, :], head.w)[:, 0] + head.b
         q = unit_rows(raw, "query", block).matrix
         yield block, q, np.matmul(q, index.vectors.T, out=scores[:len(block)])
 
@@ -193,7 +196,7 @@ def batch_query(index, model, texts: EmbeddingStore, k) -> list:
     n = len(index)
     reach = 2.0 * _score_band(index.vectors.shape[1])
     results = []
-    for ids, q, g in _blocks(index, model, texts, texts.ids):
+    for ids, q, g in _blocks(index, model, texts.vectors, texts.ids):
         if k < n:
             kth = np.partition(g, n - k, axis=1)[:, n - k]
         else:  # every row is a candidate
@@ -218,13 +221,13 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
     """
     by_id = judgments_by_id(judgments)
     try:
-        rows = texts.index(by_id)
+        rows = np.sort(texts.index(by_id))
     except KeyError:
         missing = sorted(set(by_id).difference(texts.ids))
         raise DataFormatError(f"text store is missing query id {missing[0]!r}") from None
     band = _score_band(index.vectors.shape[1])
     judged = []
-    for ids, q, g in _blocks(index, model, texts, [texts.ids[r] for r in np.sort(rows).tolist()]):
+    for ids, q, g in _blocks(index, model, texts.vectors[rows], [texts.ids[r] for r in rows.tolist()]):
         js = [by_id[i] for i in ids]
         found = [[d for d in j.relevant_ids if d in index.store] for j in js]
         ranks = [{} for _ in js]

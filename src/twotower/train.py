@@ -201,7 +201,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     total_steps = cfg.epochs * len(batches)
     has_val = ds.split_sizes()["val"] > 0
 
-    model.meta = {**model.meta, "train_config": _jsonable(asdict(cfg))}
+    model.meta = {**model.meta, "train_config": asdict(cfg)}
 
     state = OptimizerState.for_params(model.params)
     params = model.params
@@ -284,13 +284,3 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
         final_lr=lr,
     )
     return checkpoint_from_bytes(best_snapshot), report
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)

@@ -605,6 +605,33 @@ class TestEvalCommand:
             "message": f"{manifest}: manifest has no pairs in split 'dev'",
         }
 
+    @pytest.mark.parametrize("given", [["--split", ""], ["--set", "eval.split="]])
+    def test_empty_split_exit_2(self, pipeline, capsys, given):
+        # an empty flag is given, as an empty --set is: it selects no pairs
+        manifest = pipeline / "ds" / "manifest.jsonl"
+        code, _, err = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(pipeline / "ds" / "texts.emb"), "--manifest", str(manifest)] + given,
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataFormatError",
+            "message": f"{manifest}: manifest has no pairs in split ''",
+        }
+
+    @pytest.mark.parametrize("truth", [["--manifest", "m.jsonl", "--judgments", "j.jsonl"], []],
+                             ids=["both", "neither"])
+    def test_ground_truth_is_exactly_one_source_exit_1(self, pipeline, capsys, truth):
+        code, _, err = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(pipeline / "ds" / "texts.emb")] + truth,
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+        assert "--manifest" in json.loads(err)["message"]
+
     def test_manifest_repeated_text_id_exit_2(self, pipeline, tmp_path, capsys):
         rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]
         first, second = [r for r in rows if r["split"] == "test"][:2]
@@ -666,6 +693,21 @@ class TestErrorsAndHelp:
                             "--out", "/tmp/x.azi"], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("command", ["synth", "index"])
+    def test_os_error_on_an_output_path_exit_2(self, pipeline, tmp_path, capsys, command):
+        # a regular file where a directory is needed: NotADirectoryError, one JSON line
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = {
+            "synth": ["synth", "--out-dir", str(blocker / "sub")] + SMALL,
+            "index": ["index", "--checkpoint", str(pipeline / "model.ckpt"),
+                      "--images", str(pipeline / "ds" / "images.emb"), "--out", str(blocker / "x.idx")],
+        }[command]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NotADirectoryError"
 
     def test_bad_magic_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.emb"
@@ -997,6 +1039,28 @@ class TestConfigMachinery:
         cfg = cli.effective_config(args)
         assert cfg["seed"] == 5
         assert cfg["train"]["epochs"] == 9
+
+    def test_each_override_is_typed_by_the_defaults(self, pipeline, tmp_path, capsys):
+        # an int from the config file does not make train.lr_max an int for --set
+        cfg_file, out = tmp_path / "c.json", tmp_path / "ingest.json"
+        cfg_file.write_text(json.dumps({"data": {"captions_per_image": 2}, "train": {"lr_max": 1}}))
+        code, _, err = run([str(a) for a in ingest(pipeline, "--config", cfg_file, "--set",
+                                                   "train.lr_max=0.002", "--out", out)], capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text())["config"]["train"]["lr_max"] == 0.002
+
+    def test_empty_config_path_is_given_exit_2(self, pipeline, capsys):
+        code, _, err = run([str(a) for a in ingest(pipeline, "--config", "")], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "FileNotFoundError"
+
+    def test_absent_flag_keeps_the_config_file_value(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"data": {"allow_ragged": True}}))
+        args = cli.build_parser().parse_args(
+            ["ingest", "--manifest", "m", "--images", "i", "--texts", "t", "--config", str(cfg_file)]
+        )
+        assert cli.effective_config(args)["data"]["allow_ragged"] is True
 
     def test_nested_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "c.json"

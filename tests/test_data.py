@@ -319,13 +319,13 @@ class TestEmbeddingStore:
 
     def test_rows_gather_order(self):
         store = small_store(n=4)
-        out = store.rows(["id2", "id0"])
+        out = store.vectors[store.index(["id2", "id0"])]
         np.testing.assert_array_equal(out[0], store.row("id2"))
         np.testing.assert_array_equal(out[1], store.row("id0"))
 
     def test_rows_are_writable_copies(self):
         store = small_store(n=3)
-        out = store.rows(["id1"])
+        out = store.vectors[store.index(["id1"])]
         out[0, 0] += 1.0
         assert out[0, 0] != store.vectors[1, 0]
 

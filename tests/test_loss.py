@@ -11,7 +11,7 @@ from oracles import (
     similarity_logits,
 )
 from twotower.errors import DegenerateRowError, ShapeError
-from twotower.linalg import l2_normalize_rows, log_softmax_rows
+from twotower.linalg import as_matrix, log_softmax_rows
 from twotower.loss import LossConfig, contrastive_loss, loss_backward, loss_forward
 from twotower.model import ProjectionHead, DualEncoderModel, init_model
 
@@ -421,7 +421,7 @@ class TestFusedStepMatchesReference:
         with pytest.raises(ValueError, match="^similarity logits contains non-finite entries$"):
             contrastive_loss(s, LossConfig())
         with pytest.raises(ValueError, match="non-finite"):
-            l2_normalize_rows(s, "m", None)
+            as_matrix(s, "m")
 
     def test_overflowing_projection_raises_without_warnings(self, recwarn):
         model = init_model(4, 3, 2, seed=36)

@@ -2,9 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from allocation import raises_small
 from oracles import oracle_rank, oracle_topk
+from twotower import linalg
 from twotower import model as model_module
 from twotower import retrieval
 from twotower.data import EmbeddingStore
@@ -15,7 +18,6 @@ from twotower.errors import (
     ShapeError,
     TruncatedFileError,
 )
-from twotower.linalg import l2_normalize_rows
 from twotower.metrics import QueryJudgment, evaluate_run, metrics_from_ranks
 from twotower.model import (
     DualEncoderModel,
@@ -246,7 +248,7 @@ class TestEvaluate:
                 relevant = [str(d) for d in rng.choice(pool, size=size, replace=False)]
                 judgments.append(QueryJudgment(q, frozenset(relevant), str(rng.choice(relevant))))
             judgments = [judgments[i] for i in rng.permutation(len(judgments))]
-            sub = EmbeddingStore(ids=judged, vectors=texts.rows(judged), kind="text_feature")
+            sub = EmbeddingStore(ids=judged, vectors=texts.vectors[texts.index(judged)], kind="text_feature")
             want = evaluate_run(batch_query(idx, model, sub, k=len(idx)), judgments)
             assert evaluate(idx, model, texts, judgments) == want
 
@@ -361,7 +363,7 @@ def index_of(model, vectors):
 def per_row_topk(index_ids, index_vectors, model, text_feature, k):
     """``oracle_topk`` with every score taken by the per-row reduction: the unbanded scan."""
     raw = project(model.text_head, np.asarray(text_feature, dtype=np.float64)[None, :])
-    q = l2_normalize_rows(raw, "query", None).matrix[0]
+    q = linalg.unit_rows(linalg.as_matrix(raw), "query", None).matrix[0]
     scores = (index_vectors * q).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
     return [index_ids[i] for i in order], [float(np.clip(scores[i], -1.0, 1.0)) for i in order]
@@ -400,7 +402,7 @@ def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, rele
     by_id = {j.query_id: j for j in judgments}
     band = retrieval._score_band(index.vectors.shape[1])
     oracle = []
-    for ids, q, g in retrieval._blocks(index, model, texts, texts.ids):
+    for ids, q, g in retrieval._blocks(index, model, texts.vectors, texts.ids):
         for qid, qv, gv in zip(ids, q, g):
             found = [d for d in by_id[qid].relevant_ids if d in index.store]
             oracle.append({d: oracle_rank(index, qv, gv, index.ids.index(d), band) for d in found})
@@ -457,7 +459,7 @@ class TestScoreBand:
         texts = EmbeddingStore(
             ids=[f"q{i}" for i in range(len(queries))], vectors=queries, kind="text_feature"
         )
-        q = l2_normalize_rows(queries, "query", None).matrix
+        q = linalg.unit_rows(linalg.as_matrix(queries), "query", None).matrix
         assert ((q @ vectors.T) != (vectors[None] * q[:, None]).sum(axis=2)).any()
         n = len(index)
         check_band(monkeypatch, index, model, texts, ks=(1, 7, n, n + 1), reference=per_row_topk)
@@ -489,6 +491,34 @@ class TestScoreBand:
         )
         relevant = [index.ids[i] for i in rng.choice(2000, size=4, replace=False)]
         check_band(monkeypatch, index, model, texts, ks=(10,), relevant=relevant)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d_in=st.integers(1, 40),
+    d_out=st.integers(1, 12),
+    n=st.integers(1, 12),
+    block=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d_in=3, d_out=1, n=1, block=1, seed=0)
+@example(d_in=5, d_out=1, n=7, block=3, seed=1)
+def test_blocks_project_each_row_as_project_does(d_in, d_out, n, block, seed):
+    # the reference: each row through project on its own, then unit_rows over the rows
+    rng = np.random.default_rng(seed)
+    head = lambda: ProjectionHead(w=rng.standard_normal((d_in, d_out)), b=rng.standard_normal(d_out))
+    model = DualEncoderModel(head(), head(), d_out)
+    index = index_of(model, unit_rows(rng.standard_normal((int(rng.integers(1, 6)), d_out))))
+    texts = rng.standard_normal((n, d_in)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    order = rng.permutation(n)
+    features, ids = texts[order], [f"q{i}" for i in order]  # gathered out of order, as evaluate does
+    raw = np.concatenate([project(model.text_head, features[i:i + 1]) for i in range(n)])
+    want = linalg.unit_rows(raw, "query", ids).matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_BLOCK_BYTES", 8 * len(index) * block)  # blocks of ``block`` rows
+        blocks = list(retrieval._blocks(index, model, features, ids))
+    assert [i for b, _, _ in blocks for i in b] == ids
+    assert np.concatenate([q for _, q, _ in blocks]).tobytes() == want.tobytes()
 
 
 class TestIndexFile:

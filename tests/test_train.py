@@ -309,8 +309,8 @@ class TestTrain:
         model_a = load_checkpoint(p)
 
         batch = ds.pairs_for_split("train")[:8]
-        img = ds.image_store.rows([q.image_id for q in batch])
-        txt = ds.text_store.rows([q.text_id for q in batch])
+        img = ds.image_store.vectors[ds.image_store.index([q.image_id for q in batch])]
+        txt = ds.text_store.vectors[ds.text_store.index([q.text_id for q in batch])]
         outs = []
         for model in (model_a, model_b):
             _, grads = loss_backward(img, txt, model, LossConfig())

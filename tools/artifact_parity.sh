@@ -10,6 +10,11 @@
 # checkpoint, JSON-lines log, index, every stage's stdout, CLI query output
 # for the first test caption at --k 7 and --k 5000, and the dataset, ingest,
 # train and eval reports with their "meta" block removed (timing lives there).
+# Eval runs twice: from --manifest, where each query has one relevant image,
+# and from --judgments, on a file that gives each test caption its own image
+# and the next test image in id order as relevant, so evaluate's ranking of
+# several relevant images per query is compared too (eval_judgments.out and
+# eval_judgments.json).
 # It then truncates each binary artifact (stores, checkpoint, index) to half
 # its length, and separately flips all bits of its first byte, runs index and
 # query with the corrupt copy in place, and compares the exit code and the
@@ -79,6 +84,24 @@ run_pipeline() {  # tree, run dir, config flags
                 --texts data/texts.emb --manifest data/manifest.jsonl \
                 --report eval.json > eval.out
         }
+        "$python" - data/manifest.jsonl judgments.jsonl <<'EOF'
+import json
+import sys
+
+source, out = sys.argv[1:]
+rows = [r for r in map(json.loads, open(source, encoding="utf-8")) if r["split"] == "test"]
+images = sorted({r["image_id"] for r in rows})
+following = dict(zip(images, images[1:] + images[:1]))
+with open(out, "w", encoding="utf-8") as fh:
+    for r in rows:
+        relevant = sorted({r["image_id"], following[r["image_id"]]})
+        line = {"query_id": r["text_id"], "relevant_ids": relevant, "correct_id": r["image_id"]}
+        fh.write(json.dumps(line) + "\n")
+EOF
+        # shellcheck disable=SC2086  # the flags are meant to split
+        "$python" -m twotower eval $sets --index images.idx --checkpoint model.ckpt \
+            --texts data/texts.emb --judgments judgments.jsonl \
+            --report eval_judgments.json > eval_judgments.out
         # the first held-out caption, ranked at a small k and at a k past the index size
         local qid
         qid=$("$python" -c 'import json, sys
@@ -226,8 +249,8 @@ for entry in "${configs[@]}"; do
     run_pipeline "$parent" "$work/$name/parent" "$sets"
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
-        images.idx synth.out ingest.out train.out index.out eval.out query7.out query5000.out \
-        corrupt.out id_faults.out manifest_faults.out; do
+        images.idx synth.out ingest.out train.out index.out eval.out eval_judgments.out \
+        query7.out query5000.out corrupt.out id_faults.out manifest_faults.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
@@ -236,7 +259,7 @@ for entry in "${configs[@]}"; do
         fi
         printf '%-14s %-34s %s\n' "$name" "$f" "$verdict"
     done
-    for f in data/dataset.json ingest.json train.json eval.json; do
+    for f in data/dataset.json ingest.json train.json eval.json eval_judgments.json; do
         if same_outside_meta "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
