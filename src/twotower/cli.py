@@ -54,7 +54,7 @@ from .loss import LossConfig
 from .metrics import QueryJudgment, format_table, judgments_by_id
 from .model import init_model, load_checkpoint
 from .retrieval import build_index, evaluate, load_index, query, save_index
-from .train import TrainConfig, train
+from .train import TrainConfig, _json_number, train
 
 DEFAULT_CONFIG = {
     "seed": 42,
@@ -185,9 +185,44 @@ def _meta_block() -> dict:
     return {"created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
-def _write_json(path, payload):
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
+
+
+def _write_json(path, payload):
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _query_row(row) -> str:
+    """One ``metrics.per_query`` row as ``json.dumps(indent=2, sort_keys=True)`` lays it out."""
+    return (
+        '      {\n'
+        f'        "ap": {_json_number(row["ap"])},\n'
+        f'        "ar": {_json_number(row["ar"])},\n'
+        f'        "f1": {_json_number(row["f1"])},\n'
+        f'        "query_id": {json.dumps(row["query_id"])},\n'
+        f'        "top1": {_json_number(row["top1"])},\n'
+        f'        "top10": {_json_number(row["top10"])},\n'
+        f'        "top5": {_json_number(row["top5"])}\n'
+        '      }'
+    )
+
+
+def _eval_report_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` of an eval report.
+
+    With ``indent`` set, ``json`` encodes in pure Python, and the per-query
+    rows are nearly all of the report, so they are formatted directly.
+    """
+    metrics = payload["metrics"]
+    rows = metrics["per_query"]
+    text = json.dumps({**payload, "metrics": {**metrics, "per_query": []}}, indent=2, sort_keys=True)
+    if not rows:
+        return text
+    # JSON strings escape their newlines, so only the metrics block's own line can match
+    body = ",\n".join(map(_query_row, rows))
+    return text.replace('\n    "per_query": []', f'\n    "per_query": [\n{body}\n    ]', 1)
 
 
 def _load_store(path, kind):
@@ -249,7 +284,7 @@ def cmd_ingest(args) -> int:
         "splits": ds.split_sizes(),
         "dims": {"image": ds.image_store.dim, "text": ds.text_store.dim},
     }
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, report)
     print(json.dumps({k: report[k] for k in ("counts", "splits", "dims")}))
     return EXIT_OK
@@ -278,7 +313,7 @@ def cmd_train(args) -> int:
     best, report = train(model, ds, train_cfg, checkpoint_path=args.checkpoint, log_path=args.log)
     payload = report.as_dict()
     wall = payload.pop("wall_seconds")
-    if args.report:
+    if args.report is not None:
         _write_json(
             args.report,
             {"meta": {**_meta_block(), "wall_seconds": wall}, "config": cfg, "report": payload},
@@ -397,55 +432,52 @@ def cmd_eval(args) -> int:
     report = evaluate(index, model, texts, judgments)
 
     dataset_name = cfg["eval"]["dataset_name"]
-    model_name = args.model_name or Path(args.checkpoint).stem
+    model_name = Path(args.checkpoint).stem if args.model_name is None else args.model_name
     metrics = report.as_dict()
     row = {"model": model_name, "dataset": dataset_name, **metrics}
-    if args.report:
-        _write_json(
+    if args.report is not None:
+        _write_text(
             args.report,
-            {
+            _eval_report_text({
                 "meta": _meta_block(),
                 "config": cfg,
                 "model": model_name,
                 "dataset": dataset_name,
                 "split": split,
                 "metrics": metrics,
-            },
+            }),
         )
     print(format_table([row]))
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="twotower", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_args(p):
+    p.add_argument("--config", default=None, help="JSON run config (default: built-in defaults)")
+    p.add_argument(
+        "--set",
+        action="append",
+        metavar="SECTION.KEY=VALUE",
+        help="override one config value, e.g. --set train.epochs=5 (default: no overrides)",
+    )
+    p.add_argument("--seed", type=int, default=None, help="override the top-level seed (default: 42)")
 
-    def add_common(p):
-        p.add_argument("--config", default=None, help="JSON run config (default: built-in defaults)")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="SECTION.KEY=VALUE",
-            help="override one config value, e.g. --set train.epochs=5 (default: no overrides)",
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the top-level seed (default: 42)")
 
-    p = sub.add_parser("synth", help="generate a synthetic paired dataset")
-    add_common(p)
+def _synth_args(p):
+    _common_args(p)
     p.add_argument("--out-dir", required=True, help="output directory for images.emb, texts.emb, manifest.jsonl")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="validate a manifest + embedding files as a paired dataset")
-    add_common(p)
+
+def _ingest_args(p):
+    _common_args(p)
     p.add_argument("--manifest", required=True, help="caption manifest (JSON-lines)")
     p.add_argument("--images", required=True, help="image embedding store")
     p.add_argument("--texts", required=True, help="text embedding store")
     p.add_argument("--allow-ragged", action="store_true", default=None, help="accept images with a caption count other than data.captions_per_image; sets data.allow_ragged (default: the config's data.allow_ragged, false)")
     p.add_argument("--out", default=None, help="write a JSON ingest report here (default: stdout summary only)")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train projection heads on a paired dataset")
-    add_common(p)
+
+def _train_args(p):
+    _common_args(p)
     p.add_argument("--manifest", required=True, help="caption manifest (JSON-lines)")
     p.add_argument("--images", required=True, help="image embedding store")
     p.add_argument("--texts", required=True, help="text embedding store")
@@ -453,25 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="path for the best-validation checkpoint")
     p.add_argument("--log", default=None, help="JSON-lines training log path (default: no log)")
     p.add_argument("--report", default=None, help="JSON training report path (default: no report)")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("index", help="project an image store and build a retrieval index")
+
+def _index_args(p):
     p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
     p.add_argument("--images", required=True, help="image embedding store (kind=image_feature)")
     p.add_argument("--out", required=True, help="index file path")
-    p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("query", help="rank indexed images against one text embedding")
+
+def _query_args(p):
     p.add_argument("--index", required=True, help="index file from the index command")
     p.add_argument("--checkpoint", required=True, help="the checkpoint that built the index")
     p.add_argument("--embedding", default=None, help="inline JSON array query vector (default: use --texts/--text-id)")
     p.add_argument("--texts", default=None, help="text embedding store to take the query row from (default: none)")
     p.add_argument("--text-id", default=None, help="id of the query row inside --texts (default: none)")
     p.add_argument("--k", type=int, default=10, help="number of hits to return (default: 10)")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("eval", help="evaluate retrieval quality for one dataset")
-    add_common(p)
+
+def _eval_args(p):
+    _common_args(p)
     p.add_argument("--index", required=True, help="index file from the index command")
     p.add_argument("--checkpoint", required=True, help="the checkpoint that built the index")
     p.add_argument("--texts", required=True, help="text embedding store holding the query rows")
@@ -482,8 +514,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-name", default=None, help="dataset label for the report table; sets eval.dataset_name (default: 'dataset')")
     p.add_argument("--model-name", default=None, help="model label for the report table (default: checkpoint stem)")
     p.add_argument("--report", default=None, help="JSON metrics report path (default: no report)")
-    p.set_defaults(func=cmd_eval)
 
+
+# command -> (help line, handler, the function that adds its arguments), in help order
+_COMMANDS = {
+    "synth": ("generate a synthetic paired dataset", cmd_synth, _synth_args),
+    "ingest": ("validate a manifest + embedding files as a paired dataset", cmd_ingest, _ingest_args),
+    "train": ("train projection heads on a paired dataset", cmd_train, _train_args),
+    "index": ("project an image store and build a retrieval index", cmd_index, _index_args),
+    "query": ("rank indexed images against one text embedding", cmd_query, _query_args),
+    "eval": ("evaluate retrieval quality for one dataset", cmd_eval, _eval_args),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser, holding only ``command``'s subparser when that names a command.
+
+    Any other ``command`` (None, ``--help``, an unknown word) gets every
+    subparser, so top-level help and the invalid-choice error list them all.
+    Each ``add_argument`` builds a help formatter, so a call that builds
+    one command's parser starts its work sooner, in a fresh process too.
+    """
+    parser = _Parser(prog="twotower", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, func, add_args) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -502,7 +561,8 @@ def _fail(kind, message, code) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         # a value that overflows is named by check_norms or the divergence guard,

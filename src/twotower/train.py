@@ -207,7 +207,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     params = model.params
     images, texts = ds.image_store.vectors, ds.text_store.vectors
     batch_rows = [(image_rows[batch], text_rows[batch]) for batch in batches]
-    log = open(log_path, "w", encoding="utf-8") if log_path else None
+    log = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     best = math.inf
     best_epoch = 0
     best_snapshot = None
@@ -259,7 +259,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                 best_epoch = epoch
                 writes += 1
                 best_snapshot = checkpoint_bytes(model)
-                if checkpoint_path:
+                if checkpoint_path is not None:
                     with _write_atomic(checkpoint_path) as fh:
                         fh.write(best_snapshot)
             train_losses.append(train_loss)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -434,6 +435,33 @@ class TestQueryCommand:
         assert json.loads(err)["error"] == "usage"
 
 
+# metric values as evaluate makes them (numpy float64 included), edge spellings first
+_METRIC_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-05, 5e-324, 0.5, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@st.composite
+def eval_payloads(draw):
+    """An eval report as ``cmd_eval`` builds it, with any query ids and finite metric values."""
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "query_id": st.text(),  # non-ASCII, quotes, backslashes and control characters included
+        "ap": _METRIC_VALUES, "ar": _METRIC_VALUES, "f1": _METRIC_VALUES,
+        "top1": st.integers(), "top5": st.integers(), "top10": st.integers(),
+    }), max_size=draw(st.sampled_from([0, 1, 40]))))
+    metrics = {k: draw(_METRIC_VALUES) for k in ("map", "mar", "maf1", "top1", "top5", "top10")}
+    return {
+        "meta": {"created_utc": "2024-01-01T00:00:00Z"},
+        "config": cli.DEFAULT_CONFIG,
+        "model": draw(st.text()),
+        "dataset": draw(st.text()),
+        "split": draw(st.one_of(st.none(), st.text())),
+        "metrics": {**metrics, "per_query": rows},
+    }
+
+
 class TestEvalCommand:
     def test_table_and_report(self, pipeline, capsys):
         ds = pipeline / "ds"
@@ -454,6 +482,12 @@ class TestEvalCommand:
             [1 for line in (ds / "manifest.jsonl").read_text().splitlines()
              if json.loads(line)["split"] == "test"]
         )
+        assert report_path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=eval_payloads())
+    def test_report_text_is_json_dumps(self, payload):
+        assert cli._eval_report_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
     def test_split_and_dataset_name_flags_are_echoed(self, pipeline, tmp_path, capsys):
         ds = pipeline / "ds"
@@ -1019,6 +1053,143 @@ class TestErrorsAndHelp:
         for flag in ("--manifest", "--images", "--texts", "--checkpoint", "--log",
                      "--report", "--config", "--set", "--seed", "--allow-ragged"):
             assert flag in out
+
+
+def train_args(p, *flags):
+    """A short ``train`` of the pipeline's dataset with ``flags``."""
+    ds = p / "ds"
+    return ["train", "--manifest", str(ds / "manifest.jsonl"), "--images", str(ds / "images.emb"),
+            "--texts", str(ds / "texts.emb"), *flags] + SMALL + FAST_TRAIN
+
+
+def eval_on_manifest(p, *flags):
+    """``eval`` of the pipeline's index on its manifest's test split, with ``flags``."""
+    return ["eval", "--index", str(p / "idx.azi"), "--checkpoint", str(p / "model.ckpt"),
+            "--texts", str(p / "ds" / "texts.emb"), "--manifest", str(p / "ds" / "manifest.jsonl"), *flags]
+
+
+# An empty output path is given, as `--config ""` is: the write fails, exit 2.
+EMPTY_OUTPUTS = {
+    "ingest --out": lambda p, t: [str(a) for a in ingest(p, "--out", "", *SMALL)],
+    "train --report": lambda p, t: train_args(p, "--checkpoint", str(t / "m.ckpt"), "--report", ""),
+    "train --log": lambda p, t: train_args(p, "--checkpoint", str(t / "m.ckpt"), "--log", ""),
+    "train --checkpoint": lambda p, t: train_args(p, "--checkpoint", ""),
+    "eval --report": lambda p, t: eval_on_manifest(p, "--report", ""),
+}
+
+
+class TestEmptyOutputPaths:
+    @pytest.mark.parametrize("case", EMPTY_OUTPUTS)
+    def test_empty_output_path_exit_2(self, pipeline, tmp_path, capsys, monkeypatch, case):
+        # the atomic writer puts its temporary file beside the path: here, in the working directory
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(EMPTY_OUTPUTS[case](pipeline, tmp_path), capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "FileNotFoundError"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_empty_model_name_labels_the_row(self, pipeline, tmp_path, capsys):
+        report = tmp_path / "eval.json"
+        code, stdout, _ = run(eval_on_manifest(pipeline, "--model-name", "", "--report", str(report)),
+                              capsys)
+        assert code == 0
+        assert json.loads(report.read_text())["model"] == ""
+        assert stdout.splitlines()[2].startswith(" " * len("Model"))
+
+
+# Each command's valid argv lists: every flag, defaults, repeats and abbreviations.
+VALID_ARGV = [
+    ["synth", "--out-dir", "d"],
+    ["synth", "--out-dir", "d", "--seed", "3", "--set", "a.b=1", "--set", "c=2", "--config", "c.json"],
+    ["ingest", "--manifest", "m", "--images", "i", "--texts", "t"],
+    ["ingest", "--manifest", "m", "--images", "i", "--texts", "t", "--allow-ragged", "--out", ""],
+    ["train", "--manifest", "m", "--images", "i", "--texts", "t", "--checkpoint", "c"],
+    ["train", "--manifest", "m", "--images", "i", "--texts", "t", "--checkpoint", "c",
+     "--log", "l", "--report", "r", "--allow-ragged", "--seed=7"],
+    ["index", "--checkpoint", "c", "--images", "i", "--out", "o"],
+    ["query", "--index", "x", "--checkpoint", "c", "--embedding", "[1]"],
+    ["query", "--index", "x", "--checkpoint", "c", "--texts", "t", "--text-id", "q", "--k", "3"],
+    ["query", "--ind", "x", "--check", "c", "--text-id", "q"],
+    ["eval", "--index", "x", "--checkpoint", "c", "--texts", "t", "--manifest", "m"],
+    ["eval", "--index", "x", "--checkpoint", "c", "--texts", "t", "--judgments", "j",
+     "--split", "s", "--dataset-name", "d", "--model-name", "n", "--report", "r", "--set", "a=1"],
+]
+BAD_ARGV = [
+    [],
+    ["synth"],
+    ["ingest", "--manifest", "m", "--images", "i"],
+    ["train", "--manifest", "m", "--images", "i", "--texts", "t"],
+    ["index", "--checkpoint", "c", "--images", "i"],
+    ["query", "--index", "x"],
+    ["eval", "--index", "x", "--checkpoint", "c", "--texts", "t"],
+    ["synth", "--out-dir", "d", "--nope"],
+    ["ingest", "--manifest", "m", "--images", "i", "--texts", "t", "--nope", "1"],
+    ["train", "--bogus"],
+    ["index", "--checkpoint", "c", "--images", "i", "--out", "o", "extra"],
+    ["query", "--index", "x", "--checkpoint", "c", "--k", "x"],
+    ["eval", "--index", "x", "--checkpoint", "c", "--texts", "t", "--manifest", "m", "--judgments", "j"],
+    ["eval", "--nope"],
+]
+
+
+COMMAND_HELP = {
+    "synth": "generate a synthetic paired dataset",
+    "ingest": "validate a manifest + embedding files as a paired dataset",
+    "train": "train projection heads on a paired dataset",
+    "index": "project an image store and build a retrieval index",
+    "query": "rank indexed images against one text embedding",
+    "eval": "evaluate retrieval quality for one dataset",
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+    def test_one_command_parser_parses_as_the_full_parser(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda a: " ".join(a) or "(none)")
+    def test_one_command_parser_refuses_as_the_full_parser(self, argv):
+        messages = []
+        for parser in (cli.build_parser(argv[0] if argv else None), cli.build_parser()):
+            with pytest.raises(cli._UsageError) as exc:
+                parser.parse_args(argv)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_a_command_builds_only_its_own_subparser(self, pipeline, capsys, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        code, _, _ = run(["query", "--index", str(pipeline / "idx.azi"),
+                          "--checkpoint", str(pipeline / "model.ckpt"),
+                          "--texts", str(pipeline / "ds" / "texts.emb"), "--text-id", "img00#c0"],
+                         capsys)
+        assert code == 0
+        assert built == ["query"]
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        words = " ".join(capsys.readouterr().out.split())  # help lines wrap at the terminal width
+        for name, help_line in COMMAND_HELP.items():
+            assert f" {name} {help_line} " in words, name
+
+    def test_unknown_command_names_every_choice_exit_1(self, capsys):
+        code, out, err = run(["bogus"], capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "argument command: invalid choice: 'bogus' (choose from "
+            + ", ".join(map(repr, COMMAND_HELP)) + ")",
+        }
 
 
 class TestConfigMachinery:

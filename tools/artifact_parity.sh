@@ -33,6 +33,13 @@
 # each, then runs eval --judgments on a judgments file whose one line names an
 # unknown image id, and compares the exit code and the whole stderr of every
 # run (manifest_faults.out).
+# Once per tree, outside the configs, it runs the help of the top level and
+# of each command, a bare "twotower", an unknown command, and for each
+# command a run missing a required flag and a run with an unknown flag,
+# plus "query --k x" and "eval" given both --manifest and --judgments. It
+# compares the exit code, stdout and stderr of every run in full, at
+# COLUMNS=80 (usage.out): a call builds only its own command's parser, and
+# help and usage errors must read as they did.
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -224,6 +231,50 @@ EOF
     )
 }
 
+run_usage() {  # tree, run dir
+    local tree=$1 dir=$2
+    mkdir -p "$dir"
+    (
+        cd "$dir"
+        export PYTHONPATH="$tree/src" COLUMNS=80
+        local args code
+        while IFS= read -r args; do
+            code=0
+            # shellcheck disable=SC2086  # each line splits into its arguments; none is a glob
+            "$python" -m twotower $args > run.stdout 2> run.stderr || code=$?
+            {
+                echo "twotower $args -> exit $code"
+                echo "stdout:"; cat run.stdout
+                echo "stderr:"; cat run.stderr
+            } >> usage.out
+        done <<'EOF'
+--help
+synth --help
+ingest --help
+train --help
+index --help
+query --help
+eval --help
+
+bogus
+synth
+synth --out-dir d --bogus
+ingest --manifest m --images i
+ingest --manifest m --images i --texts t --bogus
+train --manifest m --images i --texts t
+train --manifest m --images i --texts t --checkpoint c --bogus
+index --checkpoint c --images i
+index --checkpoint c --images i --out o --bogus
+query --index x
+query --index x --checkpoint c --bogus
+query --index x --checkpoint c --text-id q --k x
+eval --index x --checkpoint c --texts t
+eval --index x --checkpoint c --texts t --manifest m --bogus
+eval --index x --checkpoint c --texts t --manifest m --judgments j
+EOF
+    )
+}
+
 error_kind() {  # the "error" field of a stderr file, or "-" when it is empty
     "$python" -c 'import json, sys
 text = open(sys.argv[1], encoding="utf-8").read()
@@ -243,6 +294,15 @@ EOF
 }
 
 failed=0
+run_usage "$parent" "$work/usage/parent"
+run_usage "$change" "$work/usage/change"
+if cmp -s "$work/usage/parent/usage.out" "$work/usage/change/usage.out"; then
+    verdict=same
+else
+    verdict=DIFF
+    failed=1
+fi
+printf '%-14s %-34s %s\n' usage usage.out "$verdict"
 for entry in "${configs[@]}"; do
     name=${entry%%|*}
     sets=${entry#*|}
