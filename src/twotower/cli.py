@@ -33,7 +33,9 @@ import numpy as np
 
 from .data import (
     _JSON_FAULTS,
+    _check_writable,
     _json_lines,
+    _write_atomic,
     augment_dataset,
     build_pairs,
     load_embeddings,
@@ -186,8 +188,8 @@ def _meta_block() -> dict:
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    with _write_atomic(path) as fh:
+        fh.write(f"{text}\n".encode("utf-8"))
 
 
 def _write_json(path, payload):
@@ -292,6 +294,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = effective_config(args)
+    if args.report is not None:  # a bad path fails here, not after the last epoch
+        _check_writable(args.report)
     ds = _load_dataset(args, cfg)
     if not ds.split_sizes()["train"]:
         raise DataFormatError(f"{args.manifest}: no pairs in split 'train'")

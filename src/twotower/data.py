@@ -26,6 +26,7 @@ stores must use the same ids.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -336,23 +337,49 @@ def _read(path) -> _Reader:
         return _Reader(fh.read(), path)
 
 
+def _open_beside(path):
+    """(name, handle) of a new temporary file beside ``path``; a fault names ``path``."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        return tmp, open(tmp, "xb")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+
+
 @contextlib.contextmanager
 def _write_atomic(path):
     """Open ``path`` for binary writing; it holds the new bytes or its old ones.
 
     Writes go to a temporary file beside ``path`` that replaces it on a
-    clean exit and is removed on error. No fsync: this survives a crash of
-    the process, not of the machine.
+    clean exit and is removed on error; a fault in making or placing it
+    names ``path``. No fsync: this survives a crash of the process, not of
+    the machine.
     """
-    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "xb")
+    tmp, fh = _open_beside(path)
     try:
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
         raise
+
+
+def _check_writable(path):
+    """Raise now the fault that ``_write_atomic(path)`` would meet, and write nothing.
+
+    The temporary file is made and removed; its replace onto ``path``
+    fails for an empty path or a directory, which are checked directly.
+    """
+    p = os.fspath(path)
+    if not p or os.path.isdir(p):
+        code = errno.EISDIR if p else errno.ENOENT
+        raise OSError(code, os.strerror(code), p)
+    tmp, fh = _open_beside(p)
+    fh.close()
+    os.unlink(tmp)
 
 
 def write_store(fh, store: EmbeddingStore):

@@ -147,28 +147,22 @@ def _blocks(index, model, features, ids):
 
 
 def _ranks(index, q, g, who, rows, band) -> np.ndarray:
-    """1-based places of index ``rows`` in the exact orders of block queries ``who``.
+    """1-based places of index ``rows[i]`` in the exact order of block query ``who[i]``.
 
-    ``q`` and ``g`` are a block's unit queries and GEMM scores; ``who`` names
-    each query at most once. With e the exact score of a query's row, index
-    rows whose GEMM score is above e + band score above e, those below
-    e - band score below it, and only the rest are re-scored; a tie counts
-    when it falls before the row. The thresholds of the queries not in
-    ``who`` are infinite, so each comparison runs over the whole block and
-    no scores are gathered.
+    ``q`` and ``g`` are a block's unit queries and GEMM scores; ``who`` may
+    repeat a query. With e the exact score of a pair's row, the gathered
+    GEMM row of its query decides: index rows scoring above e + band score
+    above e, those below e - band score below it, and only the rest are
+    re-scored; a tie counts when it falls before the row.
     """
     e = _exact(index, q[who], rows)
-    lo, hi = np.full((2, len(g)), np.inf)
-    lo[who], hi[who] = e - band, e + band
-    above = g > hi[:, None]
+    g = g[who]
+    above = g > (e + band)[:, None]
     # divmod of flat positions: np.nonzero over two axes is ten times slower
-    near_q, near_rows = np.divmod(np.flatnonzero((g >= lo[:, None]) & ~above), g.shape[1])
-    slot = np.empty(len(g), dtype=np.intp)
-    slot[who] = np.arange(len(who))
-    p = slot[near_q]
-    s = _exact(index, q[near_q], near_rows)
-    before = (s > e[p]) | ((s == e[p]) & (near_rows < rows[p]))
-    return 1 + np.count_nonzero(above, axis=1)[who] + np.bincount(p[before], minlength=len(who))
+    p, near = np.divmod(np.flatnonzero((g >= (e - band)[:, None]) & ~above), g.shape[1])
+    s = _exact(index, q[who[p]], near)
+    before = (s > e[p]) | ((s == e[p]) & (near < rows[p]))
+    return 1 + np.count_nonzero(above, axis=1) + np.bincount(p[before], minlength=len(who))
 
 
 def query(index, model, text_feature, k, query_id="query") -> RankedResult:
@@ -216,7 +210,9 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
 
     No ranking is built: relevant image row r, with exact score e, gets rank
     1 + #(scores > e) + #(scores[:r] == e), its place in ``batch_query``'s
-    order (see ``_ranks``). Relevant ids not in the index count as never
+    order (see ``_ranks``). A block's (query, relevant row) pairs are ranked
+    at most the block's query count at a time, so their gathered GEMM rows
+    fit in ``_BLOCK_BYTES``. Relevant ids not in the index count as never
     retrieved. Unjudged rows are skipped; per-query rows follow store order.
     """
     by_id = judgments_by_id(judgments)
@@ -229,14 +225,12 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
     judged = []
     for ids, q, g in _blocks(index, model, texts.vectors[rows], [texts.ids[r] for r in rows.tolist()]):
         js = [by_id[i] for i in ids]
-        found = [[d for d in j.relevant_ids if d in index.store] for j in js]
+        pairs = [(i, d) for i, j in enumerate(js) for d in j.relevant_ids if d in index.store]
         ranks = [{} for _ in js]
-        # pass k ranks the k-th found id of each query that has one: a query at most once
-        for k in range(max(map(len, found), default=0)):
-            who = [i for i, f in enumerate(found) if len(f) > k]
-            ranked = [found[i][k] for i in who]
-            places = _ranks(index, q, g, who, index.store.index(ranked), band)
-            for i, d, place in zip(who, ranked, places.tolist()):
+        for start in range(0, len(pairs), len(js)):
+            who, docs = zip(*pairs[start:start + len(js)])
+            places = _ranks(index, q, g, np.array(who), index.store.index(docs), band)
+            for i, d, place in zip(who, docs, places.tolist()):
                 ranks[i][d] = place
         judged += zip(js, ranks)
     return metrics_from_ranks(judged)

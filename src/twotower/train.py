@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import PairedDataset, _write_atomic, make_batches
+from .data import PairedDataset, _check_writable, make_batches
 from .errors import ConfigError, DegenerateRowError, DivergenceError, ShapeError
 from .loss import LossConfig, loss_backward, loss_forward
-from .model import DualEncoderModel, checkpoint_bytes, checkpoint_from_bytes
+from .model import DualEncoderModel, checkpoint_bytes, checkpoint_from_bytes, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     The passed model is trained in place through the final epoch; the
     returned model is the snapshot from the epoch with the best validation
     loss (strictly-improving checkpoints, written to ``checkpoint_path``
-    when given). Datasets without a val split fall back to the epoch's mean
+    when given; a path that cannot be written fails before the first
+    step). Datasets without a val split fall back to the epoch's mean
     train loss for checkpoint selection. ``log_path``, when given, receives
     one JSON line per step and per epoch.
 
@@ -207,6 +208,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     params = model.params
     images, texts = ds.image_store.vectors, ds.text_store.vectors
     batch_rows = [(image_rows[batch], text_rows[batch]) for batch in batches]
+    if checkpoint_path is not None:
+        _check_writable(checkpoint_path)
     log = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     best = math.inf
     best_epoch = 0
@@ -260,8 +263,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                 writes += 1
                 best_snapshot = checkpoint_bytes(model)
                 if checkpoint_path is not None:
-                    with _write_atomic(checkpoint_path) as fh:
-                        fh.write(best_snapshot)
+                    save_checkpoint(model, checkpoint_path)
             train_losses.append(train_loss)
             val_losses.append(val)
             flags.append(improved)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -1096,6 +1097,49 @@ class TestEmptyOutputPaths:
         assert code == 0
         assert json.loads(report.read_text())["model"] == ""
         assert stdout.splitlines()[2].startswith(" " * len("Model"))
+
+
+# Output paths no write can reach: `train` must fail on them before its first step.
+BAD_TRAIN_OUTPUTS = {
+    "--report in a missing dir": ("--checkpoint", "m.ckpt", "--report", "nodir/r.json"),
+    "--report empty": ("--checkpoint", "m.ckpt", "--report", ""),
+    "--checkpoint in a missing dir": ("--checkpoint", "nodir/m.ckpt"),
+    "--checkpoint empty": ("--checkpoint", ""),
+    "--checkpoint a directory": ("--checkpoint", "."),
+}
+
+
+class TestBadOutputPaths:
+    @pytest.mark.parametrize("case", BAD_TRAIN_OUTPUTS)
+    def test_train_fails_before_the_first_step(self, pipeline, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        train_module = importlib.import_module("twotower.train")  # not the train function
+        steps = []
+        real_backward = train_module.loss_backward
+        monkeypatch.setattr(train_module, "loss_backward",
+                            lambda *a: steps.append(1) or real_backward(*a))
+        flags = BAD_TRAIN_OUTPUTS[case]
+        code, out, err = run(train_args(pipeline, *flags, "--log", "train.log"), capsys)
+        assert (code, out, len(steps)) == (2, "", 0)
+        path = flags[-1]
+        fault = json.loads(err)
+        assert fault["error"] == ("IsADirectoryError" if path == "." else "FileNotFoundError")
+        assert fault["message"].endswith(f": {path!r}")
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, log or temporary file
+
+    @pytest.mark.parametrize("out", ["nodir/x.azi", "", "d"])
+    def test_atomic_write_fault_names_the_given_path(self, pipeline, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        argv = ["index", "--checkpoint", str(pipeline / "model.ckpt"),
+                "--images", str(pipeline / "ds" / "images.emb"), "--out", out]
+        first = run(argv, capsys)
+        assert run(argv, capsys) == first  # no random temporary name in the message
+        code, _, err = first
+        assert code == 2
+        assert json.loads(err)["message"].endswith(f": {out!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
 
 # Each command's valid argv lists: every flag, defaults, repeats and abbreviations.

@@ -374,9 +374,7 @@ def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, rele
 
     Even queries judge every relevant row (every row unless ``relevant``
     names some), odd ones every other; every third also judges an id the
-    index lacks, which gets no rank. Each rank ``evaluate`` gives must be
-    the row's place in ``batch_query(k=n)`` and ``oracle_rank``'s rank
-    from the same block scores.
+    index lacks. The ranks are checked by ``check_ranks``.
     """
     for k in ks:
         for qid, v, res in zip(texts.ids, texts.vectors, batch_query(index, model, texts, k)):
@@ -385,6 +383,20 @@ def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, rele
             assert [h[0] for h in res.hits] == want_ids
             for (_, s), w in zip(res.hits, want_scores):
                 assert s == pytest.approx(w, abs=1e-12)
+    relevant = sorted(relevant or index.ids)
+    judgments = []
+    for t, q in enumerate(texts.ids):
+        rows = relevant[t % 2 :: 1 + t % 2] + ["unindexed"] * (t % 3 == 0)
+        judgments.append(QueryJudgment(q, frozenset(rows), rows[0]))
+    check_ranks(monkeypatch, index, model, texts, judgments)
+
+
+def check_ranks(monkeypatch, index, model, texts, judgments):
+    """Each rank ``evaluate`` gives is the row's place in ``batch_query(k=n)``.
+
+    It must also equal ``oracle_rank``'s rank from the same block scores.
+    Relevant ids the index lacks get no rank.
+    """
     judged = []
 
     def keep_ranks(pairs):
@@ -392,11 +404,6 @@ def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, rele
         return metrics_from_ranks(pairs)
 
     monkeypatch.setattr(retrieval, "metrics_from_ranks", keep_ranks)
-    relevant = sorted(relevant or index.ids)
-    judgments = []
-    for t, q in enumerate(texts.ids):
-        rows = relevant[t % 2 :: 1 + t % 2] + ["unindexed"] * (t % 3 == 0)
-        judgments.append(QueryJudgment(q, frozenset(rows), rows[0]))
     evaluate(index, model, texts, judgments[::-1])
     full = batch_query(index, model, texts, len(index))
     by_id = {j.query_id: j for j in judgments}
@@ -409,7 +416,7 @@ def check_band(monkeypatch, index, model, texts, ks, reference=oracle_topk, rele
     assert len(judged) == len(full)
     for (j, ranks), res, want in zip(judged, full, oracle):
         places = {doc: place for place, (doc, _) in enumerate(res.hits, start=1)}
-        assert ranks == {doc: places[doc] for doc in j.relevant_ids if doc != "unindexed"}
+        assert ranks == {doc: places[doc] for doc in j.relevant_ids if doc in index.store}
         assert ranks == want
 
 
@@ -491,6 +498,31 @@ class TestScoreBand:
         )
         relevant = [index.ids[i] for i in rng.choice(2000, size=4, replace=False)]
         check_band(monkeypatch, index, model, texts, ks=(10,), relevant=relevant)
+
+    def test_pairs_ranked_in_slices_of_the_block(self, monkeypatch):
+        # blocks of 3 queries; q1 names all 14 rows, more than two blocks hold
+        # queries, so its block's 16 pairs take six calls of at most 3 pairs
+        rng = np.random.default_rng(18)
+        model = init_model(6, 5, 4, seed=19)
+        rows = unit_rows(rng.standard_normal((12, 4)))
+        index = index_of(model, np.vstack([rows, rows[[1, 5]]]))
+        monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 8 * len(index) * 3)
+        texts = EmbeddingStore(
+            ids=[f"q{i}" for i in range(8)], vectors=rng.standard_normal((8, 5)), kind="text_feature"
+        )
+        judgments = [QueryJudgment(q, frozenset([index.ids[3 * t % 14]]), index.ids[3 * t % 14])
+                     for t, q in enumerate(texts.ids)]
+        judgments[1] = QueryJudgment("q1", frozenset(index.ids + ["unindexed"]), index.ids[0])
+        calls = []
+        ranks = retrieval._ranks
+
+        def spy(index, q, g, who, rows, band):
+            calls.append((len(q), len(who)))
+            return ranks(index, q, g, who, rows, band)
+
+        monkeypatch.setattr(retrieval, "_ranks", spy)
+        check_ranks(monkeypatch, index, model, texts, judgments)
+        assert calls == [(3, 3)] * 5 + [(3, 1), (3, 3), (2, 2)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -181,10 +181,16 @@ class TestTrain:
         re_eval = evaluate_loss(best, ds, "val", cfg.loss, cfg.batch_size)
         assert re_eval == pytest.approx(report.best_val_loss, abs=1e-12)
 
-    def test_checkpoint_writes_count_strict_improvements(self, tmp_path):
+    def test_checkpoint_writes_count_strict_improvements(self, tmp_path, monkeypatch):
         ds = tiny_dataset(seed=6)
         model = init_model(8, 6, 4, seed=7)
+        train_module = importlib.import_module("twotower.train")  # not the train function
+        saves = []
+        real_save = train_module.save_checkpoint
+        monkeypatch.setattr(train_module, "save_checkpoint",
+                            lambda m, path: saves.append(path) or real_save(m, path))
         best, report = train(model, ds, tiny_cfg(epochs=5), checkpoint_path=tmp_path / "best.ckpt")
+        assert saves == [tmp_path / "best.ckpt"] * report.checkpoint_writes  # the one checkpoint writer
         improvements = 0
         best_so_far = math.inf
         for v in report.val_loss:

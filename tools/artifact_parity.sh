@@ -14,7 +14,10 @@
 # and from --judgments, on a file that gives each test caption its own image
 # and the next test image in id order as relevant, so evaluate's ranking of
 # several relevant images per query is compared too (eval_judgments.out and
-# eval_judgments.json).
+# eval_judgments.json). A third eval runs on a skewed judgments file: the
+# first test caption names every test image and every other caption its own
+# image, so one query's pairs outnumber its block's queries and are ranked
+# in several slices (eval_skewed.out and eval_skewed.json).
 # It then truncates each binary artifact (stores, checkpoint, index) to half
 # its length, and separately flips all bits of its first byte, runs index and
 # query with the corrupt copy in place, and compares the exit code and the
@@ -104,11 +107,19 @@ with open(out, "w", encoding="utf-8") as fh:
         relevant = sorted({r["image_id"], following[r["image_id"]]})
         line = {"query_id": r["text_id"], "relevant_ids": relevant, "correct_id": r["image_id"]}
         fh.write(json.dumps(line) + "\n")
+with open("skewed.jsonl", "w", encoding="utf-8") as fh:
+    for i, r in enumerate(rows):
+        relevant = images if i == 0 else [r["image_id"]]
+        line = {"query_id": r["text_id"], "relevant_ids": relevant, "correct_id": r["image_id"]}
+        fh.write(json.dumps(line) + "\n")
 EOF
-        # shellcheck disable=SC2086  # the flags are meant to split
-        "$python" -m twotower eval $sets --index images.idx --checkpoint model.ckpt \
-            --texts data/texts.emb --judgments judgments.jsonl \
-            --report eval_judgments.json > eval_judgments.out
+        local j
+        for j in judgments skewed; do
+            # shellcheck disable=SC2086  # the flags are meant to split
+            "$python" -m twotower eval $sets --index images.idx --checkpoint model.ckpt \
+                --texts data/texts.emb --judgments "$j.jsonl" \
+                --report "eval_$j.json" > "eval_$j.out"
+        done
         # the first held-out caption, ranked at a small k and at a k past the index size
         local qid
         qid=$("$python" -c 'import json, sys
@@ -310,7 +321,7 @@ for entry in "${configs[@]}"; do
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
         images.idx synth.out ingest.out train.out index.out eval.out eval_judgments.out \
-        query7.out query5000.out corrupt.out id_faults.out manifest_faults.out; do
+        eval_skewed.out query7.out query5000.out corrupt.out id_faults.out manifest_faults.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
@@ -319,7 +330,8 @@ for entry in "${configs[@]}"; do
         fi
         printf '%-14s %-34s %s\n' "$name" "$f" "$verdict"
     done
-    for f in data/dataset.json ingest.json train.json eval.json eval_judgments.json; do
+    for f in data/dataset.json ingest.json train.json eval.json eval_judgments.json \
+        eval_skewed.json; do
         if same_outside_meta "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
