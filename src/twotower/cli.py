@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -315,7 +316,7 @@ def cmd_train(args) -> int:
             loss=LossConfig(lam=loss.pop("lambda"), **loss),
         )
     best, report = train(model, ds, train_cfg, checkpoint_path=args.checkpoint, log_path=args.log)
-    payload = report.as_dict()
+    payload = asdict(report)
     wall = payload.pop("wall_seconds")
     if args.report is not None:
         _write_json(
@@ -346,6 +347,8 @@ def _query_vector(args):
     if (args.embedding is None) == (args.text_id is None):
         raise _UsageError("provide exactly one of --embedding or --texts with --text-id")
     if args.embedding is not None:
+        if args.texts is not None:
+            raise _UsageError("--embedding and --texts are two query sources; give one")
         try:
             vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
         except _JSON_FAULTS as e:

@@ -243,9 +243,10 @@ def load_manifest(path) -> dict:
 
 def save_manifest(columns, path):
     """Write manifest ``columns``, as ``load_manifest`` returns them, one line per row."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _write_atomic(path) as fh:
         for row in zip(*(columns[k] for k in _MANIFEST_COLUMNS)):
-            fh.write(json.dumps(dict(zip(_MANIFEST_COLUMNS, row)), ensure_ascii=False) + "\n")
+            line = json.dumps(dict(zip(_MANIFEST_COLUMNS, row)), ensure_ascii=False)
+            fh.write(f"{line}\n".encode("utf-8"))
 
 
 @dataclass

@@ -72,8 +72,8 @@ def unit_rows(m, what, ids) -> NormalizedRows:
 
     ``m`` is not scanned: a row holding an infinity or NaN, such as a
     projection that overflowed, has no finite norm and raises as one. The
-    norms come back with the unit rows, for the backward pass through the
-    normalization.
+    norms come back with the unit rows; retrieval reads only ``matrix``,
+    and training's backward pass takes its norms from ``loss._unit_rows``.
     """
     with np.errstate(over="ignore"):
         norms = row_norms(m)

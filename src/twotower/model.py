@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _JSON_FAULTS, _read, _Reader, _write_atomic
+from .data import _JSON_FAULTS, _read, _write_atomic
 from .errors import BadMagicError, DataFormatError, FormatVersionError, ShapeError, value_errors_as
 from .linalg import as_matrix
 
@@ -157,7 +157,8 @@ def save_checkpoint(model: DualEncoderModel, path):
         fh.write(checkpoint_bytes(model))
 
 
-def _read_checkpoint(r: _Reader) -> DualEncoderModel:
+def load_checkpoint(path) -> DualEncoderModel:
+    r = _read(path)
     magic, version, img_dim, txt_dim, shared_dim = r.unpack(_CKPT_HEADER, "checkpoint header")
     if magic != CKPT_MAGIC:
         raise r.fail(BadMagicError, 0, f"expected magic {CKPT_MAGIC!r}, found {magic!r}")
@@ -185,14 +186,6 @@ def _read_checkpoint(r: _Reader) -> DualEncoderModel:
     with value_errors_as(DataFormatError, f"{r.name}: "):
         return DualEncoderModel(ProjectionHead(image_w, image_b), ProjectionHead(text_w, text_b),
                                 shared_dim, meta)
-
-
-def checkpoint_from_bytes(data: bytes) -> DualEncoderModel:
-    return _read_checkpoint(_Reader(data, "<checkpoint bytes>"))
-
-
-def load_checkpoint(path) -> DualEncoderModel:
-    return _read_checkpoint(_read(path))
 
 
 def model_fingerprint(model: DualEncoderModel) -> str:

@@ -2,15 +2,16 @@
 
 Each optimizer step runs features -> project -> normalize -> logits ->
 loss -> analytic gradients -> AdamW, then advances the learning rate.
-After every epoch the validation loss is computed and a checkpoint is
-written iff it strictly improves on the best seen so far; the best
-checkpoint is what training returns. Runs are fully deterministic per
-seed.
+After every epoch the validation loss is computed; when it strictly
+improves on the best seen so far, a copy of the model is kept (and
+written as a checkpoint when a path is given), and the last such copy is
+what training returns. Runs are fully deterministic per seed.
 
 Loss numbers in logs and reports are per-pair means (batch objective
 divided by batch size) so values are comparable across batch sizes.
 """
 
+import copy
 import json
 import math
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from .data import PairedDataset, _check_writable, make_batches
 from .errors import ConfigError, DegenerateRowError, DivergenceError, ShapeError
 from .loss import LossConfig, loss_backward, loss_forward
-from .model import DualEncoderModel, checkpoint_bytes, checkpoint_from_bytes, save_checkpoint
+from .model import DualEncoderModel, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class TrainReport:
     checkpoint_writes: int
     wall_seconds: float
     final_lr: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def lr_at(step, cfg: TrainConfig, total_steps) -> float:
@@ -179,12 +177,13 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     """Run the full training loop and return (best model, TrainReport).
 
     The passed model is trained in place through the final epoch; the
-    returned model is the snapshot from the epoch with the best validation
-    loss (strictly-improving checkpoints, written to ``checkpoint_path``
-    when given; a path that cannot be written fails before the first
-    step). Datasets without a val split fall back to the epoch's mean
-    train loss for checkpoint selection. ``log_path``, when given, receives
-    one JSON line per step and per epoch.
+    returned model is a copy of it taken after the epoch with the best
+    validation loss, sharing no memory with it. Each strict improvement is
+    serialised only to be written to ``checkpoint_path``, when given; a
+    path that cannot be written fails before the first step. Datasets
+    without a val split fall back to the epoch's mean train loss for
+    checkpoint selection. ``log_path``, when given, receives one JSON line
+    per step and per epoch.
 
     One seeded shuffle (dropping a final short batch) fixes the batch
     sequence, which every epoch then replays; with a zero learning rate
@@ -213,7 +212,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     log = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     best = math.inf
     best_epoch = 0
-    best_snapshot = None
+    best_model = None
     writes = 0
     train_losses, val_losses, flags = [], [], []
     step = 0
@@ -261,7 +260,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                 best = val
                 best_epoch = epoch
                 writes += 1
-                best_snapshot = checkpoint_bytes(model)
+                best_model = copy.deepcopy(model)
                 if checkpoint_path is not None:
                     save_checkpoint(model, checkpoint_path)
             train_losses.append(train_loss)
@@ -285,4 +284,4 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
         wall_seconds=time.perf_counter() - t_start,
         final_lr=lr,
     )
-    return checkpoint_from_bytes(best_snapshot), report
+    return best_model, report

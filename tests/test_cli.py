@@ -426,6 +426,18 @@ class TestQueryCommand:
         assert (code, stdout) == (1, "")
         assert json.loads(err) == {"error": "usage", "message": f"--k must be >= 1, got {k}"}
 
+    def test_embedding_with_texts_is_usage_error(self, pipeline, capsys):
+        code, stdout, err = run(
+            ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
+             str(pipeline / "model.ckpt"), "--embedding", json.dumps([0.1] * 8),
+             "--texts", str(pipeline / "missing.emb"), "--k", "2"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {
+            "error": "usage", "message": "--embedding and --texts are two query sources; give one"
+        }
+
     def test_requires_exactly_one_query_source(self, pipeline, capsys):
         code, _, err = run(
             ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",

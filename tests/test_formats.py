@@ -6,7 +6,7 @@ of the package's own errors. Every DataFormatError names the file, and a
 parse fault the byte offset where its structure starts. A store's id
 block, of one width or mixed, reads as the per-id reference reader reads
 it, faults included. Writes are atomic: a failed save leaves the previous
-file and no temporary file behind.
+file and no temporary file behind, and so does a failed manifest save.
 """
 
 import os
@@ -196,11 +196,16 @@ LONG_ID = "x" * 0x10000  # one byte past the u16 id length prefix
          RetrievalIndex(ids=["a"], vectors=[[1.0, 0.0]], model_fingerprint="f"),
          RetrievalIndex(ids=["a", LONG_ID], vectors=[[1.0, 0.0], [0.0, 1.0]], model_fingerprint="f"),
          ValueError),
+        ("manifest",  # a partial write shows: row 1 differs, row 2 is not JSON
+         dict(image_id=["a"], caption=["y"], lang=["en"], split=["train"], text_id=["a#c0"]),
+         dict(image_id=["a", "b"], caption=["x", object()], lang=["en", "en"],
+              split=["train", "train"], text_id=["a#c0", "b#c0"]),
+         TypeError),
     ],
-    ids=["store", "checkpoint", "index"],
+    ids=["store", "checkpoint", "index", "manifest"],
 )
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, kind, good, bad, error):
-    save, _ = FORMATS[kind]
+    save = data.save_manifest if kind == "manifest" else FORMATS[kind][0]
     path = tmp_path / "artifact"
     save(good, path)
     before = path.read_bytes()

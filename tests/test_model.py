@@ -19,7 +19,6 @@ from twotower.model import (
     DualEncoderModel,
     ProjectionHead,
     checkpoint_bytes,
-    checkpoint_from_bytes,
     init_model,
     load_checkpoint,
     model_fingerprint,
@@ -253,10 +252,11 @@ class TestParameterBuffer:
         np.testing.assert_array_equal(m.blocks(m.params)["text_w"], np.eye(2))
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-    def test_head_writes_reach_params_and_checkpoint(self, loaded):
+    def test_head_writes_reach_params_and_checkpoint(self, loaded, tmp_path):
         m = make_model()
         if loaded:
-            m = checkpoint_from_bytes(checkpoint_bytes(m))
+            save_checkpoint(m, tmp_path / "m.ckpt")
+            m = load_checkpoint(tmp_path / "m.ckpt")
         before_bytes, before_fp = checkpoint_bytes(m), model_fingerprint(m)
         m.image_head.w[0, 0] += 1.0
         assert m.params[0] == m.image_head.w[0, 0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_adamw
 from twotower import loss as loss_module
+from twotower import model as model_module
 from twotower.data import EmbeddingStore, PairedDataset, synth_dataset
 from twotower.errors import ConfigError, DivergenceError, ShapeError
 from twotower.loss import LossConfig, loss_backward
@@ -302,6 +303,29 @@ class TestTrain:
         assert checkpoint_bytes(in_memory) == checkpoint_bytes(on_disk)
         assert (tmp_path / "best.ckpt").read_bytes() == checkpoint_bytes(on_disk)
         assert checkpoint_bytes(live) != checkpoint_bytes(on_disk)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["path", "no-path"])
+    def test_model_serialised_only_to_write_a_checkpoint(self, tmp_path, monkeypatch, to_file):
+        # the best model is kept as a copy: each improving epoch is turned
+        # into checkpoint bytes once, by save_checkpoint, and only for a file
+        serialised = []
+        real_parts = model_module._checkpoint_parts
+        monkeypatch.setattr(model_module, "_checkpoint_parts",
+                            lambda m: serialised.append(m) or real_parts(m))
+        path = tmp_path / "best.ckpt" if to_file else None
+        _, report = train(init_model(8, 6, 4, seed=7), tiny_dataset(seed=6), tiny_cfg(epochs=5),
+                          checkpoint_path=path)
+        assert report.checkpoint_writes > 1
+        assert len(serialised) == (report.checkpoint_writes if to_file else 0)
+
+    def test_best_model_shares_no_memory_with_the_trained_one(self):
+        live = init_model(8, 6, 4, seed=19)
+        best, report = train(live, tiny_dataset(seed=18), tiny_cfg(epochs=4))
+        assert report.best_epoch < 4  # the trained model moved on from the best one
+        before = checkpoint_bytes(live)
+        best.image_head.w[...] += 1.0
+        assert checkpoint_bytes(live) == before
+        assert not np.shares_memory(best.params, live.params)
 
     def test_checkpoint_roundtrip_preserves_training(self, tmp_path):
         # one optimizer step after save/load equals the same step without it

@@ -8,8 +8,10 @@
 # through the CLI once per tree, each in its own directory with the same
 # relative paths, and compares the results file by file: stores, manifest,
 # checkpoint, JSON-lines log, index, every stage's stdout, CLI query output
-# for the first test caption at --k 7 and --k 5000, and the dataset, ingest,
-# train and eval reports with their "meta" block removed (timing lives there).
+# for the first test caption at --k 7 and --k 5000, the same query run inline
+# at --k 7 (--embedding with the caption's text feature, written as a JSON
+# array of float reprs: query_inline.out), and the dataset, ingest, train and
+# eval reports with their "meta" block removed (timing lives there).
 # Eval runs twice: from --manifest, where each query has one relevant image,
 # and from --judgments, on a file that gives each test caption its own image
 # and the next test image in id order as relevant, so evaluate's ranking of
@@ -129,6 +131,13 @@ print(next(r["text_id"] for r in map(json.loads, open(sys.argv[1])) if r["split"
             "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
                 --texts data/texts.emb --text-id "$qid" --k "$k" > "query$k.out"
         done
+        local vec
+        vec=$("$python" -c 'import sys
+from twotower.data import load_embeddings
+row = load_embeddings(sys.argv[1]).row(sys.argv[2])
+print("[" + ", ".join(repr(float(x)) for x in row) + "]")' data/texts.emb "$qid")
+        "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
+            --embedding "$vec" --k 7 > query_inline.out
         local f how code
         for f in data/images.emb data/texts.emb model.ckpt images.idx; do
             for how in truncated magic; do
@@ -321,7 +330,8 @@ for entry in "${configs[@]}"; do
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
         images.idx synth.out ingest.out train.out index.out eval.out eval_judgments.out \
-        eval_skewed.out query7.out query5000.out corrupt.out id_faults.out manifest_faults.out; do
+        eval_skewed.out query7.out query5000.out query_inline.out corrupt.out id_faults.out \
+        manifest_faults.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
