@@ -343,35 +343,42 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _query_vector(args):
+def _inline_embedding(args):
+    """The ``--embedding`` vector, or None for ``--text-id``; raises every query usage fault.
+
+    Reads no file, so a usage fault is reported before the index, the
+    checkpoint or the text store is opened.
+    """
     if (args.embedding is None) == (args.text_id is None):
         raise _UsageError("provide exactly one of --embedding or --texts with --text-id")
-    if args.embedding is not None:
-        if args.texts is not None:
-            raise _UsageError("--embedding and --texts are two query sources; give one")
-        try:
-            vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
-        except _JSON_FAULTS as e:
-            raise _UsageError(f"--embedding is not valid JSON: {getattr(e, 'msg', e)}") from e
-        if not isinstance(vec, list) or not all(
-            isinstance(x, float) and math.isfinite(x) for x in vec
-        ):
-            raise _UsageError("--embedding must be a JSON array of finite numbers")
-        return np.asarray(vec, dtype=np.float64), "inline"
-    if args.texts is None:
-        raise _UsageError("--text-id requires --texts")
-    store = _load_store(args.texts, "text_feature")
-    if args.text_id not in store:
-        raise DataFormatError(f"text id {args.text_id!r} not found in {args.texts}")
-    return store.row(args.text_id), args.text_id
+    if args.embedding is None:
+        if args.texts is None:
+            raise _UsageError("--text-id requires --texts")
+        return None
+    if args.texts is not None:
+        raise _UsageError("--embedding and --texts are two query sources; give one")
+    try:
+        vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
+    except _JSON_FAULTS as e:
+        raise _UsageError(f"--embedding is not valid JSON: {getattr(e, 'msg', e)}") from e
+    if not isinstance(vec, list) or not all(
+        isinstance(x, float) and math.isfinite(x) for x in vec
+    ):
+        raise _UsageError("--embedding must be a JSON array of finite numbers")
+    return np.asarray(vec, dtype=np.float64)
 
 
 def cmd_query(args) -> int:
     if args.k < 1:
         raise _UsageError(f"--k must be >= 1, got {args.k}")
+    vec, qid = _inline_embedding(args), "inline"
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
-    vec, qid = _query_vector(args)
+    if vec is None:
+        store = _load_store(args.texts, "text_feature")
+        if args.text_id not in store:
+            raise DataFormatError(f"text id {args.text_id!r} not found in {args.texts}")
+        vec, qid = store.row(args.text_id), args.text_id
     result = query(index, model, vec, args.k, query_id=qid)
     print(
         json.dumps(

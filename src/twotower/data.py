@@ -275,8 +275,13 @@ class EmbeddingStore:
         self._row_of = dict(zip(self.ids, range(len(self.ids))))
         if len(self._row_of) != len(self.ids):
             raise ValueError("ids must be unique")
-        # every id a str, and none empty: two passes that run in C
-        if not (all(map(isinstance, self.ids, repeat(str))) and all(self.ids)):
+        # every id a str (join raises TypeError for exactly the others), and
+        # none empty: two passes that run in C
+        try:
+            "".join(self.ids)
+        except TypeError:
+            raise ValueError("ids must be non-empty strings") from None
+        if not all(self.ids):
             raise ValueError("ids must be non-empty strings")
         if not np.isfinite(vec).all():
             raise ValueError("vectors contain non-finite entries")
@@ -384,19 +389,32 @@ def _check_writable(path):
 
 
 def write_store(fh, store: EmbeddingStore):
-    """Write a store to a binary file object (see module docstring)."""
+    """Write a store to a binary file object (see module docstring).
+
+    The id block is built in one array pass, and checked before any byte
+    is written: a lone surrogate raises UnicodeEncodeError, and an id of
+    over 65,535 UTF-8 bytes a ValueError naming the first such id.
+    """
+    # Each id's bytes behind two 0xFF bytes, which hold its length prefix
+    # once the lengths are known: UTF-8 never holds a 0xFF byte, so the
+    # 0xFF bytes are exactly the prefixes' bytes, in pairs.
+    joined = b"\xff\xff".join([b"", *map(str.encode, store.ids)])
+    block = np.frombuffer(bytearray(joined), np.uint8)
+    starts = np.flatnonzero(block == 0xFF)[::2]
+    lengths = np.diff(starts, append=block.size) - 2
+    too_long = np.flatnonzero(lengths > 0xFFFF)
+    if too_long.size:
+        id_ = store.ids[too_long[0]]
+        raise ValueError(f"id too long for u16 length prefix: {id_[:32]!r}...")
+    block[starts] = lengths & 0xFF
+    block[starts + 1] = lengths >> 8
     fh.write(
         _EMBED_HEADER.pack(
             EMBED_MAGIC, EMBED_VERSION, len(store), store.dim, KIND_TO_CODE[store.kind]
         )
     )
-    fh.write(store.vectors.astype("<f4").tobytes(order="C"))
-    for id_ in store.ids:
-        raw = id_.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise ValueError(f"id too long for u16 length prefix: {id_[:32]!r}...")
-        fh.write(struct.pack("<H", len(raw)))
-        fh.write(raw)
+    fh.write(store.vectors.astype("<f4"))  # C order, as the store keeps it
+    fh.write(block)
 
 
 def read_store(r: _Reader):

@@ -76,9 +76,7 @@ def build_index(model: DualEncoderModel, images: EmbeddingStore) -> RetrievalInd
             f"index must be built from an image_feature store, got kind {images.kind!r}"
         )
     unit = unit_rows(project(model.image_head, images.vectors), "image", images.ids).matrix
-    return RetrievalIndex(
-        ids=list(images.ids), vectors=unit, model_fingerprint=model_fingerprint(model)
-    )
+    return RetrievalIndex(ids=images.ids, vectors=unit, model_fingerprint=model_fingerprint(model))
 
 
 def _check_fingerprint(index: RetrievalIndex, model: DualEncoderModel):

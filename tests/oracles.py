@@ -231,6 +231,19 @@ def oracle_rank(index, q, g, r, band):
     return 1 + int(above.sum() + (s > e).sum() + ((s == e) & (near < r)).sum())
 
 
+def reference_write_ids(ids):
+    """A store's id block for ``ids``, one id at a time, as the format defines it.
+
+    Each id is a u16 byte length, then its UTF-8 bytes. Callers keep each
+    id to at most 65,535 bytes and free of lone surrogates.
+    """
+    block = b""
+    for id_ in ids:
+        raw = id_.encode("utf-8")
+        block += struct.pack("<H", len(raw)) + raw
+    return block
+
+
 def reference_read_ids(r, count):
     """A store's id block at reader ``r``'s position, one id at a time, as the format defines it.
 

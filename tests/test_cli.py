@@ -438,6 +438,33 @@ class TestQueryCommand:
             "error": "usage", "message": "--embedding and --texts are two query sources; give one"
         }
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "provide exactly one of --embedding or --texts with --text-id"),
+            (["--embedding", "[0.1]", "--text-id", "q", "--texts", "t.emb"],
+             "provide exactly one of --embedding or --texts with --text-id"),
+            (["--embedding", "[0.1]", "--texts", "t.emb"],
+             "--embedding and --texts are two query sources; give one"),
+            (["--text-id", "q"], "--text-id requires --texts"),
+            (["--embedding", "[0.1,"], "--embedding is not valid JSON: Expecting value"),
+            (["--embedding", '{"a": 1}'], "--embedding must be a JSON array of finite numbers"),
+            (["--embedding", "[1e400]"], "--embedding must be a JSON array of finite numbers"),
+            (["--embedding", "[0.1]", "--k", "0"], "--k must be >= 1, got 0"),
+        ],
+        ids=["no-source", "two-sources", "embedding-with-texts", "text-id-without-texts",
+             "bad-json", "not-an-array", "non-finite", "k-zero"],
+    )
+    def test_usage_fault_comes_before_any_file_is_read(self, tmp_path, capsys, flags, message):
+        code, stdout, err = run(
+            ["query", "--index", str(tmp_path / "nope.azi"),
+             "--checkpoint", str(tmp_path / "nope.ckpt"), *flags],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "usage", "message": message}
+
     def test_requires_exactly_one_query_source(self, pipeline, capsys):
         code, _, err = run(
             ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",

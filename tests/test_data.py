@@ -296,6 +296,19 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match=f"^{message}$"):
             EmbeddingStore(ids=ids, vectors=np.array(vectors), kind="text_feature")
 
+    class Tag(str):
+        pass
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[Tag("a"), "b"], ["é", "a\x00"], ["a b", "€" * 3]],
+        ids=["str-subclass", "non-ascii-and-nul", "space-and-three-byte"],
+    )
+    def test_string_ids_accepted_and_saved(self, tmp_path, ids):
+        store = EmbeddingStore(ids=ids, vectors=np.array([[0.0], [1.0]]), kind="text_feature")
+        save_embeddings(store, tmp_path / "s.emb")
+        assert load_embeddings(tmp_path / "s.emb").ids == ids
+
     def test_str_subclass_ids_and_huge_finite_vectors_accepted(self):
         class Tag(str):
             pass

@@ -5,8 +5,10 @@ DataFormatError, and every single-byte change either loads or raises one
 of the package's own errors. Every DataFormatError names the file, and a
 parse fault the byte offset where its structure starts. A store's id
 block, of one width or mixed, reads as the per-id reference reader reads
-it, faults included. Writes are atomic: a failed save leaves the previous
-file and no temporary file behind, and so does a failed manifest save.
+it, faults included, and is written as the per-id reference writer
+writes it; an id the block cannot hold fails the save. Writes are
+atomic: a failed save leaves the previous file and no temporary file
+behind, and so does a failed manifest save.
 """
 
 import os
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import reference_read_ids
+from oracles import reference_read_ids, reference_write_ids
 from twotower import data, model
 from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
 from twotower.errors import BadMagicError, DataFormatError, TruncatedFileError, TwoTowerError
@@ -300,3 +302,73 @@ def test_id_block_reads_as_one_id_at_a_time(path, ids, fault, k):
         m.setattr(data, "_fixed_width_ids", lambda r, count: None)
         m.setattr(data, "_ids_one_by_one", reference_read_ids)
         assert got == id_outcomes(path, store, index)
+
+
+MAX_ID = "\u20ac" * 21845  # 65,535 UTF-8 bytes: the longest id a u16 length prefix holds
+
+
+@st.composite
+def store_ids(draw):
+    """Ids a store takes: of mixed widths, or padded to one byte width (an id may end in NUL)."""
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), max_size=6, unique=True))
+    if draw(st.booleans()):
+        pad = draw(st.sampled_from(["\x00", "b"]))
+        width = max((len(i.encode()) for i in ids), default=0)
+        ids = list(dict.fromkeys(i + pad * (width - len(i.encode())) for i in ids))
+    return ids
+
+
+def header(kind_code, count, dim):
+    """A store header as the format defines it."""
+    return b"AZEB" + struct.pack("<IQIB7x", 1, count, dim, kind_code)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ids=store_ids())
+@example(ids=[])
+@example(ids=["img0", "img1", "img2"])  # one width, ASCII
+@example(ids=["\u00e9", "ab"])  # one width, not ASCII
+@example(ids=["a\x00", "bc"])  # an id that ends in NUL
+@example(ids=["a", MAX_ID, "\u20ac"])
+def test_id_block_writes_as_one_id_at_a_time(path, ids):
+    """Stores and indexes hold the header, the float32 payload and the reference id block."""
+    vectors = np.tile([0.0, 1.0], (len(ids), 1))
+    payload, block = vectors.astype("<f4").tobytes(), reference_write_ids(ids)
+    save_embeddings(EmbeddingStore(ids=ids, vectors=vectors, kind="text_feature"), path)
+    assert path.read_bytes() == header(1, len(ids), 2) + payload + block
+    assert load_embeddings(path).ids == ids
+    save_index(RetrievalIndex(ids=ids, vectors=vectors, model_fingerprint="f"), path)
+    assert path.read_bytes() == header(2, len(ids), 2) + payload + block + struct.pack("<I", 1) + b"f"
+    assert load_index(path).ids == ids
+
+
+UNWRITABLE_IDS = {
+    "too-long": ("x" * 0x10000, ValueError,
+                 "id too long for u16 length prefix: 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'..."),
+    "too-long-utf8": ("\u00e9" * 0x8000, ValueError,  # 32,768 characters, 65,536 bytes
+                      f"id too long for u16 length prefix: {chr(0xE9) * 32!r}..."),
+    "lone-surrogate": ("a\ud800", UnicodeEncodeError,
+                       "'utf-8' codec can't encode character '\\ud800' in position 1: "
+                       "surrogates not allowed"),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ids=store_ids(), bad=st.sampled_from(sorted(UNWRITABLE_IDS)), at=st.integers(0, 6))
+def test_unwritable_id_fails_the_save_and_keeps_the_target(tmp_path_factory, ids, bad, at):
+    """An id the block cannot hold raises the writer's error and leaves the target as it was."""
+    bad_id, error, message = UNWRITABLE_IDS[bad]
+    ids = [*ids[:at], bad_id, *ids[at:]]
+    vectors = np.tile([0.0, 1.0], (len(ids), 1))
+    folder = tmp_path_factory.mktemp("unwritable")
+    target = folder / "artifact"
+    target.write_bytes(b"old")
+    for save, obj in [
+        (save_embeddings, EmbeddingStore(ids=ids, vectors=vectors, kind="text_feature")),
+        (save_index, RetrievalIndex(ids=ids, vectors=vectors, model_fingerprint="f")),
+    ]:
+        with pytest.raises(error) as info:
+            save(obj, target)
+        assert str(info.value) == message
+        assert target.read_bytes() == b"old"
+        assert os.listdir(folder) == ["artifact"]

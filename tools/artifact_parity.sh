@@ -11,7 +11,11 @@
 # for the first test caption at --k 7 and --k 5000, the same query run inline
 # at --k 7 (--embedding with the caption's text feature, written as a JSON
 # array of float reprs: query_inline.out), and the dataset, ingest, train and
-# eval reports with their "meta" block removed (timing lives there).
+# eval reports with their "meta" block removed (timing lives there). Each
+# tree also writes a copy of the image store whose ids are led by characters
+# of 0, 2, 3 and 4 UTF-8 bytes in turn (nonascii.emb), so its id block mixes
+# widths and is not ASCII, then runs index (nonascii.idx, index_nonascii.out)
+# and the --k 7 query (query_nonascii.out) on that copy.
 # Eval runs twice: from --manifest, where each query has one relevant image,
 # and from --judgments, on a file that gives each test caption its own image
 # and the next test image in id order as relevant, so evaluate's ranking of
@@ -138,6 +142,24 @@ row = load_embeddings(sys.argv[1]).row(sys.argv[2])
 print("[" + ", ".join(repr(float(x)) for x in row) + "]")' data/texts.emb "$qid")
         "$python" -m twotower query --index images.idx --checkpoint model.ckpt \
             --embedding "$vec" --k 7 > query_inline.out
+        # the image store again, each id led by a character of 0, 2, 3 or 4 UTF-8
+        # bytes in turn, so its id block mixes widths and is not ASCII; it is
+        # written by the tree, then indexed and queried like the original
+        "$python" - data/images.emb nonascii.emb <<'EOF'
+import sys
+
+from twotower.data import EmbeddingStore, load_embeddings, save_embeddings
+
+source, out = sys.argv[1:]
+store = load_embeddings(source)
+marks = ["", "\u00e9", "\u20ac", "\U0001d11e"]
+ids = [marks[i % 4] + id_ for i, id_ in enumerate(store.ids)]
+save_embeddings(EmbeddingStore(ids=ids, vectors=store.vectors, kind=store.kind), out)
+EOF
+        "$python" -m twotower index --checkpoint model.ckpt --images nonascii.emb \
+            --out nonascii.idx > index_nonascii.out
+        "$python" -m twotower query --index nonascii.idx --checkpoint model.ckpt \
+            --texts data/texts.emb --text-id "$qid" --k 7 > query_nonascii.out
         local f how code
         for f in data/images.emb data/texts.emb model.ckpt images.idx; do
             for how in truncated magic; do
@@ -330,8 +352,8 @@ for entry in "${configs[@]}"; do
     run_pipeline "$change" "$work/$name/change" "$sets"
     for f in data/images.emb data/texts.emb data/manifest.jsonl model.ckpt train.log \
         images.idx synth.out ingest.out train.out index.out eval.out eval_judgments.out \
-        eval_skewed.out query7.out query5000.out query_inline.out corrupt.out id_faults.out \
-        manifest_faults.out; do
+        eval_skewed.out query7.out query5000.out query_inline.out nonascii.emb nonascii.idx \
+        index_nonascii.out query_nonascii.out corrupt.out id_faults.out manifest_faults.out; do
         if cmp -s "$work/$name/parent/$f" "$work/$name/change/$f"; then
             verdict=same
         else
