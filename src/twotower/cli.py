@@ -295,12 +295,19 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = effective_config(args)
+    loss = dict(cfg["loss"])
+    with value_errors_as(ConfigError):  # a config fault is reported before any input is read
+        train_cfg = TrainConfig(
+            **cfg["train"],
+            seed=cfg["seed"] + 2,
+            loss=LossConfig(lam=loss.pop("lambda"), **loss),
+        )
     if args.report is not None:  # a bad path fails here, not after the last epoch
         _check_writable(args.report)
     ds = _load_dataset(args, cfg)
     if not ds.split_sizes()["train"]:
         raise DataFormatError(f"{args.manifest}: no pairs in split 'train'")
-    aug, loss = cfg["data"]["augment"], dict(cfg["loss"])
+    aug = cfg["data"]["augment"]
     with value_errors_as(ConfigError):
         ds = augment_dataset(ds, sigma=aug["sigma"], copies=aug["copies"], seed=cfg["seed"] + 3)
         model = init_model(
@@ -309,11 +316,6 @@ def cmd_train(args) -> int:
             shared_dim=cfg["model"]["shared_dim"],
             seed=cfg["seed"] + 1,
             meta={"config": cfg},
-        )
-        train_cfg = TrainConfig(
-            **cfg["train"],
-            seed=cfg["seed"] + 2,
-            loss=LossConfig(lam=loss.pop("lambda"), **loss),
         )
     best, report = train(model, ds, train_cfg, checkpoint_path=args.checkpoint, log_path=args.log)
     payload = asdict(report)

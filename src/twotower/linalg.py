@@ -39,13 +39,15 @@ class NormalizedRows(NamedTuple):
     norms: np.ndarray   # each input row's Euclidean norm, all >= ZERO_NORM_EPS
 
 
-def row_norms(m) -> np.ndarray:
+def row_norms(m, out=None, scratch=None) -> np.ndarray:
     """Each row's Euclidean norm; the one formula training and retrieval share.
 
     A row whose squares overflow gets an infinite norm, which
     ``check_norms`` reports; the caller silences numpy's overflow warning.
+    ``out`` (one entry per row) and ``scratch`` (shaped like ``m``) take
+    the results and the squares when given, as preallocated buffers.
     """
-    return np.sqrt((m * m).sum(axis=1))
+    return np.sqrt(np.multiply(m, m, out=scratch).sum(axis=1, out=out), out=out)
 
 
 def check_norms(norms, what, ids):
@@ -73,7 +75,7 @@ def unit_rows(m, what, ids) -> NormalizedRows:
     ``m`` is not scanned: a row holding an infinity or NaN, such as a
     projection that overflowed, has no finite norm and raises as one. The
     norms come back with the unit rows; retrieval reads only ``matrix``,
-    and training's backward pass takes its norms from ``loss._unit_rows``.
+    and training's backward pass keeps its norms in ``loss._Workspace``.
     """
     with np.errstate(over="ignore"):
         norms = row_norms(m)
@@ -81,13 +83,16 @@ def unit_rows(m, what, ids) -> NormalizedRows:
     return NormalizedRows(m / norms[:, None], norms)
 
 
-def log_softmax_rows(m) -> np.ndarray:
+def log_softmax_rows(m, out=None, scratch=None) -> np.ndarray:
     """Row-wise log-softmax of a finite matrix, with per-row max subtraction.
 
     The shift makes arbitrarily large logits safe: exp never overflows.
-    Returns a new array laid out like ``m``.
+    Returns a new array laid out like ``m``, or ``out`` when given, with the
+    exponentials written to ``scratch`` when given. The row sums run in the
+    order of the buffers' layout, so buffers laid out like ``m`` give the
+    bits a call without them gives.
     """
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = np.subtract(m, m.max(axis=1, keepdims=True), out=out)
+    shifted -= np.log(np.exp(shifted, out=scratch).sum(axis=1, keepdims=True))
     return shifted

@@ -21,11 +21,15 @@ Deterministic subgradient conventions: the hinge contributes zero gradient
 exactly at its kink, and min/max ties over off-diagonal entries resolve to
 the lowest column index.
 
-Training and validation share one forward pass, ``loss_forward``;
-``loss_backward`` continues from it to the parameter gradients. Both check
-their features once on entry and then run as straight-line array code,
-writing logits and gradients in place where that keeps numpy's rounding
-order, so results are bit-identical to the step written helper by helper.
+Training and validation share one forward pass, ``_forward``;
+``_backward`` continues from it to the parameter gradients. Both run as
+straight-line array code into a ``_Workspace``, the buffers of one batch
+size, allocated once: ``train`` checks its features when it starts and
+keeps one workspace per batch length for the run, while ``loss_forward``,
+``loss_backward`` and ``contrastive_loss`` check their arguments and build
+a fresh one per call. Every operation keeps numpy's rounding order and
+each array's layout, so results are bit-identical to the step written
+helper by helper with fresh arrays.
 """
 
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import NormalizedRows, as_matrix, check_norms, log_softmax_rows, row_norms
+from .linalg import ZERO_NORM_EPS, as_matrix, check_norms, log_softmax_rows, row_norms
 from .model import DualEncoderModel
 
 MARGIN_MODES = ("literal", "hard_negative")
@@ -101,23 +105,69 @@ def contrastive_loss(s, cfg: LossConfig) -> LossOutput:
     s = as_matrix(s, "similarity logits")
     if s.shape[1] != s.shape[0]:
         raise ShapeError(f"similarity matrix must be square, got {s.shape}")
-    return _contrastive(np.array(s, order="C"), cfg)
+    ws = _Workspace(None, s.shape[0])
+    np.copyto(ws.s, s)
+    return _contrastive(ws, cfg)
 
 
-def _contrastive(s, cfg: LossConfig) -> LossOutput:
-    # contrastive_loss on finite, square, C-contiguous logits, which it overwrites
-    n = s.shape[0]
-    diag = s.reshape(-1)[:: n + 1]  # a view: s is C-contiguous
+class _Workspace:
+    """Every array one batch of ``n`` pairs needs, allocated once and rewritten by each batch.
 
-    grad = log_softmax_rows(s)
+    ``_forward`` and ``_backward`` write into it; ``train`` keeps one per
+    batch length for its whole run, and each public entry point builds its
+    own, so what a call returns shares no memory with another call's. It
+    holds views of the model's heads, which stay bound while ``params`` is
+    updated in place. Built without a model (``contrastive_loss``), it
+    holds only the logit buffers.
+    """
+
+    def __init__(self, model, n):
+        self.n = n
+        self.s, self.grad, self.col, self.exp = (np.empty((n, n)) for _ in range(4))
+        self.starts = np.arange(n) * n  # flat position of each row's first logit
+        self.s_flat, self.grad_flat = self.s.reshape(-1), self.grad.reshape(-1)
+        self.s_diag, self.grad_diag = self.s_flat[:: n + 1], self.grad_flat[:: n + 1]
+        self.col_diag = self.col.reshape(-1)[:: n + 1]
+        if model is None:
+            return
+        d_img, d_txt, d = model.dims
+        self.img, self.txt = np.empty((n, d_img)), np.empty((n, d_txt))  # gathered features
+        self.image_w, self.image_b, self.text_w, self.text_b = model.blocks(model.params).values()
+        self.grads = np.empty_like(model.params)
+        self.grad_blocks = tuple(model.blocks(self.grads).values())
+        # projections, then unit rows, of image rows over text rows; their gradient; products
+        self.p, self.d_p, self.sq = (np.empty((2 * n, d)) for _ in range(3))
+        self.p_img, self.p_txt = self.p[:n], self.p[n:]
+        self.d_p_img, self.d_p_txt = self.d_p[:n], self.d_p[n:]
+        self.norms = np.empty(2 * n)
+        self.norms_col = self.norms[:, None]
+
+    def gather(self, images, texts, image_rows, text_rows):
+        """The features of ``n`` pairs, copied into the workspace's two feature buffers.
+
+        The rows were resolved when the dataset was built, so they are in
+        range and ``take`` may skip its bounds check (``mode="clip"``).
+        """
+        return (images.take(image_rows, axis=0, out=self.img, mode="clip"),
+                texts.take(text_rows, axis=0, out=self.txt, mode="clip"))
+
+
+def _contrastive(ws: _Workspace, cfg: LossConfig) -> LossOutput:
+    # contrastive_loss on the workspace's finite logits ws.s, which it overwrites
+    n, s, grad = ws.n, ws.s, ws.grad
+    diag = ws.s_diag
+
+    log_softmax_rows(s, grad, ws.exp)
     ce = -float(grad.trace())
     np.exp(grad, out=grad)
-    grad.reshape(-1)[:: n + 1] -= 1.0  # softmax minus the identity
+    ws.grad_diag -= 1.0  # softmax minus the identity
     if cfg.symmetric:
-        col = log_softmax_rows(s.T).T
+        # written through transposed views, so each array is laid out as
+        # log_softmax_rows(s.T) lays out its own: the row sums run in that order
+        col = log_softmax_rows(s.T, ws.col.T, ws.exp.T).T
         ce = 0.5 * (ce - float(col.trace()))
         np.exp(col, out=col)
-        col.reshape(-1)[:: n + 1] -= 1.0
+        ws.col_diag -= 1.0
         grad += col
         grad *= 0.5
 
@@ -125,32 +175,32 @@ def _contrastive(s, cfg: LossConfig) -> LossOutput:
     if hard:
         positive = diag.copy()
     # Off-diagonal extremes: mask the diagonal in place, take the first
-    # (lowest-column) extreme of each row and read its value back.
-    every = np.arange(n)
+    # (lowest-column) extreme of each row and read its value back at its
+    # flat position.
     diag[:] = np.inf
-    argmin = s.argmin(axis=1)
-    min_off = s[every, argmin]
+    at = ws.starts + s.argmin(axis=1)
+    min_off = ws.s_flat[at]
 
     margin = 0.0
     if n > 1 and cfg.lam > 0:
         if not hard:
             hinge = cfg.margin - min_off
-            rows = np.flatnonzero(hinge > 0)
+            rows = (hinge > 0).nonzero()[0]
             if rows.size:
                 active = hinge[rows]
                 margin = float(cfg.lam * (active**2).sum())
-                grad[rows, argmin[rows]] -= 2.0 * cfg.lam * active
+                ws.grad_flat[at[rows]] -= 2.0 * cfg.lam * active
         else:
             diag[:] = -np.inf
-            argmax = s.argmax(axis=1)
-            hinge = s[every, argmax] - (positive * cfg.temperature - cfg.margin)
-            rows = np.flatnonzero(hinge > 0)
+            at = ws.starts + s.argmax(axis=1)
+            hinge = ws.s_flat[at] - (positive * cfg.temperature - cfg.margin)
+            rows = (hinge > 0).nonzero()[0]
             if rows.size:
                 active = hinge[rows]
                 margin = float(cfg.lam * (active**2).sum())
                 step = 2.0 * cfg.lam * active
-                grad[rows, argmax[rows]] += step
-                grad[rows, rows] -= step * cfg.temperature
+                ws.grad_flat[at[rows]] += step
+                ws.grad_diag[rows] -= step * cfg.temperature
 
     return LossOutput(
         total=ce + margin,
@@ -162,45 +212,36 @@ def _contrastive(s, cfg: LossConfig) -> LossOutput:
 
 
 def _features(img_feat, txt_feat, model: DualEncoderModel):
-    """Both feature batches as checked float64 matrices that fit their heads, and the heads."""
+    """Both feature batches as checked float64 matrices that fit the model's heads."""
     img_feat = as_matrix(img_feat, "image features")
     txt_feat = as_matrix(txt_feat, "text features")
     if img_feat.shape[0] != txt_feat.shape[0]:
         raise ShapeError(
             f"batch sizes differ: {img_feat.shape[0]} images vs {txt_feat.shape[0]} texts"
         )
-    heads = model.image_head, model.text_head  # each read builds views of params: read once
-    for x, head in zip((img_feat, txt_feat), heads):
-        if x.shape[1] != head.w.shape[0]:
-            raise ShapeError(f"features have width {x.shape[1]} but head expects {head.w.shape[0]}")
-    return img_feat, txt_feat, heads
+    for x, width in zip((img_feat, txt_feat), model.dims[:2]):
+        if x.shape[1] != width:
+            raise ShapeError(f"features have width {x.shape[1]} but head expects {width}")
+    return img_feat, txt_feat
 
 
-def _unit_rows(img_feat, txt_feat, heads) -> NormalizedRows:
-    # Both projections, image rows over text rows in one buffer, scaled to
-    # unit rows: each row's arithmetic is that of project and unit_rows,
-    # and the row-wise steps run once for both towers.
-    n = img_feat.shape[0]
-    p = np.empty((2 * n, heads[0].b.size))
-    with np.errstate(over="ignore"):  # an overflowing projection fails check_norms
-        for x, head, part in zip((img_feat, txt_feat), heads, (p[:n], p[n:])):
-            np.matmul(x, head.w, out=part)
-            part += head.b
-        norms = row_norms(p)
-    check_norms(norms[:n], "image", None)
-    check_norms(norms[n:], "text", None)
-    p /= norms[:, None]
-    return NormalizedRows(p, norms)
-
-
-def _forward(img_feat, txt_feat, heads, cfg: LossConfig):
-    # loss_forward on what _features returns; also returns the unit rows
-    n = img_feat.shape[0]
-    rows = _unit_rows(img_feat, txt_feat, heads)
-    s = rows.matrix[:n] @ rows.matrix[n:].T
+def _forward(ws: _Workspace, img, txt, cfg: LossConfig) -> LossOutput:
+    # loss_forward on what _features returns, into ws, under np.errstate(over="ignore"):
+    # an overflowing projection has a norm that is not finite, and the check reports it
+    p, norms = ws.p, ws.norms
+    np.matmul(img, ws.image_w, out=ws.p_img)
+    ws.p_img += ws.image_b
+    np.matmul(txt, ws.text_w, out=ws.p_txt)
+    ws.p_txt += ws.text_b
+    row_norms(p, norms, ws.sq)  # both towers' rows at once, as unit_rows takes them
+    if not (ZERO_NORM_EPS <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):
+        check_norms(norms[: ws.n], "image", None)  # names the first bad row, image rows first
+        check_norms(norms[ws.n :], "text", None)
+    p /= ws.norms_col
+    s = np.matmul(ws.p_img, ws.p_txt.T, out=ws.s)
     if cfg.temperature != 1:  # dividing by 1 is exact: skip it
         s /= cfg.temperature
-    return _contrastive(s, cfg), rows
+    return _contrastive(ws, cfg)
 
 
 def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig) -> LossOutput:
@@ -209,15 +250,36 @@ def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig) -
     Chains project -> row L2-normalization -> cosine / temperature ->
     ``contrastive_loss``, the forward half of ``loss_backward``.
     """
-    return _forward(*_features(img_feat, txt_feat, model), cfg)[0]
+    img_feat, txt_feat = _features(img_feat, txt_feat, model)
+    with np.errstate(over="ignore"):
+        return _forward(_Workspace(model, len(img_feat)), img_feat, txt_feat, cfg)
 
 
-def _rownorm_backward(rows, du):
-    # d/dp of p/|p| applied to upstream du: (du - (du . u) u) / |p|, written into du
-    proj = (du * rows.matrix).sum(axis=1, keepdims=True)
-    du -= proj * rows.matrix
-    du /= rows.norms[:, None]
-    return du
+def _rownorm_backward(ws: _Workspace):
+    # d/dp of p/|p| applied to upstream du = ws.d_p, with u = ws.p the unit
+    # rows: (du - (du . u) u) / |p|, written into du
+    du, u = ws.d_p, ws.p
+    proj = np.multiply(du, u, out=ws.sq).sum(axis=1, keepdims=True)
+    du -= np.multiply(proj, u, out=ws.sq)
+    du /= ws.norms_col
+
+
+def _backward(ws: _Workspace, img, txt, cfg: LossConfig) -> LossOutput:
+    # loss_backward on what _features returns, under np.errstate(over="ignore");
+    # the gradient is left in ws.grads
+    out = _forward(ws, img, txt, cfg)
+    g = out.grad_sim
+    if cfg.temperature != 1:
+        g = np.divide(g, cfg.temperature, out=ws.exp)  # the softmax scratch is free again
+    np.matmul(g, ws.p_txt, out=ws.d_p_img)
+    np.matmul(g.T, ws.p_img, out=ws.d_p_txt)
+    _rownorm_backward(ws)
+    image_w, image_b, text_w, text_b = ws.grad_blocks
+    np.matmul(img.T, ws.d_p_img, out=image_w)
+    ws.d_p_img.sum(axis=0, out=image_b)
+    np.matmul(txt.T, ws.d_p_txt, out=text_w)
+    ws.d_p_txt.sum(axis=0, out=text_b)
+    return out
 
 
 def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
@@ -227,18 +289,8 @@ def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
     Returns the LossOutput and the gradient as a new vector in the layout
     of ``model.params``.
     """
-    img_feat, txt_feat, heads = _features(img_feat, txt_feat, model)
-    out, rows = _forward(img_feat, txt_feat, heads, cfg)
-    n = img_feat.shape[0]
-    g = out.grad_sim / cfg.temperature if cfg.temperature != 1 else out.grad_sim
-    d_p = np.empty_like(rows.matrix)  # image rows over text rows, as in rows
-    np.matmul(g, rows.matrix[n:], out=d_p[:n])
-    np.matmul(g.T, rows.matrix[:n], out=d_p[n:])
-    _rownorm_backward(rows, d_p)
-    grads = np.empty_like(model.params)
-    image_w, image_b, text_w, text_b = model.blocks(grads).values()
-    np.matmul(img_feat.T, d_p[:n], out=image_w)
-    d_p[:n].sum(axis=0, out=image_b)
-    np.matmul(txt_feat.T, d_p[n:], out=text_w)
-    d_p[n:].sum(axis=0, out=text_b)
-    return out, grads
+    img_feat, txt_feat = _features(img_feat, txt_feat, model)
+    ws = _Workspace(model, len(img_feat))
+    with np.errstate(over="ignore"):
+        out = _backward(ws, img_feat, txt_feat, cfg)
+    return out, ws.grads

@@ -15,13 +15,14 @@ import copy
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import PairedDataset, _check_writable, make_batches
 from .errors import ConfigError, DegenerateRowError, DivergenceError, ShapeError
-from .loss import LossConfig, loss_backward, loss_forward
+from .loss import LossConfig, _backward, _features, _forward, _Workspace
 from .model import DualEncoderModel, save_checkpoint
 
 
@@ -119,21 +120,61 @@ def adamw_step(params, grads, state: OptimizerState, lr, cfg: TrainConfig):
         raise ShapeError(
             f"gradient shape {grads.shape} does not match parameter shape {params.shape}"
         )
-    state.t += 1
     # A diverging run overflows here; the caller's finiteness guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        state.m *= cfg.beta1
-        state.m += (1.0 - cfg.beta1) * grads
-        state.v *= cfg.beta2
-        state.v += (1.0 - cfg.beta2) * (grads * grads)
-        denom = state.v / (1.0 - cfg.beta2 ** state.t)
-        np.sqrt(denom, out=denom)
-        denom += cfg.eps
-        step = state.m / (1.0 - cfg.beta1 ** state.t)
-        step *= lr
-        step /= denom
-        step += (lr * cfg.weight_decay) * params
-        params -= step
+        _adamw(params, grads, state, lr, cfg, np.empty((2,) + params.shape))
+
+
+def _adamw(params, grads, state: OptimizerState, lr, cfg: TrainConfig, scratch):
+    # adamw_step's passes in its order, under its errstate, with the
+    # temporaries written into scratch: two arrays shaped like params
+    tmp, denom = scratch
+    state.t += 1
+    state.m *= cfg.beta1
+    state.m += np.multiply(grads, 1.0 - cfg.beta1, out=tmp)
+    state.v *= cfg.beta2
+    np.multiply(grads, grads, out=tmp)
+    tmp *= 1.0 - cfg.beta2
+    state.v += tmp
+    np.divide(state.v, 1.0 - cfg.beta2 ** state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    step = np.divide(state.m, 1.0 - cfg.beta1 ** state.t, out=tmp)
+    step *= lr
+    step /= denom
+    step += np.multiply(params, lr * cfg.weight_decay, out=denom)
+    params -= step
+
+
+def _chunks(image_rows, text_rows, size):
+    # a split's (image rows, text rows) in consecutive chunks of size pairs, the last one short
+    return [(image_rows[i : i + size], text_rows[i : i + size])
+            for i in range(0, len(image_rows), size)]
+
+
+def _check_features(model, images, texts, chunks):
+    """Raise what ``loss_forward`` raises on the first of ``chunks`` whose features it rejects.
+
+    ``chunks`` are (image rows, text rows) of the stores' ``vectors``, in
+    the order they are read; a row no chunk names is not read, and is no
+    fault.
+    """
+    for image_rows, text_rows in chunks:
+        _features(images[image_rows], texts[text_rows], model)
+
+
+def _workspaces(model, chunks):
+    # one workspace per chunk length
+    return {n: _Workspace(model, n) for n in {len(rows) for rows, _ in chunks}}
+
+
+def _summed_loss(spaces, images, texts, chunks, loss_cfg):
+    # the batch objectives of checked chunks, summed, each run through the workspace of its length
+    total = 0.0
+    for image_rows, text_rows in chunks:
+        ws = spaces[len(image_rows)]
+        total += _forward(ws, *ws.gather(images, texts, image_rows, text_rows), loss_cfg).total
+    return total
 
 
 def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_size) -> float:
@@ -146,11 +187,11 @@ def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_s
     image_rows, text_rows = ds.split_rows(split)
     if not len(image_rows):
         raise ValueError(f"split {split!r} is empty")
-    total = 0.0
-    for start in range(0, len(image_rows), batch_size):
-        img = ds.image_store.vectors[image_rows[start : start + batch_size]]
-        txt = ds.text_store.vectors[text_rows[start : start + batch_size]]
-        total += loss_forward(img, txt, model, loss_cfg).total
+    images, texts = ds.image_store.vectors, ds.text_store.vectors
+    chunks = _chunks(image_rows, text_rows, batch_size)
+    _check_features(model, images, texts, chunks)
+    with np.errstate(over="ignore"):
+        total = _summed_loss(_workspaces(model, chunks), images, texts, chunks, loss_cfg)
     return total / len(image_rows)
 
 
@@ -188,6 +229,11 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     One seeded shuffle (dropping a final short batch) fixes the batch
     sequence, which every epoch then replays; with a zero learning rate
     the per-epoch train loss is therefore exactly constant.
+
+    Before the first step, every feature row the run will read is checked
+    once, raising what the first step or validation pass to read a bad row
+    would raise; the steps and validation chunks then run through
+    workspaces allocated once, one per batch length.
     """
     t_start = time.perf_counter()
     image_rows, text_rows = ds.split_rows("train")
@@ -199,7 +245,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
         )
     batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)
     total_steps = cfg.epochs * len(batches)
-    has_val = ds.split_sizes()["val"] > 0
+    val_images, val_texts = ds.split_rows("val")
+    val_chunks = _chunks(val_images, val_texts, cfg.batch_size)  # none without a val split
 
     model.meta = {**model.meta, "train_config": asdict(cfg)}
 
@@ -209,7 +256,11 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     batch_rows = [(image_rows[batch], text_rows[batch]) for batch in batches]
     if checkpoint_path is not None:
         _check_writable(checkpoint_path)
-    log = open(log_path, "w", encoding="utf-8") if log_path is not None else None
+    _check_features(model, images, texts, batch_rows + val_chunks)
+    spaces = _workspaces(model, batch_rows + val_chunks)
+    ws = spaces[cfg.batch_size]
+    scratch = np.empty((2,) + params.shape)
+    log_file = open(log_path, "w", encoding="utf-8") if log_path is not None else nullcontext()
     best = math.inf
     best_epoch = 0
     best_model = None
@@ -217,7 +268,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     train_losses, val_losses, flags = [], [], []
     step = 0
     lr = 0.0
-    try:
+    # a diverging run overflows: check_norms and the guards below report it
+    with np.errstate(over="ignore", invalid="ignore"), log_file as log:
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = 0.0
             rows = 0
@@ -225,9 +277,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                 step += 1
                 lr = lr_at(step, cfg, total_steps)
                 try:
-                    out, grads = loss_backward(
-                        images.take(img_rows, axis=0), texts.take(txt_rows, axis=0), model, cfg.loss
-                    )
+                    out = _backward(ws, *ws.gather(images, texts, img_rows, txt_rows), cfg.loss)
                 except DegenerateRowError as e:
                     raise DivergenceError(
                         f"training aborted at step {step} (epoch {epoch}): {e}"
@@ -236,7 +286,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                     raise DivergenceError(
                         f"loss became non-finite at step {step} (epoch {epoch})"
                     )
-                adamw_step(params, grads, state, lr, cfg)
+                _adamw(params, ws.grads, state, lr, cfg, scratch)
                 if not np.isfinite(params).all():
                     bad = model.blocks(~np.isfinite(params))
                     name = next(k for k, v in bad.items() if v.any())
@@ -251,8 +301,8 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                     terms = (out.total / n, out.ce_term / n, out.margin_term / n)
                     log.write(_step_line(step, epoch, lr, *terms))
             train_loss = loss_sum / rows
-            if has_val:
-                val = evaluate_loss(model, ds, "val", cfg.loss, cfg.batch_size)
+            if val_chunks:
+                val = _summed_loss(spaces, images, texts, val_chunks, cfg.loss) / len(val_images)
             else:
                 val = train_loss
             improved = val < best
@@ -270,9 +320,6 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                 record = {"epoch": epoch, "train_loss": train_loss, "val_loss": val,
                           "checkpointed": improved}
                 log.write(json.dumps(record) + "\n")
-    finally:
-        if log:
-            log.close()
 
     report = TrainReport(
         train_loss=train_losses,

@@ -1148,14 +1148,49 @@ BAD_TRAIN_OUTPUTS = {
 }
 
 
+# Each fault TrainConfig and LossConfig raise, as a train --set.
+TRAIN_CONFIG_FAULTS = {
+    "train.epochs=0": "epochs must be >= 1, got 0",
+    "train.batch_size=1": "batch_size must be >= 2 for contrastive training, got 1",
+    "train.lr_max=-1.0": "need 0 <= lr_min <= lr_max, got lr_min=1e-05, lr_max=-1.0",
+    "train.lr_min=-1.0": "need 0 <= lr_min <= lr_max, got lr_min=-1.0, lr_max=0.001",
+    "train.lr_min=0.5": "need 0 <= lr_min <= lr_max, got lr_min=0.5, lr_max=0.001",
+    "train.warmup_steps=-1": "warmup_steps must be >= 0",
+    "train.weight_decay=-0.5": "weight_decay must be >= 0",
+    "train.beta1=1.0": "betas must lie in [0, 1)",
+    "train.beta2=-0.5": "betas must lie in [0, 1)",
+    "train.eps=0.0": "eps must be positive",
+    "loss.lambda=-1.0": "lam must be >= 0, got -1.0",
+    "loss.temperature=0.0": "temperature must be positive, got 0.0",
+    "loss.margin_mode=bogus": "margin_mode must be one of ('literal', 'hard_negative'), got 'bogus'",
+}
+
+
+class TestTrainConfigFaultsFirst:
+    @pytest.mark.parametrize("setting", TRAIN_CONFIG_FAULTS)
+    def test_config_fault_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, setting):
+        # no input exists: a config fault must be reported before train opens one
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            ["train", "--manifest", "nope.jsonl", "--images", "nope.emb", "--texts", "nope.emb",
+             "--checkpoint", "m.ckpt", "--log", "train.log", "--report", "r.json",
+             "--set", setting],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": TRAIN_CONFIG_FAULTS[setting]}
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBadOutputPaths:
     @pytest.mark.parametrize("case", BAD_TRAIN_OUTPUTS)
     def test_train_fails_before_the_first_step(self, pipeline, tmp_path, capsys, monkeypatch, case):
         monkeypatch.chdir(tmp_path)
         train_module = importlib.import_module("twotower.train")  # not the train function
         steps = []
-        real_backward = train_module.loss_backward
-        monkeypatch.setattr(train_module, "loss_backward",
+        real_backward = train_module._backward  # the step's forward and backward pass
+        monkeypatch.setattr(train_module, "_backward",
                             lambda *a: steps.append(1) or real_backward(*a))
         flags = BAD_TRAIN_OUTPUTS[case]
         code, out, err = run(train_args(pipeline, *flags, "--log", "train.log"), capsys)

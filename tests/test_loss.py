@@ -389,6 +389,26 @@ class TestFusedStepMatchesReference:
             model.params -= 1e-2 * grads  # the next batch meets other parameters
         assert active >= 3  # the hinge branch ran, not only the cross-entropy
 
+    def test_a_later_call_leaves_earlier_results_alone(self):
+        # each call writes into buffers of its own: nothing returned is reused
+        rng = np.random.default_rng(37)
+        model = init_model(6, 5, 3, seed=38)
+        for cfg in (LossConfig(), LossConfig(margin_mode="hard_negative", symmetric=True,
+                                             temperature=0.5)):
+            calls = []
+            for _ in range(2):
+                img, txt = rng.standard_normal((7, 6)), rng.standard_normal((7, 5))
+                out, grads = loss_backward(img, txt, model, cfg)
+                calls.append([out.grad_sim, out.per_row_min_offdiag, grads,
+                              loss_forward(img, txt, model, cfg).grad_sim,
+                              contrastive_loss(rng.uniform(-1, 1, (7, 7)), cfg).grad_sim])
+                if len(calls) == 1:
+                    kept = [a.copy() for a in calls[0]]
+            for a, b, before in zip(calls[0], calls[1], kept):
+                assert np.array_equal(a, before)
+                assert not np.shares_memory(a, b)
+            assert not np.shares_memory(calls[0][2], model.params)
+
     def test_contrastive_loss_leaves_the_callers_logits_alone(self):
         rng = np.random.default_rng(33)
         for mode in ("literal", "hard_negative"):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import oracle_adamw
+from oracles import oracle_adamw, reference_loss_backward
 from twotower import loss as loss_module
 from twotower import model as model_module
-from twotower.data import EmbeddingStore, PairedDataset, synth_dataset
+from twotower.data import EmbeddingStore, PairedDataset, make_batches, synth_dataset
 from twotower.errors import ConfigError, DivergenceError, ShapeError
 from twotower.loss import LossConfig, loss_backward
 from twotower.model import checkpoint_bytes, init_model
@@ -350,6 +350,133 @@ class TestTrain:
         np.testing.assert_array_equal(outs[0], outs[1])
 
 
+def reference_train(model, ds, cfg):
+    """The training loop built from the reference pieces: (log lines, val losses, best params).
+
+    Each step runs ``reference_loss_backward`` and ``oracle_adamw`` on the
+    next batch of ``make_batches`` at the rate ``lr_at`` gives, updating
+    ``model.params`` in place; validation sums ``reference_loss_backward``'s
+    totals over consecutive chunks of the val split. Fresh arrays and one
+    helper per stage throughout, and no buffer is reused.
+    """
+    image_rows, text_rows = ds.split_rows("train")
+    val_images, val_texts = ds.split_rows("val")
+    images, texts = ds.image_store.vectors, ds.text_store.vectors
+    batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)
+    total_steps = cfg.epochs * len(batches)
+    blocks = model.blocks(model.params)
+    m = {k: np.zeros_like(b) for k, b in blocks.items()}
+    v = {k: np.zeros_like(b) for k, b in blocks.items()}
+    lines, val_losses, best, best_params = [], [], math.inf, None
+    step = 0
+    for epoch in range(1, cfg.epochs + 1):
+        loss_sum = 0.0
+        for batch in batches:
+            step += 1
+            lr = lr_at(step, cfg, total_steps)
+            img, txt = images[image_rows[batch]], texts[text_rows[batch]]
+            terms, grads = reference_loss_backward(img, txt, model, cfg.loss)
+            oracle_adamw(blocks, model.blocks(grads), m, v, step, lr, cfg)
+            n = len(batch)
+            loss_sum += terms["total"]
+            record = {"step": step, "epoch": epoch, "lr": lr, "loss": terms["total"] / n,
+                      "ce_term": terms["ce_term"] / n, "margin_term": terms["margin_term"] / n}
+            lines.append(json.dumps(record))
+        train_loss = loss_sum / (len(batches) * cfg.batch_size)
+        val_sum = 0.0
+        for i in range(0, len(val_images), cfg.batch_size):
+            img = images[val_images[i : i + cfg.batch_size]]
+            txt = texts[val_texts[i : i + cfg.batch_size]]
+            val_sum += reference_loss_backward(img, txt, model, cfg.loss)[0]["total"]
+        val = val_sum / len(val_images)
+        improved = val < best
+        if improved:
+            best, best_params = val, model.params.copy()
+        val_losses.append(val)
+        lines.append(json.dumps({"epoch": epoch, "train_loss": train_loss, "val_loss": val,
+                                 "checkpointed": improved}))
+    return lines, val_losses, best_params
+
+
+LOSS_MODES = {
+    "literal": LossConfig(),
+    "hard_negative": LossConfig(margin_mode="hard_negative"),
+    "symmetric": LossConfig(symmetric=True),
+    "temperature-0.5": LossConfig(temperature=0.5),
+    "lam-0": LossConfig(lam=0.0),
+}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_train_matches_the_reference_loop_bit_for_bit(self, tmp_path, mode):
+        ds = tiny_dataset(seed=40, n_images=60)
+        cfg = tiny_cfg(epochs=3, batch_size=7, loss=LOSS_MODES[mode])
+        assert len(ds.split_rows("val")[0]) % cfg.batch_size  # a short last validation chunk
+        log = tmp_path / "train.log"
+        live, ref = init_model(8, 6, 4, seed=41), init_model(8, 6, 4, seed=41)
+        best, report = train(live, ds, cfg, log_path=log)
+        lines, val_losses, best_params = reference_train(ref, ds, cfg)
+        assert log.read_text() == "".join(line + "\n" for line in lines)
+        assert report.val_loss == val_losses
+        assert live.params.tobytes() == ref.params.tobytes()
+        assert best.params.tobytes() == best_params.tobytes()
+        if mode != "lam-0":  # the hinge ran
+            assert any(json.loads(line).get("margin_term", 0.0) > 0 for line in lines)
+
+
+def poison(store, row, value):
+    """Write ``value`` into one entry of a store's row, as a caller holding the array could."""
+    store.vectors.setflags(write=True)
+    store.vectors[row, 1] = value
+    store.vectors.setflags(write=False)
+
+
+class TestTrainChecksItsFeatures:
+    """train checks every row it will read once, before its first step.
+
+    A fault raises what the first step or validation pass to read the bad
+    row raises in loss_backward or loss_forward; a row no step or
+    validation chunk reads is no fault.
+    """
+
+    @pytest.mark.parametrize("dims, width, expects", [((9, 6), 8, 9), ((8, 7), 6, 7)],
+                             ids=["image", "text"])
+    def test_head_width_that_does_not_fit(self, tmp_path, dims, width, expects):
+        log = tmp_path / "train.log"
+        with pytest.raises(ShapeError, match=f"^features have width {width} but head expects {expects}$"):
+            train(init_model(*dims, 4, seed=0), tiny_dataset(seed=42), tiny_cfg(), log_path=log)
+        assert not log.exists()  # no step ran
+
+    @pytest.mark.parametrize("tower, split, where", [
+        ("image", "train", -1), ("text", "train", -1), ("image", "val", -1), ("text", "val", 0),
+    ])
+    def test_non_finite_row_that_is_read(self, tower, split, where):
+        ds = tiny_dataset(seed=43)
+        cfg = tiny_cfg()
+        positions = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)[-1]  # the last step's
+        if split == "val":
+            positions = np.arange(len(ds.split_rows("val")[0]))
+        rows = ds.split_rows(split)[tower == "text"]
+        store = ds.text_store if tower == "text" else ds.image_store
+        poison(store, rows[positions[where]], np.nan)
+        model = init_model(8, 6, 4, seed=44)
+        before = model.params.copy()
+        with pytest.raises(ValueError, match=f"^{tower} features contains non-finite entries$"):
+            train(model, ds, cfg)
+        assert np.array_equal(model.params, before)  # raised before the first step
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rows_no_step_reads_are_no_fault(self, value):
+        clean, poisoned = tiny_dataset(seed=45), tiny_dataset(seed=45)
+        for row in poisoned.split_rows("test")[0][:2]:  # held-out images are never read
+            poison(poisoned.image_store, row, value)
+        runs = [train(init_model(8, 6, 4, seed=46), d, tiny_cfg()) for d in (clean, poisoned)]
+        (best_a, report_a), (best_b, report_b) = runs
+        assert checkpoint_bytes(best_a) == checkpoint_bytes(best_b)
+        assert report_a.val_loss == report_b.val_loss
+
+
 def permuted_stores(ds, seed):
     """The same pairs over stores whose rows are in a seeded random order."""
     rng = np.random.default_rng(seed)
@@ -420,7 +547,8 @@ class TestEvaluateLoss:
         train_module = importlib.import_module("twotower.train")  # not the train function
         monkeypatch.setattr(loss_module, "_rownorm_backward", no_backward)
         monkeypatch.setattr(loss_module, "loss_backward", no_backward)
-        monkeypatch.setattr(train_module, "loss_backward", no_backward)
+        monkeypatch.setattr(loss_module, "_backward", no_backward)
+        monkeypatch.setattr(train_module, "_backward", no_backward)
         assert evaluate_loss(model, ds, "val", cfg, batch_size=5) == expected
 
     def test_empty_split_rejected(self):

@@ -3,7 +3,7 @@
 #
 #   tools/artifact_parity.sh PARENT_SRC CHANGE_SRC
 #
-# Each argument is a checkout root holding src/twotower. For each of six
+# Each argument is a checkout root holding src/twotower. For each of seven
 # configs, the script runs synth -> ingest -> train -> index -> eval -> query
 # through the CLI once per tree, each in its own directory with the same
 # relative paths, and compares the results file by file: stores, manifest,
@@ -34,7 +34,10 @@
 # (id_faults.out): a fixed-width id block is read in one pass, and every
 # fault must still be found by the per-id reader, with its message and byte
 # offset. The "c12" config gives text ids of two widths ("#c9", "#c10"), so
-# its text store is read id by id.
+# its text store is read id by id. The "bs48-lam0" config trains the default
+# data in batches of 48 with no margin term: its 100 val pairs end in a short
+# chunk of 4, so training runs buffers of two batch lengths other than the
+# default 64, and the hinge branch never runs.
 # Last, it writes edited copies of the manifest, one fault each (bad JSON, a
 # missing or non-string field, a bad split, a duplicate pair, invalid UTF-8,
 # two values on one line, one value over two lines, a ragged image, an
@@ -78,6 +81,7 @@ configs=(
     "n2000-hard|$big --set loss.margin_mode=hard_negative"
     "n2000-t05|$big --set loss.temperature=0.5"
     "c12|--set data.synth.captions_per_image=12 --set data.captions_per_image=12"
+    "bs48-lam0|--set train.batch_size=48 --set loss.lambda=0"
 )
 
 run_pipeline() {  # tree, run dir, config flags
