@@ -39,6 +39,7 @@ from .data import (
     _write_atomic,
     augment_dataset,
     build_pairs,
+    check_augment,
     load_embeddings,
     load_manifest,
     save_embeddings,
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .loss import LossConfig
 from .metrics import QueryJudgment, format_table, judgments_by_id
-from .model import init_model, load_checkpoint
+from .model import check_dims, init_model, load_checkpoint
 from .retrieval import build_index, evaluate, load_index, query, save_index
 from .train import TrainConfig, _json_number, train
 
@@ -296,18 +297,20 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     loss = dict(cfg["loss"])
+    aug = cfg["data"]["augment"]
     with value_errors_as(ConfigError):  # a config fault is reported before any input is read
         train_cfg = TrainConfig(
             **cfg["train"],
             seed=cfg["seed"] + 2,
             loss=LossConfig(lam=loss.pop("lambda"), **loss),
         )
+        check_augment(aug["sigma"], aug["copies"])
+        check_dims(shared_dim=cfg["model"]["shared_dim"])
     if args.report is not None:  # a bad path fails here, not after the last epoch
         _check_writable(args.report)
     ds = _load_dataset(args, cfg)
     if not ds.split_sizes()["train"]:
         raise DataFormatError(f"{args.manifest}: no pairs in split 'train'")
-    aug = cfg["data"]["augment"]
     with value_errors_as(ConfigError):
         ds = augment_dataset(ds, sigma=aug["sigma"], copies=aug["copies"], seed=cfg["seed"] + 3)
         model = init_model(

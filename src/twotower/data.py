@@ -59,10 +59,10 @@ EMBED_VERSION = 1
 _EMBED_HEADER = struct.Struct("<4sIQIB7x")
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator with a published update rule.
+def splitmix64_below(seed, bounds) -> np.ndarray:
+    """Draws of SplitMix64, a 64-bit generator with a published update rule, one per bound.
 
-    All arithmetic is modulo 2**64:
+    All arithmetic is modulo 2**64, from ``state = seed``:
 
         state  = state + 0x9E3779B97F4A7C15
         z      = state
@@ -70,42 +70,17 @@ class SplitMix64:
         z      = (z ^ (z >> 27)) * 0x94D049BB133111EB
         output = z ^ (z >> 31)
 
-    Every shuffle in this package runs on this generator so that batch
-    order is a stable, documented function of the seed, reproducible from
-    the equations above in any language. ``splitmix64_below`` computes a
-    run of draws with the same equations on arrays.
-    """
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed):
-        self.state = seed & self._MASK
-
-    def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def next_below(self, n):
-        """Integer in [0, n) by modulo reduction.
-
-        The modulo bias is below n / 2**64, negligible at any feasible n.
-        """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
-
-
-def splitmix64_below(seed, bounds) -> np.ndarray:
-    """``[SplitMix64(seed).next_below(n) for n in bounds]``, as uint64 array arithmetic.
-
-    Draw k (from 1) mixes state seed + k * 0x9E3779B97F4A7C15; numpy's
-    uint64 ufuncs wrap modulo 2**64, as the equations ask.
+    and draw k is ``output % bounds[k]``; the modulo bias is below
+    n / 2**64, negligible at any feasible bound n. Every shuffle in this
+    package runs on this generator so that batch order is a stable,
+    documented function of the seed, reproducible from the equations
+    above in any language. Draw k (from 1) mixes state seed + k *
+    0x9E3779B97F4A7C15, so all draws run at once as uint64 array
+    arithmetic; numpy's uint64 ufuncs wrap modulo 2**64, as the equations
+    ask.
     """
     u = np.uint64
-    z = np.arange(1, len(bounds) + 1, dtype=u) * u(0x9E3779B97F4A7C15) + u(seed & SplitMix64._MASK)
+    z = np.arange(1, len(bounds) + 1, dtype=u) * u(0x9E3779B97F4A7C15) + u(seed & (2**64 - 1))
     z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
     return (z ^ (z >> u(31))) % np.asarray(bounds, dtype=u)
@@ -686,6 +661,14 @@ def synth_dataset(
     )
 
 
+def check_augment(sigma, copies):
+    """Raise ValueError unless ``augment_dataset`` takes this ``sigma`` and ``copies``."""
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if copies < 0:
+        raise ValueError("copies must be >= 0")
+
+
 def augment_dataset(ds: PairedDataset, sigma, copies, seed) -> PairedDataset:
     """Expand the train split with jittered image replicas.
 
@@ -702,10 +685,7 @@ def augment_dataset(ds: PairedDataset, sigma, copies, seed) -> PairedDataset:
     the train images. A feature-space stand-in for input-level
     augmentation; no claim of equivalence.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if copies < 0:
-        raise ValueError("copies must be >= 0")
+    check_augment(sigma, copies)
     if copies == 0:
         return ds
     images, texts = ds.image_store, ds.text_store

@@ -8,13 +8,12 @@ Finiteness is checked where data enters: ``as_matrix`` at each public entry
 point. ``row_norms`` and ``log_softmax_rows`` are unchecked helpers behind
 those entry points; their callers pass finite float64 matrices.
 
-``unit_rows`` is the one row normaliser, over rows already checked where
-they entered: training and retrieval both take their norms from
+Rows are normalised over rows already checked where they entered:
+retrieval through ``unit_rows``, which returns the unit rows alone, and
+the training step in its own buffers. Both take their norms from
 ``row_norms``, and a row whose norm is zero or overflows raises
 ``DegenerateRowError`` in ``check_norms`` and nowhere else.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +31,6 @@ def as_matrix(x, name="matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-class NormalizedRows(NamedTuple):
-    matrix: np.ndarray  # the rows scaled to unit norm
-    norms: np.ndarray   # each input row's Euclidean norm, all >= ZERO_NORM_EPS
 
 
 def row_norms(m, out=None, scratch=None) -> np.ndarray:
@@ -69,18 +63,18 @@ def check_norms(norms, what, ids):
         raise DegenerateRowError(f"{what} {name} projects {fault}", row=i, row_id=row_id)
 
 
-def unit_rows(m, what, ids) -> NormalizedRows:
-    """Scale each row of a float64 matrix to unit Euclidean norm; ``check_norms`` gives the errors.
+def unit_rows(m, what, ids) -> np.ndarray:
+    """Each row of a float64 matrix scaled to unit Euclidean norm; ``check_norms`` gives the errors.
 
     ``m`` is not scanned: a row holding an infinity or NaN, such as a
-    projection that overflowed, has no finite norm and raises as one. The
-    norms come back with the unit rows; retrieval reads only ``matrix``,
-    and training's backward pass keeps its norms in ``loss._Workspace``.
+    projection that overflowed, has no finite norm and raises as one.
+    Retrieval normalises through it; training's step divides by the norms
+    it keeps in ``loss._Workspace``.
     """
     with np.errstate(over="ignore"):
         norms = row_norms(m)
     check_norms(norms, what, ids)
-    return NormalizedRows(m / norms[:, None], norms)
+    return m / norms[:, None]
 
 
 def log_softmax_rows(m, out=None, scratch=None) -> np.ndarray:

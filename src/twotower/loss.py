@@ -25,11 +25,11 @@ Training and validation share one forward pass, ``_forward``;
 ``_backward`` continues from it to the parameter gradients. Both run as
 straight-line array code into a ``_Workspace``, the buffers of one batch
 size, allocated once: ``train`` checks its features when it starts and
-keeps one workspace per batch length for the run, while ``loss_forward``,
-``loss_backward`` and ``contrastive_loss`` check their arguments and build
-a fresh one per call. Every operation keeps numpy's rounding order and
-each array's layout, so results are bit-identical to the step written
-helper by helper with fresh arrays.
+keeps one workspace per batch length for the run, while ``loss_backward``
+and ``contrastive_loss``, the entry points the demos and tests call,
+check their arguments and build a fresh one per call. Every operation
+keeps numpy's rounding order and each array's layout, so results are
+bit-identical to the step written helper by helper with fresh arrays.
 """
 
 from dataclasses import dataclass
@@ -226,7 +226,7 @@ def _features(img_feat, txt_feat, model: DualEncoderModel):
 
 
 def _forward(ws: _Workspace, img, txt, cfg: LossConfig) -> LossOutput:
-    # loss_forward on what _features returns, into ws, under np.errstate(over="ignore"):
+    # the objective on what _features returns, into ws, under np.errstate(over="ignore"):
     # an overflowing projection has a norm that is not finite, and the check reports it
     p, norms = ws.p, ws.norms
     np.matmul(img, ws.image_w, out=ws.p_img)
@@ -242,17 +242,6 @@ def _forward(ws: _Workspace, img, txt, cfg: LossConfig) -> LossOutput:
     if cfg.temperature != 1:  # dividing by 1 is exact: skip it
         s /= cfg.temperature
     return _contrastive(ws, cfg)
-
-
-def loss_forward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig) -> LossOutput:
-    """The objective on one batch, with no parameter gradients.
-
-    Chains project -> row L2-normalization -> cosine / temperature ->
-    ``contrastive_loss``, the forward half of ``loss_backward``.
-    """
-    img_feat, txt_feat = _features(img_feat, txt_feat, model)
-    with np.errstate(over="ignore"):
-        return _forward(_Workspace(model, len(img_feat)), img_feat, txt_feat, cfg)
 
 
 def _rownorm_backward(ws: _Workspace):
@@ -285,7 +274,8 @@ def _backward(ws: _Workspace, img, txt, cfg: LossConfig) -> LossOutput:
 def loss_backward(img_feat, txt_feat, model: DualEncoderModel, cfg: LossConfig):
     """Forward and backward pass through both heads for one batch.
 
-    Runs ``loss_forward``, then its closed-form Jacobians in reverse.
+    Chains project -> row L2-normalization -> cosine / temperature ->
+    ``contrastive_loss``, then runs the closed-form Jacobians in reverse.
     Returns the LossOutput and the gradient as a new vector in the layout
     of ``model.params``.
     """

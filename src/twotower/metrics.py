@@ -154,34 +154,6 @@ def metrics_from_ranks(judged) -> MetricsReport:
     )
 
 
-def evaluate_run(results, judgments) -> MetricsReport:
-    """Score a batch of ranked results against their judgments.
-
-    Results and judgments are matched by query_id (order-independent);
-    every result needs exactly one judgment and vice versa. Per-query rows
-    follow result order. Rankings should cover the whole index so every
-    retrieved-relevant item has a cutoff; relevant items missing from a
-    ranking simply contribute zero.
-    """
-    if not results:
-        raise ValueError("no results to evaluate")
-    by_id = judgments_by_id(judgments)
-    seen = set()
-    judged = []
-    for r in results:
-        if r.query_id in seen:
-            raise ValueError(f"duplicate result for query {r.query_id!r}")
-        seen.add(r.query_id)
-        if r.query_id not in by_id:
-            raise ValueError(f"result {r.query_id!r} has no judgment")
-        j = by_id[r.query_id]
-        judged.append((j, _ranks([doc for doc, _ in r.hits], j.relevant_ids)))
-    missing = set(by_id) - seen
-    if missing:
-        raise ValueError(f"judgment {sorted(missing)[0]!r} has no result")
-    return metrics_from_ranks(judged)
-
-
 _TABLE_COLUMNS = ("MAP", "MAR", "MAF1", "Top1", "Top5", "Top10")
 
 

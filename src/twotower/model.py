@@ -111,6 +111,13 @@ class DualEncoderModel:
                 "text_w": flat[t:end].reshape(d_txt, d), "text_b": flat[end:end + d]}
 
 
+def check_dims(**dims):
+    """Raise ValueError unless each named dimension is at least 1, checked in the order given."""
+    for name, d in dims.items():
+        if d < 1:
+            raise ValueError(f"{name} must be positive, got {d}")
+
+
 def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderModel:
     """Build a fresh model with Glorot-uniform weights and zero biases.
 
@@ -118,9 +125,7 @@ def init_model(img_dim, txt_dim, shared_dim, seed, meta=None) -> DualEncoderMode
     cosine logits well-scaled at step 0. Deterministic per seed: the image
     head is drawn first, then the text head, from one PCG64 stream.
     """
-    for name, d in (("img_dim", img_dim), ("txt_dim", txt_dim), ("shared_dim", shared_dim)):
-        if d < 1:
-            raise ValueError(f"{name} must be positive, got {d}")
+    check_dims(img_dim=img_dim, txt_dim=txt_dim, shared_dim=shared_dim)
     rng = np.random.default_rng(seed)
 
     def glorot(d_in, d_out):

@@ -75,7 +75,7 @@ def build_index(model: DualEncoderModel, images: EmbeddingStore) -> RetrievalInd
         raise ValueError(
             f"index must be built from an image_feature store, got kind {images.kind!r}"
         )
-    unit = unit_rows(project(model.image_head, images.vectors), "image", images.ids).matrix
+    unit = unit_rows(project(model.image_head, images.vectors), "image", images.ids)
     return RetrievalIndex(ids=images.ids, vectors=unit, model_fingerprint=model_fingerprint(model))
 
 
@@ -140,7 +140,7 @@ def _blocks(index, model, features, ids):
     for start in range(0, len(ids), size):
         block = ids[start:start + size]
         raw = np.matmul(features[start:start + size, None, :], head.w)[:, 0] + head.b
-        q = unit_rows(raw, "query", block).matrix
+        q = unit_rows(raw, "query", block)
         yield block, q, np.matmul(q, index.vectors.T, out=scores[:len(block)])
 
 
@@ -204,7 +204,7 @@ def batch_query(index, model, texts: EmbeddingStore, k) -> list:
 
 
 def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
-    """``evaluate_run`` of the judged store rows ranked against the whole index.
+    """``metrics_from_ranks`` of the judged store rows, each ranked against the whole index.
 
     No ranking is built: relevant image row r, with exact score e, gets rank
     1 + #(scores > e) + #(scores[:r] == e), its place in ``batch_query``'s

@@ -1,11 +1,13 @@
 """Training loop: AdamW updates under a warmup+cosine schedule.
 
 Each optimizer step runs features -> project -> normalize -> logits ->
-loss -> analytic gradients -> AdamW, then advances the learning rate.
-After every epoch the validation loss is computed; when it strictly
+loss -> analytic gradients -> ``adamw_step``, then advances the learning
+rate. After every epoch the validation loss is computed by the same
+forward pass over the val split, with no backward pass; when it strictly
 improves on the best seen so far, a copy of the model is kept (and
 written as a checkpoint when a path is given), and the last such copy is
-what training returns. Runs are fully deterministic per seed.
+what training returns. Runs are fully deterministic per seed. ``train``
+is the one way in: steps and validation run only inside it.
 
 Loss numbers in logs and reports are per-pair means (batch objective
 divided by batch size) so values are comparable across batch sizes.
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import PairedDataset, _check_writable, make_batches
-from .errors import ConfigError, DegenerateRowError, DivergenceError, ShapeError
+from .errors import ConfigError, DegenerateRowError, DivergenceError
 from .loss import LossConfig, _backward, _features, _forward, _Workspace
 from .model import DualEncoderModel, save_checkpoint
 
@@ -105,7 +107,7 @@ def lr_at(step, cfg: TrainConfig, total_steps) -> float:
     return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (1.0 + math.cos(math.pi * progress))
 
 
-def adamw_step(params, grads, state: OptimizerState, lr, cfg: TrainConfig):
+def adamw_step(params, grads, state: OptimizerState, lr, cfg: TrainConfig, scratch):
     """One decoupled-weight-decay Adam update, in place on ``params``.
 
         m <- b1 m + (1-b1) g          v <- b2 v + (1-b2) g^2
@@ -115,19 +117,10 @@ def adamw_step(params, grads, state: OptimizerState, lr, cfg: TrainConfig):
     ``params``, ``grads`` and the moments are vectors of one shape, such as
     ``model.params``; each line is one pass over the whole vector, the way
     fused multi-tensor AdamW runs, in the rounding order of the formula.
+    The caller holds the numpy error state (a diverging run overflows
+    here, and its finiteness guard reports it) and passes ``scratch``, two
+    vectors shaped like ``params`` that take the temporaries.
     """
-    if grads.shape != params.shape:
-        raise ShapeError(
-            f"gradient shape {grads.shape} does not match parameter shape {params.shape}"
-        )
-    # A diverging run overflows here; the caller's finiteness guard reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _adamw(params, grads, state, lr, cfg, np.empty((2,) + params.shape))
-
-
-def _adamw(params, grads, state: OptimizerState, lr, cfg: TrainConfig, scratch):
-    # adamw_step's passes in its order, under its errstate, with the
-    # temporaries written into scratch: two arrays shaped like params
     tmp, denom = scratch
     state.t += 1
     state.m *= cfg.beta1
@@ -153,7 +146,7 @@ def _chunks(image_rows, text_rows, size):
 
 
 def _check_features(model, images, texts, chunks):
-    """Raise what ``loss_forward`` raises on the first of ``chunks`` whose features it rejects.
+    """Raise what ``loss_backward`` raises on the first of ``chunks`` whose features it rejects.
 
     ``chunks`` are (image rows, text rows) of the stores' ``vectors``, in
     the order they are read; a row no chunk names is not read, and is no
@@ -175,24 +168,6 @@ def _summed_loss(spaces, images, texts, chunks, loss_cfg):
         ws = spaces[len(image_rows)]
         total += _forward(ws, *ws.gather(images, texts, image_rows, text_rows), loss_cfg).total
     return total
-
-
-def evaluate_loss(model, ds: PairedDataset, split, loss_cfg: LossConfig, batch_size) -> float:
-    """Mean per-pair loss over a split, batched in pair order (no shuffle).
-
-    Deterministic: consecutive chunks of ``batch_size`` pairs, last chunk
-    short. Returns the summed batch objectives divided by the pair count.
-    Runs the forward pass only; no gradients are formed.
-    """
-    image_rows, text_rows = ds.split_rows(split)
-    if not len(image_rows):
-        raise ValueError(f"split {split!r} is empty")
-    images, texts = ds.image_store.vectors, ds.text_store.vectors
-    chunks = _chunks(image_rows, text_rows, batch_size)
-    _check_features(model, images, texts, chunks)
-    with np.errstate(over="ignore"):
-        total = _summed_loss(_workspaces(model, chunks), images, texts, chunks, loss_cfg)
-    return total / len(image_rows)
 
 
 def _json_number(x) -> str:
@@ -286,7 +261,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
                     raise DivergenceError(
                         f"loss became non-finite at step {step} (epoch {epoch})"
                     )
-                _adamw(params, ws.grads, state, lr, cfg, scratch)
+                adamw_step(params, ws.grads, state, lr, cfg, scratch)
                 if not np.isfinite(params).all():
                     bad = model.blocks(~np.isfinite(params))
                     name = next(k for k, v in bad.items() if v.any())

@@ -1,7 +1,10 @@
 """Independent brute-force evaluators used to check the library.
 
 Everything here is written directly from the defining formulas with plain
-loops, deliberately sharing no code with the package internals.
+loops, deliberately sharing no code with the package internals, except
+``evaluate_run``: the metrics of ranked result lists, scored by the
+package's own per-query formulas, which tests compare the pipeline's
+ranking against.
 """
 
 import json
@@ -12,6 +15,33 @@ import numpy as np
 
 from twotower.errors import DataFormatError, IdCountMismatchError, ManifestError, TruncatedFileError
 from twotower.loss import loss_backward
+from twotower.metrics import MetricsReport, _ranks, judgments_by_id, metrics_from_ranks
+
+
+class SplitMix64:
+    """The scalar SplitMix64 generator, one draw at a time, as its update rule defines it.
+
+    The equations are in ``twotower.data.splitmix64_below``'s docstring;
+    all arithmetic is modulo 2**64.
+    """
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self.state = seed & self._MASK
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def next_below(self, n):
+        """Integer in [0, n) by modulo reduction."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        return self.next_u64() % n
 
 
 def oracle_contrastive(s_rows, lam, margin, symmetric=False):
@@ -274,6 +304,34 @@ def reference_read_ids(r, count):
         pos += 2 + length
     r.pos = pos
     return ids
+
+
+def evaluate_run(results, judgments) -> MetricsReport:
+    """Score a batch of ranked results against their judgments.
+
+    Results and judgments are matched by query_id (order-independent);
+    every result needs exactly one judgment and vice versa. Per-query rows
+    follow result order. Rankings should cover the whole index so every
+    retrieved-relevant item has a cutoff; relevant items missing from a
+    ranking simply contribute zero.
+    """
+    if not results:
+        raise ValueError("no results to evaluate")
+    by_id = judgments_by_id(judgments)
+    seen = set()
+    judged = []
+    for r in results:
+        if r.query_id in seen:
+            raise ValueError(f"duplicate result for query {r.query_id!r}")
+        seen.add(r.query_id)
+        if r.query_id not in by_id:
+            raise ValueError(f"result {r.query_id!r} has no judgment")
+        j = by_id[r.query_id]
+        judged.append((j, _ranks([doc for doc, _ in r.hits], j.relevant_ids)))
+    missing = set(by_id) - seen
+    if missing:
+        raise ValueError(f"judgment {sorted(missing)[0]!r} has no result")
+    return metrics_from_ranks(judged)
 
 
 def oracle_evaluate(results, judgments):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    evaluate_run,
     fd_param_grads,
     first_bad_block,
     oracle_contrastive,
@@ -31,7 +32,6 @@ from twotower.metrics import (
     QueryJudgment,
     average_precision,
     average_recall,
-    evaluate_run,
     f1_per_query,
 )
 from twotower.model import init_model, load_checkpoint, save_checkpoint

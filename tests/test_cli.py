@@ -1148,7 +1148,7 @@ BAD_TRAIN_OUTPUTS = {
 }
 
 
-# Each fault TrainConfig and LossConfig raise, as a train --set.
+# Each config fault train reports before it reads an input, as a train --set.
 TRAIN_CONFIG_FAULTS = {
     "train.epochs=0": "epochs must be >= 1, got 0",
     "train.batch_size=1": "batch_size must be >= 2 for contrastive training, got 1",
@@ -1163,6 +1163,9 @@ TRAIN_CONFIG_FAULTS = {
     "loss.lambda=-1.0": "lam must be >= 0, got -1.0",
     "loss.temperature=0.0": "temperature must be positive, got 0.0",
     "loss.margin_mode=bogus": "margin_mode must be one of ('literal', 'hard_negative'), got 'bogus'",
+    "model.shared_dim=0": "shared_dim must be positive, got 0",
+    "data.augment.copies=-1": "copies must be >= 0",
+    "data.augment.sigma=-1": "sigma must be >= 0",
 }
 
 

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocation import raises_small
-from oracles import reference_load_manifest
+from oracles import SplitMix64, reference_load_manifest
 from twotower import data
 from twotower.data import (
     EmbeddingStore,
     Pair,
     PairedDataset,
-    SplitMix64,
     augment_dataset,
     build_pairs,
     load_embeddings,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twotower.errors import DegenerateRowError
-from twotower.linalg import as_matrix, log_softmax_rows, unit_rows
+from twotower.linalg import as_matrix, log_softmax_rows, row_norms, unit_rows
 
 
 def softmax_rows(m):
@@ -11,7 +11,7 @@ def softmax_rows(m):
 
 def cosine_similarity_matrix(a, b):
     """All-pairs cosines as the package forms them: unit rows times unit rows."""
-    return unit_rows(as_matrix(a), "a", None).matrix @ unit_rows(as_matrix(b), "b", None).matrix.T
+    return unit_rows(as_matrix(a), "a", None) @ unit_rows(as_matrix(b), "b", None).T
 
 
 class TestAsMatrix:
@@ -22,14 +22,12 @@ class TestAsMatrix:
 
 class TestL2NormalizeRows:
     def test_hand_case(self):
-        out, norms = unit_rows(as_matrix([[3.0, 4.0]]), "m", None)
+        out = unit_rows(as_matrix([[3.0, 4.0]]), "m", None)
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
-        np.testing.assert_array_equal(norms, [5.0])
 
     def test_already_unit(self):
-        out, norms = unit_rows(as_matrix([[1.0, 0.0]]), "m", None)
+        out = unit_rows(as_matrix([[1.0, 0.0]]), "m", None)
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
-        np.testing.assert_array_equal(norms, [1.0])
 
     def test_zero_row_flagged(self):
         with pytest.raises(DegenerateRowError, match="^m 'b' projects to a zero vector$") as exc:
@@ -39,9 +37,9 @@ class TestL2NormalizeRows:
     def test_norms_are_unit(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((50, 7)) * 10 ** rng.uniform(-3, 3, size=(50, 1))
-        out, norms = unit_rows(as_matrix(m), "m", None)
+        out = unit_rows(as_matrix(m), "m", None)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(out * norms[:, None], m, rtol=1e-12)
+        np.testing.assert_allclose(out * row_norms(m)[:, None], m, rtol=1e-12)
 
     def test_tiny_norm_is_degenerate(self):
         with pytest.raises(DegenerateRowError, match="m row 0") as exc:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_evaluate
+from oracles import evaluate_run, oracle_evaluate
 from twotower.metrics import (
     MetricsReport,
     QueryJudgment,
     average_precision,
     average_recall,
-    evaluate_run,
     f1_per_query,
     format_table,
 )

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocation import raises_small
-from oracles import oracle_rank, oracle_topk
+from oracles import evaluate_run, oracle_rank, oracle_topk
 from twotower import linalg
 from twotower import model as model_module
 from twotower import retrieval
@@ -18,7 +18,7 @@ from twotower.errors import (
     ShapeError,
     TruncatedFileError,
 )
-from twotower.metrics import QueryJudgment, evaluate_run, metrics_from_ranks
+from twotower.metrics import QueryJudgment, metrics_from_ranks
 from twotower.model import (
     DualEncoderModel,
     ProjectionHead,
@@ -363,7 +363,7 @@ def index_of(model, vectors):
 def per_row_topk(index_ids, index_vectors, model, text_feature, k):
     """``oracle_topk`` with every score taken by the per-row reduction: the unbanded scan."""
     raw = project(model.text_head, np.asarray(text_feature, dtype=np.float64)[None, :])
-    q = linalg.unit_rows(linalg.as_matrix(raw), "query", None).matrix[0]
+    q = linalg.unit_rows(linalg.as_matrix(raw), "query", None)[0]
     scores = (index_vectors * q).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
     return [index_ids[i] for i in order], [float(np.clip(scores[i], -1.0, 1.0)) for i in order]
@@ -466,7 +466,7 @@ class TestScoreBand:
         texts = EmbeddingStore(
             ids=[f"q{i}" for i in range(len(queries))], vectors=queries, kind="text_feature"
         )
-        q = linalg.unit_rows(linalg.as_matrix(queries), "query", None).matrix
+        q = linalg.unit_rows(linalg.as_matrix(queries), "query", None)
         assert ((q @ vectors.T) != (vectors[None] * q[:, None]).sum(axis=2)).any()
         n = len(index)
         check_band(monkeypatch, index, model, texts, ks=(1, 7, n, n + 1), reference=per_row_topk)
@@ -545,7 +545,7 @@ def test_blocks_project_each_row_as_project_does(d_in, d_out, n, block, seed):
     order = rng.permutation(n)
     features, ids = texts[order], [f"q{i}" for i in order]  # gathered out of order, as evaluate does
     raw = np.concatenate([project(model.text_head, features[i:i + 1]) for i in range(n)])
-    want = linalg.unit_rows(raw, "query", ids).matrix
+    want = linalg.unit_rows(raw, "query", ids)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieval, "_BLOCK_BYTES", 8 * len(index) * block)  # blocks of ``block`` rows
         blocks = list(retrieval._blocks(index, model, features, ids))

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import oracle_adamw, reference_loss_backward
-from twotower import loss as loss_module
 from twotower import model as model_module
 from twotower.data import EmbeddingStore, PairedDataset, make_batches, synth_dataset
 from twotower.errors import ConfigError, DivergenceError, ShapeError
@@ -19,7 +18,6 @@ from twotower.train import (
     _step_line,
     TrainConfig,
     adamw_step,
-    evaluate_loss,
     lr_at,
     train,
 )
@@ -66,7 +64,7 @@ class TestAdamWStep:
         cfg = TrainConfig(weight_decay=wd)
         state = OptimizerState.for_params(params)
         state.t = t_before
-        adamw_step(params, np.array([grad]), state, lr, cfg)
+        adamw_step(params, np.array([grad]), state, lr, cfg, np.empty((2, 1)))
         return params[0], state
 
     def test_hand_case(self):
@@ -85,19 +83,6 @@ class TestAdamWStep:
         theta, _ = self._single(2.0, 0.0, lr=0.1, wd=0.05)
         assert theta == pytest.approx(2.0 - 0.1 * 0.05 * 2.0, abs=1e-15)
 
-    def test_shape_mismatch(self):
-        params = np.zeros(4)
-        state = OptimizerState.for_params(params)
-        with pytest.raises(ShapeError, match=r"\(3,\) does not match parameter shape \(4,\)"):
-            adamw_step(params, np.zeros(3), state, 0.1, TrainConfig())
-        assert state.t == 0 and not state.m.any()
-
-    def test_missing_grad(self):
-        params = np.zeros(2)
-        state = OptimizerState.for_params(params)
-        with pytest.raises(ShapeError):
-            adamw_step(params, np.zeros(0), state, 0.1, TrainConfig())
-
     def test_flat_step_bit_equals_per_block_reference(self):
         # the flat update must round exactly as the per-block formula does.
         # Entries span many magnitudes, every seventh gradient stays zero so
@@ -111,13 +96,14 @@ class TestAdamWStep:
         scales[::7] = 0.0
         cfg = TrainConfig(lr_max=0.1, weight_decay=1.7, warmup_steps=10)
         state = OptimizerState.for_params(model.params)
+        scratch = np.empty((2, n))
         ref = {k: v.copy() for k, v in model.blocks(model.params).items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
         ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
         for step in range(1, 51):
             lr = lr_at(step, cfg, total_steps=50)
             grads = rng.standard_normal(n) * scales
-            adamw_step(model.params, grads, state, lr, cfg)
+            adamw_step(model.params, grads, state, lr, cfg, scratch)
             oracle_adamw(ref, model.blocks(grads), ref_m, ref_v, step, lr, cfg)
             for key, block in model.blocks(model.params).items():
                 assert block.tobytes() == ref[key].tobytes(), f"{key} differs at step {step}"
@@ -179,7 +165,7 @@ class TestTrain:
         cfg = tiny_cfg(epochs=4)
         best, report = train(model, ds, cfg, checkpoint_path=tmp_path / "best.ckpt")
         assert report.best_val_loss == min(report.val_loss)
-        re_eval = evaluate_loss(best, ds, "val", cfg.loss, cfg.batch_size)
+        re_eval = chunked_val_loss(best, ds, cfg.loss, cfg.batch_size)
         assert re_eval == pytest.approx(report.best_val_loss, abs=1e-12)
 
     def test_checkpoint_writes_count_strict_improvements(self, tmp_path, monkeypatch):
@@ -345,7 +331,7 @@ class TestTrain:
         for model in (model_a, model_b):
             _, grads = loss_backward(img, txt, model, LossConfig())
             state = OptimizerState.for_params(model.params)
-            adamw_step(model.params, grads, state, 1e-3, TrainConfig())
+            adamw_step(model.params, grads, state, 1e-3, TrainConfig(), np.empty((2, grads.size)))
             outs.append(model.params.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -425,6 +411,18 @@ class TestReferenceLoop:
             assert any(json.loads(line).get("margin_term", 0.0) > 0 for line in lines)
 
 
+def chunked_val_loss(model, ds, loss_cfg, size):
+    """Per-pair val loss: ``loss_backward``'s totals over consecutive chunks of ``size``, summed."""
+    image_rows, text_rows = ds.split_rows("val")
+    images, texts = ds.image_store.vectors, ds.text_store.vectors
+    total = sum(
+        loss_backward(images[image_rows[i : i + size]], texts[text_rows[i : i + size]], model,
+                      loss_cfg)[0].total
+        for i in range(0, len(image_rows), size)
+    )
+    return total / len(image_rows)
+
+
 def poison(store, row, value):
     """Write ``value`` into one entry of a store's row, as a caller holding the array could."""
     store.vectors.setflags(write=True)
@@ -436,8 +434,8 @@ class TestTrainChecksItsFeatures:
     """train checks every row it will read once, before its first step.
 
     A fault raises what the first step or validation pass to read the bad
-    row raises in loss_backward or loss_forward; a row no step or
-    validation chunk reads is no fault.
+    row raises in loss_backward; a row no step or validation chunk reads
+    is no fault.
     """
 
     @pytest.mark.parametrize("dims, width, expects", [((9, 6), 8, 9), ((8, 7), 6, 7)],
@@ -509,56 +507,43 @@ class TestStoreRowOrder:
         assert report_a.train_loss == report_b.train_loss
         assert report_a.val_loss == report_b.val_loss
 
-    def test_evaluate_loss_ignores_store_row_order(self):
-        ds = tiny_dataset(seed=23)
-        model = init_model(8, 6, 4, seed=24)
-        a = evaluate_loss(model, ds, "val", LossConfig(), batch_size=3)
-        b = evaluate_loss(model, permuted_stores(ds, seed=25), "val", LossConfig(), batch_size=3)
-        assert a == b
 
-
-class TestEvaluateLoss:
-    def test_deterministic_and_batch_order_fixed(self):
-        ds = tiny_dataset(seed=18)
-        model = init_model(8, 6, 4, seed=19)
-        a = evaluate_loss(model, ds, "val", LossConfig(), batch_size=4)
-        b = evaluate_loss(model, ds, "val", LossConfig(), batch_size=4)
-        assert a == b
-
-    def test_forward_only_equals_chunked_loss_backward(self, monkeypatch):
+class TestValidation:
+    def test_runs_no_backward_pass(self, monkeypatch):
+        # with a zero learning rate every epoch validates the initial model,
+        # whose loss is loss_backward's totals over the val chunks, per pair
         ds = tiny_dataset(seed=26, n_images=60)
+        cfg = tiny_cfg(epochs=3, batch_size=5, lr_max=0.0, lr_min=0.0,
+                       loss=LossConfig(symmetric=True))
+        assert len(ds.split_rows("val")[0]) % cfg.batch_size  # the last chunk is short
         model = init_model(8, 6, 4, seed=27)
-        cfg = LossConfig(symmetric=True)
-        image_rows, text_rows = ds.split_rows("val")
-        assert len(image_rows) % 5  # the last chunk is short
-        expected = sum(
-            loss_backward(
-                ds.image_store.vectors[image_rows[i : i + 5]],
-                ds.text_store.vectors[text_rows[i : i + 5]],
-                model,
-                cfg,
-            )[0].total
-            for i in range(0, len(image_rows), 5)
-        ) / len(image_rows)
-
-        def no_backward(*args):
-            raise AssertionError("validation ran a backward pass")
-
+        expected = chunked_val_loss(model, ds, cfg.loss, cfg.batch_size)
         train_module = importlib.import_module("twotower.train")  # not the train function
-        monkeypatch.setattr(loss_module, "_rownorm_backward", no_backward)
-        monkeypatch.setattr(loss_module, "loss_backward", no_backward)
-        monkeypatch.setattr(loss_module, "_backward", no_backward)
-        monkeypatch.setattr(train_module, "_backward", no_backward)
-        assert evaluate_loss(model, ds, "val", cfg, batch_size=5) == expected
+        calls = []
+        real_backward = train_module._backward
+        monkeypatch.setattr(train_module, "_backward",
+                            lambda *a: calls.append(1) or real_backward(*a))
+        _, report = train(model, ds, cfg)
+        batches = make_batches(ds, "train", cfg.batch_size, seed=cfg.seed)
+        assert len(calls) == cfg.epochs * len(batches)  # one per step, none to validate
+        assert report.val_loss == [expected] * cfg.epochs
 
-    def test_empty_split_rejected(self):
-        ds = synth_dataset(
-            4, 1, latent_dim=2, img_dim=4, txt_dim=4, noise_sigma=0.0, seed=0,
-            train_frac=1.0, val_frac=0.0,
-        )
-        model = init_model(4, 4, 2, seed=0)
-        with pytest.raises(ValueError, match="empty"):
-            evaluate_loss(model, ds, "val", LossConfig(), batch_size=2)
+    @pytest.mark.parametrize("lr_max", [0.0, 5e-2])
+    def test_without_a_val_split_selects_on_train_loss(self, lr_max):
+        ds = synth_dataset(24, 2, latent_dim=4, img_dim=8, txt_dim=6, noise_sigma=0.02,
+                           seed=28, val_frac=0.0)
+        assert not len(ds.split_rows("val")[0])
+        cfg = tiny_cfg(epochs=6, lr_max=lr_max, lr_min=lr_max / 10)
+        _, report = train(init_model(8, 6, 4, seed=29), ds, cfg)
+        assert report.val_loss == report.train_loss
+        flags, best = [], math.inf
+        for loss in report.train_loss:
+            flags.append(loss < best)
+            best = min(best, loss)
+        assert report.checkpointed == flags
+        assert True in flags and False in flags  # both kinds of epoch were judged
+        assert report.best_val_loss == best
+        assert report.train_loss[report.best_epoch - 1] == best
 
 
 class TestTrainConfigValidation:

@@ -51,7 +51,12 @@
 # plus "query --k x" and "eval" given both --manifest and --judgments. It
 # compares the exit code, stdout and stderr of every run in full, at
 # COLUMNS=80 (usage.out): a call builds only its own command's parser, and
-# help and usage errors must read as they did.
+# help and usage errors must read as they did. Also once per tree, it runs
+# each script in the tree's demos/ against its src and compares the stdout
+# (demos/<name>.out). Two parts of the quickstart's output differ from run
+# to run and are masked: its "artifacts under <dir>" line, which names a
+# fresh temporary directory, and the trailing ", <n>s" wall time of its
+# "best val loss" line.
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -321,6 +326,19 @@ EOF
     )
 }
 
+run_demos() {  # tree, run dir
+    local tree=$1 dir=$2 demo name
+    mkdir -p "$dir"
+    for demo in "$tree"/demos/*.py; do
+        name=$(basename "$demo" .py)
+        (cd "$dir" && TMPDIR="$dir" PYTHONPATH="$tree/src" "$python" "$demo") > "$dir/$name.out"
+        if [ "$name" = quickstart_retrieval ]; then
+            sed -E -i -e 's/^artifacts under .* \(removed at the end\)$/artifacts under <dir> (removed at the end)/' \
+                -e '/^best val loss /s/, [0-9.]+s$/, <n>s/' "$dir/$name.out"
+        fi
+    done
+}
+
 error_kind() {  # the "error" field of a stderr file, or "-" when it is empty
     "$python" -c 'import json, sys
 text = open(sys.argv[1], encoding="utf-8").read()
@@ -349,6 +367,18 @@ else
     failed=1
 fi
 printf '%-14s %-34s %s\n' usage usage.out "$verdict"
+run_demos "$parent" "$work/demos/parent"
+run_demos "$change" "$work/demos/change"
+for f in "$work"/demos/parent/*.out; do
+    name=$(basename "$f")
+    if cmp -s "$f" "$work/demos/change/$name"; then
+        verdict=same
+    else
+        verdict=DIFF
+        failed=1
+    fi
+    printf '%-14s %-34s %s\n' demos "$name" "$verdict"
+done
 for entry in "${configs[@]}"; do
     name=${entry%%|*}
     sets=${entry#*|}
