@@ -34,6 +34,7 @@ import numpy as np
 
 from .data import (
     _JSON_FAULTS,
+    VALID_SPLITS,
     _check_writable,
     _json_lines,
     _write_atomic,
@@ -182,6 +183,11 @@ def effective_config(args, defaults=DEFAULT_CONFIG) -> dict:
     for dotted in _FLAG_KEYS:
         if (value := getattr(args, dotted.split(".")[-1], None)) is not None:
             _merge_config(cfg, _nest(dotted, value))
+    # the ranges of the keys no command's own config checks, before any input is read
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    if cfg["data"]["captions_per_image"] < 1:
+        raise ConfigError(f"data.captions_per_image must be >= 1, got {cfg['data']['captions_per_image']}")
     return cfg
 
 
@@ -366,10 +372,10 @@ def _inline_embedding(args):
         vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
     except _JSON_FAULTS as e:
         raise _UsageError(f"--embedding is not valid JSON: {getattr(e, 'msg', e)}") from e
-    if not isinstance(vec, list) or not all(
+    if not isinstance(vec, list) or not vec or not all(
         isinstance(x, float) and math.isfinite(x) for x in vec
     ):
-        raise _UsageError("--embedding must be a JSON array of finite numbers")
+        raise _UsageError("--embedding must be a non-empty JSON array of finite numbers")
     return np.asarray(vec, dtype=np.float64)
 
 
@@ -416,9 +422,11 @@ def cmd_eval(args) -> int:
     judged = args.judgments is not None  # else --manifest: the parser requires exactly one
     cfg = effective_config(args, _JUDGMENTS_CONFIG if judged else DEFAULT_CONFIG)
     split = cfg["eval"]["split"]
-    if judged and split is not None:  # from the flag, --set or the config file
-        given = "--split" if args.split is not None else "eval.split"
+    given = "--split" if args.split is not None else "eval.split"  # else --set or the config file
+    if judged and split is not None:
         raise _UsageError(f"{given} selects manifest pairs; a --judgments file names its own queries")
+    if not judged and split not in VALID_SPLITS:
+        raise _UsageError(f"{given} must be one of {VALID_SPLITS}, got {split!r}")
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     texts = _load_store(args.texts, "text_feature")
@@ -443,7 +451,7 @@ def cmd_eval(args) -> int:
     truth = args.judgments if judged else args.manifest
     for j in judgments:
         for i in sorted(j.relevant_ids):
-            if i not in index.store:
+            if i not in index:
                 raise DataFormatError(
                     f"{truth}: query {j.query_id!r} names image id {i!r}, which is not in index {args.index}"
                 )

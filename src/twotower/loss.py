@@ -183,24 +183,22 @@ def _contrastive(ws: _Workspace, cfg: LossConfig) -> LossOutput:
 
     margin = 0.0
     if n > 1 and cfg.lam > 0:
-        if not hard:
-            hinge = cfg.margin - min_off
-            rows = (hinge > 0).nonzero()[0]
-            if rows.size:
-                active = hinge[rows]
-                margin = float(cfg.lam * (active**2).sum())
-                ws.grad_flat[at[rows]] -= 2.0 * cfg.lam * active
-        else:
+        if hard:
             diag[:] = -np.inf
             at = ws.starts + s.argmax(axis=1)
             hinge = ws.s_flat[at] - (positive * cfg.temperature - cfg.margin)
-            rows = (hinge > 0).nonzero()[0]
-            if rows.size:
-                active = hinge[rows]
-                margin = float(cfg.lam * (active**2).sum())
-                step = 2.0 * cfg.lam * active
+        else:
+            hinge = cfg.margin - min_off
+        rows = (hinge > 0).nonzero()[0]
+        if rows.size:
+            active = hinge[rows]
+            margin = float(cfg.lam * (active**2).sum())
+            step = 2.0 * cfg.lam * active
+            if hard:
                 ws.grad_flat[at[rows]] += step
                 ws.grad_diag[rows] -= step * cfg.temperature
+            else:
+                ws.grad_flat[at[rows]] -= step
 
     return LossOutput(
         total=ce + margin,

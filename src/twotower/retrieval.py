@@ -10,9 +10,9 @@ so results are bit-identical to scoring every row that way. An index
 remembers the fingerprint of the checkpoint that built it and refuses
 queries from any other model.
 
-Index file format: an embedding store (kind=projected) as written by
-``twotower.data``, followed by a footer of u32 byte length plus the
-model fingerprint as UTF-8 hex.
+An index is itself an embedding store, of kind projected, that adds the
+fingerprint; its file is that store as written by ``twotower.data``,
+followed by a footer of u32 byte length plus the fingerprint as UTF-8 hex.
 """
 
 import struct
@@ -30,18 +30,14 @@ UNIT_NORM_TOL = 1e-6
 
 
 @dataclass
-class RetrievalIndex:
-    """Immutable unit-norm image embeddings with their ids and provenance."""
+class RetrievalIndex(EmbeddingStore):
+    """A projected store of unit-norm image embeddings and the fingerprint of its model."""
 
-    ids: list[str]
-    vectors: np.ndarray
+    kind: str = field(default="projected", init=False)
     model_fingerprint: str
-    store: EmbeddingStore = field(init=False, repr=False, compare=False)  # holds ids, vectors
 
     def __post_init__(self):
-        self.store = EmbeddingStore(ids=self.ids, vectors=self.vectors, kind="projected")
-        self.ids = self.store.ids
-        self.vectors = self.store.vectors  # copied, read-only, float64
+        super().__post_init__()
         if not self.model_fingerprint:
             raise ValueError("model_fingerprint must be non-empty")
         norms = row_norms(self.vectors)
@@ -51,9 +47,6 @@ class RetrievalIndex:
             raise ValueError(
                 f"index row {i} ({self.ids[i]!r}) has norm {norms[i]:.8f}, expected 1"
             )
-
-    def __len__(self):
-        return len(self.ids)
 
 
 @dataclass
@@ -223,11 +216,11 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
     judged = []
     for ids, q, g in _blocks(index, model, texts.vectors[rows], [texts.ids[r] for r in rows.tolist()]):
         js = [by_id[i] for i in ids]
-        pairs = [(i, d) for i, j in enumerate(js) for d in j.relevant_ids if d in index.store]
+        pairs = [(i, d) for i, j in enumerate(js) for d in j.relevant_ids if d in index]
         ranks = [{} for _ in js]
         for start in range(0, len(pairs), len(js)):
             who, docs = zip(*pairs[start:start + len(js)])
-            places = _ranks(index, q, g, np.array(who), index.store.index(docs), band)
+            places = _ranks(index, q, g, np.array(who), index.index(docs), band)
             for i, d, place in zip(who, docs, places.tolist()):
                 ranks[i][d] = place
         judged += zip(js, ranks)
@@ -237,7 +230,7 @@ def evaluate(index, model, texts: EmbeddingStore, judgments) -> MetricsReport:
 def save_index(index: RetrievalIndex, path):
     raw = index.model_fingerprint.encode("utf-8")
     with _write_atomic(path) as fh:
-        write_store(fh, index.store)
+        write_store(fh, index)
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
 

@@ -239,7 +239,6 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
     best = math.inf
     best_epoch = 0
     best_model = None
-    writes = 0
     train_losses, val_losses, flags = [], [], []
     step = 0
     lr = 0.0
@@ -284,7 +283,6 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
             if improved:
                 best = val
                 best_epoch = epoch
-                writes += 1
                 best_model = copy.deepcopy(model)
                 if checkpoint_path is not None:
                     save_checkpoint(model, checkpoint_path)
@@ -302,7 +300,7 @@ def train(model: DualEncoderModel, ds: PairedDataset, cfg: TrainConfig, *,
         best_val_loss=best,
         best_epoch=best_epoch,
         checkpointed=flags,
-        checkpoint_writes=writes,
+        checkpoint_writes=sum(flags),
         wall_seconds=time.perf_counter() - t_start,
         final_lr=lr,
     )

@@ -404,7 +404,7 @@ class TestQueryCommand:
         )
         assert (code, stdout) == (1, "")
         assert json.loads(err) == {
-            "error": "usage", "message": "--embedding must be a JSON array of finite numbers"
+            "error": "usage", "message": "--embedding must be a non-empty JSON array of finite numbers"
         }
 
     def test_wrong_embedding_width_exit_2(self, pipeline, capsys):
@@ -448,12 +448,13 @@ class TestQueryCommand:
              "--embedding and --texts are two query sources; give one"),
             (["--text-id", "q"], "--text-id requires --texts"),
             (["--embedding", "[0.1,"], "--embedding is not valid JSON: Expecting value"),
-            (["--embedding", '{"a": 1}'], "--embedding must be a JSON array of finite numbers"),
-            (["--embedding", "[1e400]"], "--embedding must be a JSON array of finite numbers"),
+            (["--embedding", '{"a": 1}'], "--embedding must be a non-empty JSON array of finite numbers"),
+            (["--embedding", "[1e400]"], "--embedding must be a non-empty JSON array of finite numbers"),
+            (["--embedding", "[]"], "--embedding must be a non-empty JSON array of finite numbers"),
             (["--embedding", "[0.1]", "--k", "0"], "--k must be >= 1, got 0"),
         ],
         ids=["no-source", "two-sources", "embedding-with-texts", "text-id-without-texts",
-             "bad-json", "not-an-array", "non-finite", "k-zero"],
+             "bad-json", "not-an-array", "non-finite", "empty-array", "k-zero"],
     )
     def test_usage_fault_comes_before_any_file_is_read(self, tmp_path, capsys, flags, message):
         code, stdout, err = run(
@@ -665,33 +666,32 @@ class TestEvalCommand:
                        f"which is not in index {pipeline / 'idx.azi'}",
         }
 
-    def test_manifest_without_the_split_exit_2(self, pipeline, capsys):
-        manifest = pipeline / "ds" / "manifest.jsonl"
+    def test_manifest_without_the_split_exit_2(self, pipeline, tmp_path, capsys):
+        # a valid split that the manifest holds no pair of is a fault in the data
+        manifest = tmp_path / "manifest.jsonl"
+        lines = (pipeline / "ds" / "manifest.jsonl").read_text().splitlines(True)
+        manifest.write_text("".join(l for l in lines if json.loads(l)["split"] != "val"))
         code, _, err = run(
             ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
              "--texts", str(pipeline / "ds" / "texts.emb"), "--manifest", str(manifest),
-             "--split", "dev"],
+             "--split", "val"],
             capsys,
         )
         assert code == 2
         assert json.loads(err) == {
             "error": "DataFormatError",
-            "message": f"{manifest}: manifest has no pairs in split 'dev'",
+            "message": f"{manifest}: manifest has no pairs in split 'val'",
         }
 
     @pytest.mark.parametrize("given", [["--split", ""], ["--set", "eval.split="]])
-    def test_empty_split_exit_2(self, pipeline, capsys, given):
-        # an empty flag is given, as an empty --set is: it selects no pairs
-        manifest = pipeline / "ds" / "manifest.jsonl"
-        code, _, err = run(
-            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
-             "--texts", str(pipeline / "ds" / "texts.emb"), "--manifest", str(manifest)] + given,
-            capsys,
-        )
-        assert code == 2
+    def test_empty_split_exit_1(self, pipeline, capsys, given):
+        # an empty flag is given, as an empty --set is, and names no split
+        code, _, err = run(eval_on_manifest(pipeline, *given), capsys)
+        assert code == 1
+        name = given[0] if given[0] == "--split" else "eval.split"
         assert json.loads(err) == {
-            "error": "DataFormatError",
-            "message": f"{manifest}: manifest has no pairs in split ''",
+            "error": "usage",
+            "message": f"{name} must be one of ('train', 'val', 'test'), got ''",
         }
 
     @pytest.mark.parametrize("truth", [["--manifest", "m.jsonl", "--judgments", "j.jsonl"], []],
@@ -1166,6 +1166,8 @@ TRAIN_CONFIG_FAULTS = {
     "model.shared_dim=0": "shared_dim must be positive, got 0",
     "data.augment.copies=-1": "copies must be >= 0",
     "data.augment.sigma=-1": "sigma must be >= 0",
+    "data.captions_per_image=0": "data.captions_per_image must be >= 1, got 0",
+    "seed=-2": "seed must be >= 0, got -2",
 }
 
 
@@ -1183,6 +1185,37 @@ class TestTrainConfigFaultsFirst:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "ConfigError", "message": TRAIN_CONFIG_FAULTS[setting]}
+        assert list(tmp_path.iterdir()) == []
+
+
+# Config and usage faults of synth, ingest and eval, each with input paths that do not exist.
+OTHER_CONFIG_FAULTS = {
+    "synth --seed -1": (["synth", "--out-dir", "d", "--seed", "-1"],
+                        "ConfigError", "seed must be >= 0, got -1"),
+    "ingest data.captions_per_image=0": (
+        ["ingest", "--manifest", "nope.jsonl", "--images", "nope.emb", "--texts", "nope.emb",
+         "--out", "i.json", "--set", "data.captions_per_image=0"],
+        "ConfigError", "data.captions_per_image must be >= 1, got 0"),
+    "eval --split bogus": (
+        ["eval", "--index", "nope.azi", "--checkpoint", "nope.ckpt", "--texts", "nope.emb",
+         "--manifest", "nope.jsonl", "--report", "r.json", "--split", "bogus"],
+        "usage", "--split must be one of ('train', 'val', 'test'), got 'bogus'"),
+    "eval eval.split=bogus": (
+        ["eval", "--index", "nope.azi", "--checkpoint", "nope.ckpt", "--texts", "nope.emb",
+         "--manifest", "nope.jsonl", "--report", "r.json", "--set", "eval.split=bogus"],
+        "usage", "eval.split must be one of ('train', 'val', 'test'), got 'bogus'"),
+}
+
+
+class TestOtherFaultsFirst:
+    @pytest.mark.parametrize("case", OTHER_CONFIG_FAULTS)
+    def test_fault_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        argv, kind, message = OTHER_CONFIG_FAULTS[case]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": kind, "message": message}
         assert list(tmp_path.iterdir()) == []
 
 

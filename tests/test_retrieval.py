@@ -62,6 +62,14 @@ class TestBuildIndex:
         np.testing.assert_allclose(idx.vectors, rows, atol=1e-15)
         assert idx.ids == ["img0", "img1"]
 
+    def test_index_is_a_projected_store(self):
+        idx = build_index(identity_model(), image_store(unit_rows([[1.0, 2.0, 2.0]])))
+        assert isinstance(idx, EmbeddingStore) and idx.kind == "projected"
+        assert "img0" in idx and idx.index(["img0"]).tolist() == [0]
+        with pytest.raises(TypeError, match="kind"):
+            RetrievalIndex(ids=idx.ids, vectors=idx.vectors, model_fingerprint="ab",
+                           kind="image_feature")
+
     def test_empty_store(self):
         idx = build_index(identity_model(), image_store(np.zeros((0, 3))))
         assert len(idx) == 0
@@ -411,12 +419,12 @@ def check_ranks(monkeypatch, index, model, texts, judgments):
     oracle = []
     for ids, q, g in retrieval._blocks(index, model, texts.vectors, texts.ids):
         for qid, qv, gv in zip(ids, q, g):
-            found = [d for d in by_id[qid].relevant_ids if d in index.store]
+            found = [d for d in by_id[qid].relevant_ids if d in index]
             oracle.append({d: oracle_rank(index, qv, gv, index.ids.index(d), band) for d in found})
     assert len(judged) == len(full)
     for (j, ranks), res, want in zip(judged, full, oracle):
         places = {doc: place for place, (doc, _) in enumerate(res.hits, start=1)}
-        assert ranks == {doc: places[doc] for doc in j.relevant_ids if doc in index.store}
+        assert ranks == {doc: places[doc] for doc in j.relevant_ids if doc in index}
         assert ranks == want
 
 
@@ -582,8 +590,7 @@ class TestIndexFile:
 
         monkeypatch.setattr(EmbeddingStore, "__post_init__", counting)
         back = load_index(p)
-        assert len(built) == 1 and built[0] is back.store
-        assert back.ids is back.store.ids and back.vectors is back.store.vectors
+        assert len(built) == 1 and built[0] is back  # the index is the store
 
     def test_loaded_rows_unit_norm_within_float32(self, tmp_path):
         idx, _ = self._index(n=10, seed=1)
