@@ -13,7 +13,10 @@ init s+1, batch shuffling s+2, feature jitter s+3.
 
 Exit codes: 0 success, 1 usage or config error, 2 file or format error,
 3 numeric divergence, 4 index/model fingerprint mismatch. Failures print
-one JSON line to stderr: {"error": <kind>, "message": <text>}.
+one JSON line to stderr: {"error": <kind>, "message": <text>}. Each
+command raises its config, usage and output-path faults, and an output
+path that names an input or another output, before it opens any input;
+such a fault leaves no file behind.
 
 Queries take embeddings, not raw text: this package operates downstream of
 the encoders, so a query is an inline JSON vector or a row of a text
@@ -24,6 +27,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -41,6 +45,7 @@ from .data import (
     augment_dataset,
     build_pairs,
     check_augment,
+    check_synth,
     load_embeddings,
     load_manifest,
     save_embeddings,
@@ -57,7 +62,7 @@ from .errors import (
 )
 from .loss import LossConfig
 from .metrics import QueryJudgment, format_table, judgments_by_id
-from .model import check_dims, init_model, load_checkpoint
+from .model import canonical_meta, check_dims, init_model, load_checkpoint
 from .retrieval import build_index, evaluate, load_index, query, save_index
 from .train import TrainConfig, _json_number, train
 
@@ -183,7 +188,7 @@ def effective_config(args, defaults=DEFAULT_CONFIG) -> dict:
     for dotted in _FLAG_KEYS:
         if (value := getattr(args, dotted.split(".")[-1], None)) is not None:
             _merge_config(cfg, _nest(dotted, value))
-    # the ranges of the keys no command's own config checks, before any input is read
+    # the ranges of the keys no command's own config checks
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     if cfg["data"]["captions_per_image"] < 1:
@@ -252,13 +257,22 @@ def _load_dataset(args, cfg):
     )
 
 
-def cmd_synth(args) -> int:
+def _paths(args, *flags) -> list:
+    """(flag, value) of each of ``flags``; None means the flag was not given."""
+    return [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in flags]
+
+
+def cmd_synth(args):
     cfg = effective_config(args)
     s = cfg["data"]["synth"]
     with value_errors_as(ConfigError):
-        ds = synth_dataset(**s, seed=cfg["seed"])
+        check_synth(**s)
+    os.makedirs(args.out_dir, exist_ok=True)  # "" names no directory: FileNotFoundError
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    files = ("images.emb", "texts.emb", "manifest.jsonl", "dataset.json")
+    yield _paths(args, "--config"), [("--out-dir", os.path.join(args.out_dir, f)) for f in files]
+    with value_errors_as(ConfigError):  # a noise that overflows the features
+        ds = synth_dataset(**s, seed=cfg["seed"])
     save_embeddings(ds.image_store, out / "images.emb")
     save_embeddings(ds.text_store, out / "texts.emb")
     text_ids, image_ids, splits = zip(*ds.pairs)
@@ -277,11 +291,11 @@ def cmd_synth(args) -> int:
         },
     )
     print(json.dumps({"out_dir": str(out), "images": len(ds.image_store), "captions": len(ds.text_store)}))
-    return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args):
     cfg = effective_config(args)
+    yield _paths(args, "--config", "--manifest", "--images", "--texts"), _paths(args, "--out")
     ds = _load_dataset(args, cfg)
     report = {
         "meta": _meta_block(),
@@ -297,14 +311,13 @@ def cmd_ingest(args) -> int:
     if args.out is not None:
         _write_json(args.out, report)
     print(json.dumps({k: report[k] for k in ("counts", "splits", "dims")}))
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     cfg = effective_config(args)
     loss = dict(cfg["loss"])
     aug = cfg["data"]["augment"]
-    with value_errors_as(ConfigError):  # a config fault is reported before any input is read
+    with value_errors_as(ConfigError):
         train_cfg = TrainConfig(
             **cfg["train"],
             seed=cfg["seed"] + 2,
@@ -312,8 +325,9 @@ def cmd_train(args) -> int:
         )
         check_augment(aug["sigma"], aug["copies"])
         check_dims(shared_dim=cfg["model"]["shared_dim"])
-    if args.report is not None:  # a bad path fails here, not after the last epoch
-        _check_writable(args.report)
+        canonical_meta({"config": cfg})  # the checkpoint's echo of the config
+    yield (_paths(args, "--config", "--manifest", "--images", "--texts"),
+           _paths(args, "--checkpoint", "--log", "--report"))
     ds = _load_dataset(args, cfg)
     if not ds.split_sizes()["train"]:
         raise DataFormatError(f"{args.manifest}: no pairs in split 'train'")
@@ -334,73 +348,48 @@ def cmd_train(args) -> int:
             args.report,
             {"meta": {**_meta_block(), "wall_seconds": wall}, "config": cfg, "report": payload},
         )
-    print(
-        json.dumps(
-            {
-                "checkpoint": str(args.checkpoint),
-                "best_val_loss": report.best_val_loss,
-                "best_epoch": report.best_epoch,
-            }
-        )
-    )
-    return EXIT_OK
+    print(json.dumps({"checkpoint": str(args.checkpoint), "best_val_loss": report.best_val_loss,
+                      "best_epoch": report.best_epoch}))
 
 
-def cmd_index(args) -> int:
+def cmd_index(args):
+    yield _paths(args, "--checkpoint", "--images"), _paths(args, "--out")
     model = load_checkpoint(args.checkpoint)
     index = build_index(model, _load_store(args.images, "image_feature"))
     save_index(index, args.out)
     print(json.dumps({"index": str(args.out), "size": len(index), "fingerprint": index.model_fingerprint}))
-    return EXIT_OK
 
 
-def _inline_embedding(args):
-    """The ``--embedding`` vector, or None for ``--text-id``; raises every query usage fault.
-
-    Reads no file, so a usage fault is reported before the index, the
-    checkpoint or the text store is opened.
-    """
-    if (args.embedding is None) == (args.text_id is None):
-        raise _UsageError("provide exactly one of --embedding or --texts with --text-id")
-    if args.embedding is None:
-        if args.texts is None:
-            raise _UsageError("--text-id requires --texts")
-        return None
-    if args.texts is not None:
-        raise _UsageError("--embedding and --texts are two query sources; give one")
-    try:
-        vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
-    except _JSON_FAULTS as e:
-        raise _UsageError(f"--embedding is not valid JSON: {getattr(e, 'msg', e)}") from e
-    if not isinstance(vec, list) or not vec or not all(
-        isinstance(x, float) and math.isfinite(x) for x in vec
-    ):
-        raise _UsageError("--embedding must be a non-empty JSON array of finite numbers")
-    return np.asarray(vec, dtype=np.float64)
-
-
-def cmd_query(args) -> int:
+def cmd_query(args):
     if args.k < 1:
         raise _UsageError(f"--k must be >= 1, got {args.k}")
-    vec, qid = _inline_embedding(args), "inline"
+    if (args.embedding is None) == (args.text_id is None):
+        raise _UsageError("provide exactly one of --embedding or --texts with --text-id")
+    if args.embedding is None and args.texts is None:
+        raise _UsageError("--text-id requires --texts")
+    if args.embedding is not None:
+        if args.texts is not None:
+            raise _UsageError("--embedding and --texts are two query sources; give one")
+        try:
+            vec = json.loads(args.embedding, parse_int=float)  # a huge int reads as inf
+        except _JSON_FAULTS as e:
+            raise _UsageError(f"--embedding is not valid JSON: {getattr(e, 'msg', e)}") from e
+        if not isinstance(vec, list) or not vec or not all(
+            isinstance(x, float) and math.isfinite(x) for x in vec
+        ):
+            raise _UsageError("--embedding must be a non-empty JSON array of finite numbers")
+        vec, qid = np.asarray(vec, dtype=np.float64), "inline"
+    yield _paths(args, "--index", "--checkpoint", "--texts"), []
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
-    if vec is None:
+    if args.embedding is None:
         store = _load_store(args.texts, "text_feature")
         if args.text_id not in store:
             raise DataFormatError(f"text id {args.text_id!r} not found in {args.texts}")
         vec, qid = store.row(args.text_id), args.text_id
     result = query(index, model, vec, args.k, query_id=qid)
-    print(
-        json.dumps(
-            {
-                "query": result.query_id,
-                "k": result.k,
-                "hits": [{"id": i, "score": s} for i, s in result.hits],
-            }
-        )
-    )
-    return EXIT_OK
+    hits = [{"id": i, "score": s} for i, s in result.hits]
+    print(json.dumps({"query": result.query_id, "k": result.k, "hits": hits}))
 
 
 def _judgments(chunks) -> list:
@@ -418,7 +407,7 @@ def _load_judgments(path) -> list:
     return judgments
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     judged = args.judgments is not None  # else --manifest: the parser requires exactly one
     cfg = effective_config(args, _JUDGMENTS_CONFIG if judged else DEFAULT_CONFIG)
     split = cfg["eval"]["split"]
@@ -427,6 +416,8 @@ def cmd_eval(args) -> int:
         raise _UsageError(f"{given} selects manifest pairs; a --judgments file names its own queries")
     if not judged and split not in VALID_SPLITS:
         raise _UsageError(f"{given} must be one of {VALID_SPLITS}, got {split!r}")
+    yield (_paths(args, "--config", "--index", "--checkpoint", "--texts", "--manifest", "--judgments"),
+           _paths(args, "--report"))
     index = load_index(args.index)
     model = load_checkpoint(args.checkpoint)
     texts = _load_store(args.texts, "text_feature")
@@ -475,7 +466,6 @@ def cmd_eval(args) -> int:
             }),
         )
     print(format_table([row]))
-    return EXIT_OK
 
 
 def _common_args(p):
@@ -543,7 +533,9 @@ def _eval_args(p):
     p.add_argument("--report", default=None, help="JSON metrics report path (default: no report)")
 
 
-# command -> (help line, handler, the function that adds its arguments), in help order
+# command -> (help line, handler, the function that adds its arguments), in help order. A
+# handler is a generator: up to its one yield it plans, raising every fault that needs no
+# input, and yields (inputs, outputs), each a list of (flag, path); after it, it runs.
 _COMMANDS = {
     "synth": ("generate a synthetic paired dataset", cmd_synth, _synth_args),
     "ingest": ("validate a manifest + embedding files as a paired dataset", cmd_ingest, _ingest_args),
@@ -587,6 +579,22 @@ def _fail(kind, message, code) -> int:
     return code
 
 
+def _check_outputs(inputs, outputs):
+    """Refuse an output that names an input or an earlier output, then one that cannot be written.
+
+    A path of None is a flag not given; "" is given, names no file and fails ``_check_writable``.
+    """
+    given = [(flag, path) for flag, path in outputs if path is not None]
+    seen = [(flag, path) for flag, path in inputs if path]
+    for flag, path in [(flag, path) for flag, path in given if path]:
+        real = os.path.realpath(path)
+        if other := next((known for known, p in seen if os.path.realpath(p) == real), None):
+            raise _UsageError(f"{flag} and {other} name the same file: {path!r}")
+        seen.append((flag, path))
+    for _, path in given:
+        _check_writable(path)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
@@ -595,7 +603,10 @@ def main(argv=None) -> int:
         # a value that overflows is named by check_norms or the divergence guard,
         # in the one JSON line on stderr, not by a numpy warning before it
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            run = args.func(args)
+            _check_outputs(*next(run))  # the plan: every fault that needs no input
+            next(run, None)  # the run: it opens the inputs and writes the outputs
+            return EXIT_OK
     except _UsageError as e:
         return _fail("usage", str(e), EXIT_USAGE)
     except tuple(t for t, _ in _ERROR_EXITS) as e:

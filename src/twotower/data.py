@@ -587,6 +587,24 @@ def make_batches(ds: PairedDataset, split, batch_size, seed) -> np.ndarray:
     return order[: len(order) - len(order) % batch_size].reshape(-1, batch_size)
 
 
+def check_synth(n_images, captions_per_image, latent_dim, img_dim, txt_dim, noise_sigma,
+                train_frac=0.8, val_frac=0.1):
+    """Raise ValueError unless ``synth_dataset`` takes these sizes, noise and split fractions."""
+    if n_images < 1 or captions_per_image < 1:
+        raise ValueError("n_images and captions_per_image must be positive")
+    if min(latent_dim, img_dim, txt_dim) < 1:
+        raise ValueError("dims must be positive")
+    if latent_dim > min(img_dim, txt_dim):
+        raise ValueError(
+            f"latent_dim {latent_dim} must not exceed min(img_dim, txt_dim) "
+            f"= {min(img_dim, txt_dim)}"
+        )
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be >= 0")
+    if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1:
+        raise ValueError("split fractions must be nonnegative and sum to at most 1")
+
+
 def synth_dataset(
     n_images,
     captions_per_image,
@@ -608,20 +626,8 @@ def synth_dataset(
     round(train_frac * n) go to train, the next round(val_frac * n) to
     val, the rest to test. Everything is deterministic in ``seed``.
     """
-    if n_images < 1 or captions_per_image < 1:
-        raise ValueError("n_images and captions_per_image must be positive")
-    if min(latent_dim, img_dim, txt_dim) < 1:
-        raise ValueError("dims must be positive")
-    if latent_dim > min(img_dim, txt_dim):
-        raise ValueError(
-            f"latent_dim {latent_dim} must not exceed min(img_dim, txt_dim) "
-            f"= {min(img_dim, txt_dim)}"
-        )
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
-    if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1:
-        raise ValueError("split fractions must be nonnegative and sum to at most 1")
-
+    check_synth(n_images, captions_per_image, latent_dim, img_dim, txt_dim, noise_sigma,
+                train_frac, val_frac)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((latent_dim, img_dim)) / np.sqrt(latent_dim)
     b = rng.standard_normal((latent_dim, txt_dim)) / np.sqrt(latent_dim)

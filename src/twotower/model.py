@@ -43,6 +43,11 @@ class ProjectionHead(NamedTuple):
     b: np.ndarray  # (d_out,)
 
 
+def canonical_meta(value) -> bytes:
+    """``value`` as a checkpoint holds it: sorted, compact UTF-8 JSON; a bad value raises here."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
 class DualEncoderModel:
     """Image-side and text-side heads sharing one output dimension.
 
@@ -89,8 +94,7 @@ class DualEncoderModel:
 
     @meta.setter
     def meta(self, value):  # the canonical checkpoint form, so a bad value fails here
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        self._meta = text.encode("utf-8")
+        self._meta = canonical_meta(value)
 
     @property
     def image_head(self) -> ProjectionHead:

@@ -1,6 +1,6 @@
 import argparse
 import contextlib
-import importlib
+import errno
 import io
 import json
 import os
@@ -438,34 +438,6 @@ class TestQueryCommand:
             "error": "usage", "message": "--embedding and --texts are two query sources; give one"
         }
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            ([], "provide exactly one of --embedding or --texts with --text-id"),
-            (["--embedding", "[0.1]", "--text-id", "q", "--texts", "t.emb"],
-             "provide exactly one of --embedding or --texts with --text-id"),
-            (["--embedding", "[0.1]", "--texts", "t.emb"],
-             "--embedding and --texts are two query sources; give one"),
-            (["--text-id", "q"], "--text-id requires --texts"),
-            (["--embedding", "[0.1,"], "--embedding is not valid JSON: Expecting value"),
-            (["--embedding", '{"a": 1}'], "--embedding must be a non-empty JSON array of finite numbers"),
-            (["--embedding", "[1e400]"], "--embedding must be a non-empty JSON array of finite numbers"),
-            (["--embedding", "[]"], "--embedding must be a non-empty JSON array of finite numbers"),
-            (["--embedding", "[0.1]", "--k", "0"], "--k must be >= 1, got 0"),
-        ],
-        ids=["no-source", "two-sources", "embedding-with-texts", "text-id-without-texts",
-             "bad-json", "not-an-array", "non-finite", "empty-array", "k-zero"],
-    )
-    def test_usage_fault_comes_before_any_file_is_read(self, tmp_path, capsys, flags, message):
-        code, stdout, err = run(
-            ["query", "--index", str(tmp_path / "nope.azi"),
-             "--checkpoint", str(tmp_path / "nope.ckpt"), *flags],
-            capsys,
-        )
-        assert (code, stdout) == (1, "")
-        assert err.count("\n") == 1
-        assert json.loads(err) == {"error": "usage", "message": message}
-
     def test_requires_exactly_one_query_source(self, pipeline, capsys):
         code, _, err = run(
             ["query", "--index", str(pipeline / "idx.azi"), "--checkpoint",
@@ -730,6 +702,14 @@ class TestEvalCommand:
         assert code == 2
         assert json.loads(err) == {"error": "DataFormatError", "message": f"{jpath}: no judgments"}
 
+    def test_empty_model_name_labels_the_row(self, pipeline, tmp_path, capsys):
+        report = tmp_path / "eval.json"
+        code, stdout, _ = run(eval_on_manifest(pipeline, "--model-name", "", "--report", str(report)),
+                              capsys)
+        assert code == 0
+        assert json.loads(report.read_text())["model"] == ""
+        assert stdout.splitlines()[2].startswith(" " * len("Model"))
+
     def test_wrong_checkpoint_exit_4(self, pipeline, tmp_path, capsys):
         other = tmp_path / "other.ckpt"
         save_checkpoint(init_model(10, 8, 32, seed=5), other)
@@ -767,21 +747,6 @@ class TestErrorsAndHelp:
                             "--out", "/tmp/x.azi"], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "FileNotFoundError"
-
-    @pytest.mark.parametrize("command", ["synth", "index"])
-    def test_os_error_on_an_output_path_exit_2(self, pipeline, tmp_path, capsys, command):
-        # a regular file where a directory is needed: NotADirectoryError, one JSON line
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        argv = {
-            "synth": ["synth", "--out-dir", str(blocker / "sub")] + SMALL,
-            "index": ["index", "--checkpoint", str(pipeline / "model.ckpt"),
-                      "--images", str(pipeline / "ds" / "images.emb"), "--out", str(blocker / "x.idx")],
-        }[command]
-        code, _, err = run(argv, capsys)
-        assert code == 2
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "NotADirectoryError"
 
     def test_bad_magic_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.emb"
@@ -1095,148 +1060,145 @@ class TestErrorsAndHelp:
             assert flag in out
 
 
-def train_args(p, *flags):
-    """A short ``train`` of the pipeline's dataset with ``flags``."""
-    ds = p / "ds"
-    return ["train", "--manifest", str(ds / "manifest.jsonl"), "--images", str(ds / "images.emb"),
-            "--texts", str(ds / "texts.emb"), *flags] + SMALL + FAST_TRAIN
-
-
 def eval_on_manifest(p, *flags):
     """``eval`` of the pipeline's index on its manifest's test split, with ``flags``."""
     return ["eval", "--index", str(p / "idx.azi"), "--checkpoint", str(p / "model.ckpt"),
             "--texts", str(p / "ds" / "texts.emb"), "--manifest", str(p / "ds" / "manifest.jsonl"), *flags]
 
 
-# An empty output path is given, as `--config ""` is: the write fails, exit 2.
-EMPTY_OUTPUTS = {
-    "ingest --out": lambda p, t: [str(a) for a in ingest(p, "--out", "", *SMALL)],
-    "train --report": lambda p, t: train_args(p, "--checkpoint", str(t / "m.ckpt"), "--report", ""),
-    "train --log": lambda p, t: train_args(p, "--checkpoint", str(t / "m.ckpt"), "--log", ""),
-    "train --checkpoint": lambda p, t: train_args(p, "--checkpoint", ""),
-    "eval --report": lambda p, t: eval_on_manifest(p, "--report", ""),
+def os_fault(kind, path):
+    """(exit code, kind, message) of the OSError ``kind`` on ``path``, as the CLI reports it."""
+    code = {"FileNotFoundError": errno.ENOENT, "NotADirectoryError": errno.ENOTDIR,
+            "IsADirectoryError": errno.EISDIR}[kind]
+    return 2, kind, f"[Errno {code}] {os.strerror(code)}: {path!r}"
+
+
+def usage(message):
+    return 1, "usage", message
+
+
+def config_fault(message):
+    return 1, "ConfigError", message
+
+
+# Each command with input paths that do not exist; a row adds the flags of one fault.
+INGEST = ["ingest", "--manifest", "m.jsonl", "--images", "i.emb", "--texts", "t.emb"]
+TRAIN = ["train", "--manifest", "m.jsonl", "--images", "i.emb", "--texts", "t.emb",
+         "--checkpoint", "c.ckpt", "--log", "t.log", "--report", "r.json"]  # a repeated flag's last value wins
+INDEX = ["index", "--checkpoint", "c.ckpt", "--images", "i.emb", "--out", "x.azi"]
+QUERY = ["query", "--index", "x.azi", "--checkpoint", "c.ckpt"]
+EVAL = ["eval", "--index", "x.azi", "--checkpoint", "c.ckpt", "--texts", "t.emb"]
+FINITE = "--embedding must be a non-empty JSON array of finite numbers"
+
+# Each fault a command raises before it opens an input: config, usage, output path, or an
+# output that names an input or another output.
+FAULTS_FIRST = {
+    **{f"train {setting}": (TRAIN + ["--set", setting], config_fault(message)) for setting, message in {
+        "train.epochs=0": "epochs must be >= 1, got 0",
+        "train.batch_size=1": "batch_size must be >= 2 for contrastive training, got 1",
+        "train.lr_max=-1.0": "need 0 <= lr_min <= lr_max, got lr_min=1e-05, lr_max=-1.0",
+        "train.lr_min=-1.0": "need 0 <= lr_min <= lr_max, got lr_min=-1.0, lr_max=0.001",
+        "train.lr_min=0.5": "need 0 <= lr_min <= lr_max, got lr_min=0.5, lr_max=0.001",
+        "train.warmup_steps=-1": "warmup_steps must be >= 0",
+        "train.weight_decay=-0.5": "weight_decay must be >= 0",
+        "train.beta1=1.0": "betas must lie in [0, 1)",
+        "train.beta2=-0.5": "betas must lie in [0, 1)",
+        "train.eps=0.0": "eps must be positive",
+        "loss.lambda=-1.0": "lam must be >= 0, got -1.0",
+        "loss.temperature=0.0": "temperature must be positive, got 0.0",
+        "loss.margin_mode=bogus": "margin_mode must be one of ('literal', 'hard_negative'), got 'bogus'",
+        "model.shared_dim=0": "shared_dim must be positive, got 0",
+        "data.augment.copies=-1": "copies must be >= 0",
+        "data.augment.sigma=-1": "sigma must be >= 0",
+        "data.captions_per_image=0": "data.captions_per_image must be >= 1, got 0",
+        "seed=-2": "seed must be >= 0, got -2",
+        # the checkpoint echoes the config as UTF-8, which cannot hold a lone surrogate
+        "eval.dataset_name=a\udcff": "'utf-8' codec can't encode character '\\udcff' in position 265: "
+                                      "surrogates not allowed",
+    }.items()},
+    "train --checkpoint in a missing dir": (TRAIN + ["--checkpoint", "nodir/m.ckpt"],
+                                            os_fault("FileNotFoundError", "nodir/m.ckpt")),
+    "train --checkpoint empty": (TRAIN + ["--checkpoint", ""], os_fault("FileNotFoundError", "")),
+    "train --checkpoint a directory": (TRAIN + ["--checkpoint", "."], os_fault("IsADirectoryError", ".")),
+    "train --log in a missing dir": (TRAIN + ["--log", "nodir/t.log"], os_fault("FileNotFoundError", "nodir/t.log")),
+    "train --log empty": (TRAIN + ["--log", ""], os_fault("FileNotFoundError", "")),
+    "train --report in a missing dir": (TRAIN + ["--report", "nodir/r.json"],
+                                        os_fault("FileNotFoundError", "nodir/r.json")),
+    "train --report empty": (TRAIN + ["--report", ""], os_fault("FileNotFoundError", "")),
+    "train --report names --checkpoint": (TRAIN + ["--report", "c.ckpt"],
+                                          usage("--report and --checkpoint name the same file: 'c.ckpt'")),
+    "train --log names --manifest": (TRAIN + ["--log", "./m.jsonl"],
+                                     usage("--log and --manifest name the same file: './m.jsonl'")),
+    "synth --seed -1": (["synth", "--out-dir", "d", "--seed", "-1"], config_fault("seed must be >= 0, got -1")),
+    "synth data.synth.noise_sigma=-1": (["synth", "--out-dir", "d", "--set", "data.synth.noise_sigma=-1"],
+                                        config_fault("noise_sigma must be >= 0")),
+    "synth --out-dir in a file": (["synth", "--out-dir", "file/x"], os_fault("NotADirectoryError", "file/x")),
+    "synth --out-dir empty": (["synth", "--out-dir", ""], os_fault("FileNotFoundError", "")),
+    "synth --out-dir holds --config": (["synth", "--config", "dataset.json", "--out-dir", "."],
+                                       usage("--out-dir and --config name the same file: './dataset.json'")),
+    "ingest data.captions_per_image=0": (INGEST + ["--out", "i.json", "--set", "data.captions_per_image=0"],
+                                         config_fault("data.captions_per_image must be >= 1, got 0")),
+    "ingest --out in a missing dir": (INGEST + ["--out", "nodir/i.json"], os_fault("FileNotFoundError", "nodir/i.json")),
+    "ingest --out empty": (INGEST + ["--out", ""], os_fault("FileNotFoundError", "")),
+    "ingest --out names --manifest": (INGEST + ["--out", "m.jsonl"],
+                                      usage("--out and --manifest name the same file: 'm.jsonl'")),
+    "index --out in a missing dir": (INDEX + ["--out", "nodir/x.azi"], os_fault("FileNotFoundError", "nodir/x.azi")),
+    "index --out empty": (INDEX + ["--out", ""], os_fault("FileNotFoundError", "")),
+    "index --out in a file": (INDEX + ["--out", "file/x.azi"], os_fault("NotADirectoryError", "file/x.azi")),
+    "index --out names --checkpoint": (INDEX + ["--out", "c.ckpt"],
+                                       usage("--out and --checkpoint name the same file: 'c.ckpt'")),
+    "query no source": (QUERY, usage("provide exactly one of --embedding or --texts with --text-id")),
+    "query two sources": (QUERY + ["--embedding", "[0.1]", "--text-id", "q", "--texts", "t.emb"],
+                          usage("provide exactly one of --embedding or --texts with --text-id")),
+    "query --embedding with --texts": (QUERY + ["--embedding", "[0.1]", "--texts", "t.emb"],
+                                       usage("--embedding and --texts are two query sources; give one")),
+    "query --text-id without --texts": (QUERY + ["--text-id", "q"], usage("--text-id requires --texts")),
+    "query --embedding bad JSON": (QUERY + ["--embedding", "[0.1,"],
+                                   usage("--embedding is not valid JSON: Expecting value")),
+    "query --embedding not an array": (QUERY + ["--embedding", '{"a": 1}'], usage(FINITE)),
+    "query --embedding non-finite": (QUERY + ["--embedding", "[1e400]"], usage(FINITE)),
+    "query --embedding empty": (QUERY + ["--embedding", "[]"], usage(FINITE)),
+    "query --k 0": (QUERY + ["--embedding", "[0.1]", "--k", "0"], usage("--k must be >= 1, got 0")),
+    "eval --split bogus": (EVAL + ["--manifest", "m.jsonl", "--report", "r.json", "--split", "bogus"],
+                           usage("--split must be one of ('train', 'val', 'test'), got 'bogus'")),
+    "eval eval.split=bogus": (EVAL + ["--manifest", "m.jsonl", "--report", "r.json", "--set", "eval.split=bogus"],
+                              usage("eval.split must be one of ('train', 'val', 'test'), got 'bogus'")),
+    "eval --split with --judgments": (
+        EVAL + ["--judgments", "j.jsonl", "--split", "val"],
+        usage("--split selects manifest pairs; a --judgments file names its own queries")),
+    "eval --report in a missing dir": (EVAL + ["--manifest", "m.jsonl", "--report", "nodir/r.json"],
+                                       os_fault("FileNotFoundError", "nodir/r.json")),
+    "eval --report empty": (EVAL + ["--manifest", "m.jsonl", "--report", ""], os_fault("FileNotFoundError", "")),
+    "eval --report names --texts": (EVAL + ["--manifest", "m.jsonl", "--report", "t.emb"],
+                                    usage("--report and --texts name the same file: 't.emb'")),
 }
 
-
-class TestEmptyOutputPaths:
-    @pytest.mark.parametrize("case", EMPTY_OUTPUTS)
-    def test_empty_output_path_exit_2(self, pipeline, tmp_path, capsys, monkeypatch, case):
-        # the atomic writer puts its temporary file beside the path: here, in the working directory
-        monkeypatch.chdir(tmp_path)
-        code, _, err = run(EMPTY_OUTPUTS[case](pipeline, tmp_path), capsys)
-        assert code == 2
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "FileNotFoundError"
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_empty_model_name_labels_the_row(self, pipeline, tmp_path, capsys):
-        report = tmp_path / "eval.json"
-        code, stdout, _ = run(eval_on_manifest(pipeline, "--model-name", "", "--report", str(report)),
-                              capsys)
-        assert code == 0
-        assert json.loads(report.read_text())["model"] == ""
-        assert stdout.splitlines()[2].startswith(" " * len("Model"))
+# What a row's working directory holds: a regular file where a directory is needed, and a config.
+FIXTURES = {"file": "", "dataset.json": "{}"}
+# The first work of each run: none may start before a fault of the plan.
+RUN_STARTS = ("synth_dataset", "load_manifest", "load_embeddings", "load_checkpoint", "load_index", "_json_lines")
 
 
-# Output paths no write can reach: `train` must fail on them before its first step.
-BAD_TRAIN_OUTPUTS = {
-    "--report in a missing dir": ("--checkpoint", "m.ckpt", "--report", "nodir/r.json"),
-    "--report empty": ("--checkpoint", "m.ckpt", "--report", ""),
-    "--checkpoint in a missing dir": ("--checkpoint", "nodir/m.ckpt"),
-    "--checkpoint empty": ("--checkpoint", ""),
-    "--checkpoint a directory": ("--checkpoint", "."),
-}
+def _never(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the fault was reported")
+    return call
 
 
-# Each config fault train reports before it reads an input, as a train --set.
-TRAIN_CONFIG_FAULTS = {
-    "train.epochs=0": "epochs must be >= 1, got 0",
-    "train.batch_size=1": "batch_size must be >= 2 for contrastive training, got 1",
-    "train.lr_max=-1.0": "need 0 <= lr_min <= lr_max, got lr_min=1e-05, lr_max=-1.0",
-    "train.lr_min=-1.0": "need 0 <= lr_min <= lr_max, got lr_min=-1.0, lr_max=0.001",
-    "train.lr_min=0.5": "need 0 <= lr_min <= lr_max, got lr_min=0.5, lr_max=0.001",
-    "train.warmup_steps=-1": "warmup_steps must be >= 0",
-    "train.weight_decay=-0.5": "weight_decay must be >= 0",
-    "train.beta1=1.0": "betas must lie in [0, 1)",
-    "train.beta2=-0.5": "betas must lie in [0, 1)",
-    "train.eps=0.0": "eps must be positive",
-    "loss.lambda=-1.0": "lam must be >= 0, got -1.0",
-    "loss.temperature=0.0": "temperature must be positive, got 0.0",
-    "loss.margin_mode=bogus": "margin_mode must be one of ('literal', 'hard_negative'), got 'bogus'",
-    "model.shared_dim=0": "shared_dim must be positive, got 0",
-    "data.augment.copies=-1": "copies must be >= 0",
-    "data.augment.sigma=-1": "sigma must be >= 0",
-    "data.captions_per_image=0": "data.captions_per_image must be >= 1, got 0",
-    "seed=-2": "seed must be >= 0, got -2",
-}
-
-
-class TestTrainConfigFaultsFirst:
-    @pytest.mark.parametrize("setting", TRAIN_CONFIG_FAULTS)
-    def test_config_fault_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, setting):
-        # no input exists: a config fault must be reported before train opens one
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(
-            ["train", "--manifest", "nope.jsonl", "--images", "nope.emb", "--texts", "nope.emb",
-             "--checkpoint", "m.ckpt", "--log", "train.log", "--report", "r.json",
-             "--set", setting],
-            capsys,
-        )
-        assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1
-        assert json.loads(err) == {"error": "ConfigError", "message": TRAIN_CONFIG_FAULTS[setting]}
-        assert list(tmp_path.iterdir()) == []
-
-
-# Config and usage faults of synth, ingest and eval, each with input paths that do not exist.
-OTHER_CONFIG_FAULTS = {
-    "synth --seed -1": (["synth", "--out-dir", "d", "--seed", "-1"],
-                        "ConfigError", "seed must be >= 0, got -1"),
-    "ingest data.captions_per_image=0": (
-        ["ingest", "--manifest", "nope.jsonl", "--images", "nope.emb", "--texts", "nope.emb",
-         "--out", "i.json", "--set", "data.captions_per_image=0"],
-        "ConfigError", "data.captions_per_image must be >= 1, got 0"),
-    "eval --split bogus": (
-        ["eval", "--index", "nope.azi", "--checkpoint", "nope.ckpt", "--texts", "nope.emb",
-         "--manifest", "nope.jsonl", "--report", "r.json", "--split", "bogus"],
-        "usage", "--split must be one of ('train', 'val', 'test'), got 'bogus'"),
-    "eval eval.split=bogus": (
-        ["eval", "--index", "nope.azi", "--checkpoint", "nope.ckpt", "--texts", "nope.emb",
-         "--manifest", "nope.jsonl", "--report", "r.json", "--set", "eval.split=bogus"],
-        "usage", "eval.split must be one of ('train', 'val', 'test'), got 'bogus'"),
-}
-
-
-class TestOtherFaultsFirst:
-    @pytest.mark.parametrize("case", OTHER_CONFIG_FAULTS)
-    def test_fault_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, case):
-        monkeypatch.chdir(tmp_path)
-        argv, kind, message = OTHER_CONFIG_FAULTS[case]
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1
-        assert json.loads(err) == {"error": kind, "message": message}
-        assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("case", FAULTS_FIRST)
+def test_fault_comes_before_any_input(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FIXTURES.items():
+        (tmp_path / name).write_text(text)
+    for name in RUN_STARTS:
+        monkeypatch.setattr(cli, name, _never(name))
+    argv, (code, kind, message) = FAULTS_FIRST[case]
+    assert run(argv, capsys) == (code, "", json.dumps({"error": kind, "message": message}) + "\n")
+    # no file, temporary file or directory is left, and the fixtures are untouched
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == FIXTURES
 
 
 class TestBadOutputPaths:
-    @pytest.mark.parametrize("case", BAD_TRAIN_OUTPUTS)
-    def test_train_fails_before_the_first_step(self, pipeline, tmp_path, capsys, monkeypatch, case):
-        monkeypatch.chdir(tmp_path)
-        train_module = importlib.import_module("twotower.train")  # not the train function
-        steps = []
-        real_backward = train_module._backward  # the step's forward and backward pass
-        monkeypatch.setattr(train_module, "_backward",
-                            lambda *a: steps.append(1) or real_backward(*a))
-        flags = BAD_TRAIN_OUTPUTS[case]
-        code, out, err = run(train_args(pipeline, *flags, "--log", "train.log"), capsys)
-        assert (code, out, len(steps)) == (2, "", 0)
-        path = flags[-1]
-        fault = json.loads(err)
-        assert fault["error"] == ("IsADirectoryError" if path == "." else "FileNotFoundError")
-        assert fault["message"].endswith(f": {path!r}")
-        assert list(tmp_path.iterdir()) == []  # no checkpoint, log or temporary file
-
     @pytest.mark.parametrize("out", ["nodir/x.azi", "", "d"])
     def test_atomic_write_fault_names_the_given_path(self, pipeline, tmp_path, capsys, monkeypatch, out):
         monkeypatch.chdir(tmp_path)

@@ -277,6 +277,18 @@ class TestTrain:
         }
         assert _step_line(step, epoch, lr, loss, ce_term, margin_term) == json.dumps(record) + "\n"
 
+    @pytest.mark.parametrize("path", ["nodir/best.ckpt", "", "."])
+    def test_unwritable_checkpoint_path_fails_before_the_first_step(self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        train_module = importlib.import_module("twotower.train")  # not the train function
+        steps = []
+        real_backward = train_module._backward
+        monkeypatch.setattr(train_module, "_backward", lambda *a: steps.append(1) or real_backward(*a))
+        with pytest.raises(IsADirectoryError if path == "." else FileNotFoundError) as e:
+            train(init_model(8, 6, 4, seed=2), tiny_dataset(seed=5), tiny_cfg(), checkpoint_path=path)
+        assert (e.value.filename, steps) == (path, [])
+        assert list(tmp_path.iterdir()) == []  # no checkpoint or temporary file
+
     def test_checkpoint_path_only_decides_the_file(self, tmp_path):
         # with or without a path, train returns the same best model, and the
         # file on disk holds exactly that model's bytes; here validation

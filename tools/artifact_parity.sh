@@ -45,13 +45,17 @@
 # each, then runs eval --judgments on a judgments file whose one line names an
 # unknown image id, and compares the exit code and the whole stderr of every
 # run (manifest_faults.out).
-# Once per tree, outside the configs, it runs the help of the top level and
-# of each command, a bare "twotower", an unknown command, and for each
-# command a run missing a required flag and a run with an unknown flag,
-# plus "query --k x" and "eval" given both --manifest and --judgments. It
-# compares the exit code, stdout and stderr of every run in full, at
-# COLUMNS=80 (usage.out): a call builds only its own command's parser, and
-# help and usage errors must read as they did. Also once per tree, it runs
+# Once per tree, outside the configs, at COLUMNS=80, it runs the help of
+# the top level and of each command (help.out). Then (usage.out) it runs a
+# bare "twotower", an unknown command, for each command a run missing a
+# required flag and a run with an unknown flag, "query --k x", "eval" given
+# both --manifest and --judgments, and, with every input path missing, one
+# config or usage fault for each command that has one (synth --seed -1,
+# ingest data.captions_per_image=0, train train.epochs=0, query --k 0,
+# eval --split bogus; index has none). It compares the exit code, stdout
+# and stderr of every run in full: a call builds only its own command's
+# parser, help and usage errors must read as they did, and each fault must
+# still be reported before an input is opened. Also once per tree, it runs
 # each script in the tree's demos/ against its src and compares the stdout
 # (demos/<name>.out). Two parts of the quickstart's output differ from run
 # to run and are masked: its "artifacts under <dir>" line, which names a
@@ -282,8 +286,8 @@ EOF
     )
 }
 
-run_usage() {  # tree, run dir
-    local tree=$1 dir=$2
+run_cli() {  # tree, run dir, output file; reads one command line per run from stdin
+    local tree=$1 dir=$2 out=$3
     mkdir -p "$dir"
     (
         cd "$dir"
@@ -292,21 +296,26 @@ run_usage() {  # tree, run dir
         while IFS= read -r args; do
             code=0
             # shellcheck disable=SC2086  # each line splits into its arguments; none is a glob
-            "$python" -m twotower $args > run.stdout 2> run.stderr || code=$?
+            "$python" -m twotower $args > run.stdout 2> run.stderr < /dev/null || code=$?
             {
                 echo "twotower $args -> exit $code"
                 echo "stdout:"; cat run.stdout
                 echo "stderr:"; cat run.stderr
-            } >> usage.out
-        done <<'EOF'
---help
+            } >> "$out"
+        done
+    )
+}
+
+help_runs='--help
 synth --help
 ingest --help
 train --help
 index --help
 query --help
-eval --help
+eval --help'
 
+# every input path here is missing: each fault must be reported before an input is opened
+usage_runs='
 bogus
 synth
 synth --out-dir d --bogus
@@ -322,9 +331,11 @@ query --index x --checkpoint c --text-id q --k x
 eval --index x --checkpoint c --texts t
 eval --index x --checkpoint c --texts t --manifest m --bogus
 eval --index x --checkpoint c --texts t --manifest m --judgments j
-EOF
-    )
-}
+synth --out-dir d --seed -1
+ingest --manifest m --images i --texts t --set data.captions_per_image=0
+train --manifest m --images i --texts t --checkpoint c --set train.epochs=0
+query --index x --checkpoint c --k 0
+eval --index x --checkpoint c --texts t --manifest m --split bogus'
 
 run_demos() {  # tree, run dir
     local tree=$1 dir=$2 demo name
@@ -358,15 +369,19 @@ EOF
 }
 
 failed=0
-run_usage "$parent" "$work/usage/parent"
-run_usage "$change" "$work/usage/change"
-if cmp -s "$work/usage/parent/usage.out" "$work/usage/change/usage.out"; then
-    verdict=same
-else
-    verdict=DIFF
-    failed=1
-fi
-printf '%-14s %-34s %s\n' usage usage.out "$verdict"
+for tree in parent change; do
+    run_cli "${!tree}" "$work/usage/$tree" help.out <<< "$help_runs"
+    run_cli "${!tree}" "$work/usage/$tree" usage.out <<< "$usage_runs"
+done
+for f in help.out usage.out; do
+    if cmp -s "$work/usage/parent/$f" "$work/usage/change/$f"; then
+        verdict=same
+    else
+        verdict=DIFF
+        failed=1
+    fi
+    printf '%-14s %-34s %s\n' usage "$f" "$verdict"
+done
 run_demos "$parent" "$work/demos/parent"
 run_demos "$change" "$work/demos/change"
 for f in "$work"/demos/parent/*.out; do
