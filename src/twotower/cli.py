@@ -24,7 +24,9 @@ embedding store. There is no tokenizer here.
 """
 
 import argparse
+import contextlib
 import copy
+import functools
 import json
 import math
 import os
@@ -262,17 +264,19 @@ def _paths(args, *flags) -> list:
     return [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in flags]
 
 
-def cmd_synth(args):
-    cfg = effective_config(args)
-    s = cfg["data"]["synth"]
-    with value_errors_as(ConfigError):
-        check_synth(**s)
-    os.makedirs(args.out_dir, exist_ok=True)  # "" names no directory: FileNotFoundError
-    out = Path(args.out_dir)
-    files = ("images.emb", "texts.emb", "manifest.jsonl", "dataset.json")
-    yield _paths(args, "--config"), [("--out-dir", os.path.join(args.out_dir, f)) for f in files]
+def _missing_dirs(path) -> list:
+    """The directories ``os.makedirs(path)`` would make, innermost first."""
+    missing, path = [], path and os.path.normpath(path)  # "" stays "": it names no directory
+    while path and not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _write_dataset(cfg, out):
+    """Generate the synthetic dataset of ``cfg`` and write its four files into ``out``."""
     with value_errors_as(ConfigError):  # a noise that overflows the features
-        ds = synth_dataset(**s, seed=cfg["seed"])
+        ds = synth_dataset(**cfg["data"]["synth"], seed=cfg["seed"])
     save_embeddings(ds.image_store, out / "images.emb")
     save_embeddings(ds.text_store, out / "texts.emb")
     text_ids, image_ids, splits = zip(*ds.pairs)
@@ -291,6 +295,28 @@ def cmd_synth(args):
         },
     )
     print(json.dumps({"out_dir": str(out), "images": len(ds.image_store), "captions": len(ds.text_store)}))
+
+
+def cmd_synth(args):
+    cfg = effective_config(args)
+    with value_errors_as(ConfigError):
+        check_synth(**cfg["data"]["synth"])
+    made = _missing_dirs(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)  # "" names no directory: FileNotFoundError
+    files = ("images.emb", "texts.emb", "manifest.jsonl", "dataset.json")
+    try:
+        yield _paths(args, "--config"), [("--out-dir", os.path.join(args.out_dir, f)) for f in files]
+        _write_dataset(cfg, Path(args.out_dir))
+    except BaseException:
+        # a directory this call made holds only this call's files, so a failed call removes
+        # them and the directory; a directory that was already there is left as it was
+        if made:
+            for name in files:
+                Path(args.out_dir, name).unlink(missing_ok=True)
+            for d in made:
+                with contextlib.suppress(OSError):
+                    os.rmdir(d)
+        raise
 
 
 def cmd_ingest(args):
@@ -533,9 +559,11 @@ def _eval_args(p):
     p.add_argument("--report", default=None, help="JSON metrics report path (default: no report)")
 
 
-# command -> (help line, handler, the function that adds its arguments), in help order. A
-# handler is a generator: up to its one yield it plans, raising every fault that needs no
-# input, and yields (inputs, outputs), each a list of (flag, path); after it, it runs.
+# command -> (help line, handler, the function that adds its arguments), in help order.
+# ``build_parser`` reads the arguments and ``main`` calls the handler from here, so a parser
+# holds syntax only. A handler is a generator: up to its one yield it plans, raising every
+# fault that needs no input, and yields (inputs, outputs), each a list of (flag, path);
+# after it, it runs.
 _COMMANDS = {
     "synth": ("generate a synthetic paired dataset", cmd_synth, _synth_args),
     "ingest": ("validate a manifest + embedding files as a paired dataset", cmd_ingest, _ingest_args),
@@ -553,16 +581,21 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     subparser, so top-level help and the invalid-choice error list them all.
     Each ``add_argument`` builds a help formatter, so a call that builds
     one command's parser starts its work sooner, in a fresh process too.
+    The parser names no handler: ``main`` looks it up in ``_COMMANDS``.
     """
     parser = _Parser(prog="twotower", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, add_args) in _COMMANDS.items():
+    for name, (help_line, _, add_args) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
-        p = sub.add_parser(name, help=help_line)
-        add_args(p)
-        p.set_defaults(func=func)
+        add_args(sub.add_parser(name, help=help_line))
     return parser
+
+
+# One parser per command, built on a process's first call of that command and reused by
+# every later one: ``parse_args`` only reads a parser and makes a fresh namespace each call.
+# The key is a command's name or None, so the cache holds at most seven parsers.
+_parser = functools.cache(build_parser)
 
 
 _ERROR_EXITS = (
@@ -597,13 +630,15 @@ def _check_outputs(inputs, outputs):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         # a value that overflows is named by check_norms or the divergence guard,
         # in the one JSON line on stderr, not by a numpy warning before it
-        with np.errstate(over="ignore", invalid="ignore"):
-            run = args.func(args)
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            contextlib.closing(_COMMANDS[args.command][1](args)) as run,  # closed on a refused plan too
+        ):
             _check_outputs(*next(run))  # the plan: every fault that needs no input
             next(run, None)  # the run: it opens the inputs and writes the outputs
             return EXIT_OK

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -1198,6 +1199,45 @@ def test_fault_comes_before_any_input(tmp_path, capsys, monkeypatch, case):
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == FIXTURES
 
 
+@pytest.mark.parametrize("out_dir", ["d", "a/b/d", "d/"])
+@pytest.mark.parametrize("fault", ["overflowing noise", "failed write"])
+def test_a_failed_synth_removes_the_directory_it_made(tmp_path, capsys, monkeypatch, out_dir, fault):
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--out-dir", out_dir] + SMALL
+    if fault == "overflowing noise":
+        argv += ["--set", "data.synth.noise_sigma=1e308"]
+        expected = config_fault("vectors contain non-finite entries")
+    else:  # after both stores are written
+        monkeypatch.setattr(cli, "save_manifest", _disk_full)
+        expected = 2, "OSError", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    code, kind, message = expected
+    assert run(argv, capsys) == (code, "", json.dumps({"error": kind, "message": message}) + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_synth_plan_removes_the_directory_it_made(tmp_path, capsys, monkeypatch):
+    # a 4,080-byte path fits Linux's PATH_MAX (4,096 with its NUL), but not with a file name after it
+    monkeypatch.chdir(tmp_path)
+    out_dir = "/".join(["d" * 200] * 20 + ["d" * 60])
+    code, out, err = run(["synth", "--out-dir", out_dir], capsys)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "OSError")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_synth_leaves_a_directory_that_was_there(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "notes.txt").write_text("kept")
+    argv = ["synth", "--out-dir", "d", "--set", "data.synth.noise_sigma=1e308"]
+    assert run(argv, capsys)[0] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert {p.name: p.read_text() for p in (tmp_path / "d").iterdir()} == {"notes.txt": "kept"}
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestBadOutputPaths:
     @pytest.mark.parametrize("out", ["nodir/x.azi", "", "d"])
     def test_atomic_write_fault_names_the_given_path(self, pipeline, tmp_path, capsys, monkeypatch, out):
@@ -1249,6 +1289,12 @@ BAD_ARGV = [
 ]
 
 
+def query_by_id(p):
+    """``query`` of the pipeline's index by the first caption's row in its text store."""
+    return ["query", "--index", str(p / "idx.azi"), "--checkpoint", str(p / "model.ckpt"),
+            "--texts", str(p / "ds" / "texts.emb"), "--text-id", "img00#c0"]
+
+
 COMMAND_HELP = {
     "synth": "generate a synthetic paired dataset",
     "ingest": "validate a manifest + embedding files as a paired dataset",
@@ -1282,12 +1328,40 @@ class TestParser:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-        code, _, _ = run(["query", "--index", str(pipeline / "idx.azi"),
-                          "--checkpoint", str(pipeline / "model.ckpt"),
-                          "--texts", str(pipeline / "ds" / "texts.emb"), "--text-id", "img00#c0"],
-                         capsys)
+        cli._parser.cache_clear()  # an earlier test may have built query's parser already
+        code, _, _ = run(query_by_id(pipeline), capsys)
         assert code == 0
         assert built == ["query"]
+
+    def test_a_second_call_of_a_command_builds_no_parser(self, pipeline, capsys, monkeypatch):
+        assert run(query_by_id(pipeline), capsys)[0] == 0
+        built = []
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda *a, **kw: built.append(a))
+        assert run(query_by_id(pipeline), capsys)[0] == 0
+        assert built == []
+
+    def test_reused_parsers_read_as_fresh_ones(self, capsys, monkeypatch):
+        # every row twice, shuffled, so each cached parser is reused after other
+        # commands and after usage faults; the handlers record what main parsed
+        parsed = []
+
+        def record(args):
+            parsed.append(args)
+            yield [], []
+
+        for name, (help_line, _, add_args) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, (help_line, record, add_args))
+        rows = (VALID_ARGV + BAD_ARGV) * 2
+        random.Random(0).shuffle(rows)
+        for argv in rows:
+            fresh = cli.build_parser(argv[0] if argv else None)
+            try:
+                expected = (0, "", ""), fresh.parse_args(argv)
+            except cli._UsageError as e:
+                expected = (1, "", json.dumps({"error": "usage", "message": str(e)}) + "\n"), None
+            parsed.clear()
+            assert (run(argv, capsys), parsed[0] if parsed else None) == expected, argv
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -55,12 +55,16 @@
 # eval --split bogus; index has none). It compares the exit code, stdout
 # and stderr of every run in full: a call builds only its own command's
 # parser, help and usage errors must read as they did, and each fault must
-# still be reported before an input is opened. Also once per tree, it runs
-# each script in the tree's demos/ against its src and compares the stdout
-# (demos/<name>.out). Two parts of the quickstart's output differ from run
-# to run and are masked: its "artifacts under <dir>" line, which names a
-# fresh temporary directory, and the trailing ", <n>s" wall time of its
-# "best val loss" line.
+# still be reported before an input is opened. Then (usage_inproc.out) it
+# runs the same help and usage lines again, one after another, through
+# twotower.cli.main in one Python process, and records each run's exit code
+# (a SystemExit's included), stdout and stderr: a process reuses each
+# command's parser, and a reused parser must read as a fresh one. Also
+# once per tree, it runs each script in the tree's demos/ against its src
+# and compares the stdout (demos/<name>.out). Two parts of the quickstart's
+# output differ from run to run and are masked: its "artifacts under <dir>"
+# line, which names a fresh temporary directory, and the trailing ", <n>s"
+# wall time of its "best val loss" line.
 #
 # Prints one line per compared file and config, "same" or "DIFF", and exits
 # 0 only if every file is the same. The work directory is deleted when
@@ -306,6 +310,32 @@ run_cli() {  # tree, run dir, output file; reads one command line per run from s
     )
 }
 
+run_cli_inproc() {  # tree, run dir, output file; reads one command line per run from stdin
+    local tree=$1 dir=$2 out=$3
+    mkdir -p "$dir"
+    (
+        cd "$dir"
+        export PYTHONPATH="$tree/src" COLUMNS=80
+        "$python" -c 'import contextlib
+import io
+import sys
+
+from twotower.cli import main
+
+with open(sys.argv[1], "w", encoding="utf-8") as report:
+    for line in sys.stdin:
+        args = line.rstrip("\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args.split())
+            except SystemExit as e:
+                code = 0 if e.code is None else e.code
+        report.write(f"twotower {args} -> exit {code}\nstdout:\n{out.getvalue()}stderr:\n{err.getvalue()}")' \
+            "$out"
+    )
+}
+
 help_runs='--help
 synth --help
 ingest --help
@@ -372,8 +402,10 @@ failed=0
 for tree in parent change; do
     run_cli "${!tree}" "$work/usage/$tree" help.out <<< "$help_runs"
     run_cli "${!tree}" "$work/usage/$tree" usage.out <<< "$usage_runs"
+    run_cli_inproc "${!tree}" "$work/usage/$tree" usage_inproc.out <<< "$help_runs
+$usage_runs"
 done
-for f in help.out usage.out; do
+for f in help.out usage.out usage_inproc.out; do
     if cmp -s "$work/usage/parent/$f" "$work/usage/change/$f"; then
         verdict=same
     else
