@@ -27,11 +27,7 @@ def heldout_map(noise_sigma, augment, seed=42):
     best, _ = tt.train(model, train_ds, cfg)
 
     index = tt.build_index(best, ds.image_store)  # index the clean corpus
-    judgments = [
-        tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id)
-        for p in ds.pairs_for_split("test")
-    ]
-    return tt.evaluate(index, best, ds.text_store, judgments).map
+    return tt.evaluate(index, best, ds.text_store, ds.judgments("test")).map
 
 
 # %%

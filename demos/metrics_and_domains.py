@@ -29,11 +29,7 @@ print(f"  harmonic mean                    -> F1 = {tt.f1_per_query(ap, ar):.5f}
 
 # %%
 def evaluate_on(model, index, ds, label):
-    judgments = [
-        tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id)
-        for p in ds.pairs_for_split("test")
-    ]
-    m = tt.evaluate(index, model, ds.text_store, judgments)
+    m = tt.evaluate(index, model, ds.text_store, ds.judgments("test"))
     return {"model": "heads-32", "dataset": label, **m.as_dict()}
 
 

@@ -65,18 +65,15 @@ print(f"best val loss {report.best_val_loss:.4f} at epoch {report.best_epoch}, "
 
 # %% index the image corpus once, then query it
 index = tt.build_index(best, ds.image_store)
-probe = ds.pairs_for_split("test")[0]
-result = tt.query(index, best, ds.text_store.row(probe.text_id), k=5, query_id=probe.text_id)
-print(f"\nquery {probe.text_id} (true image {probe.image_id}):")
+judgments = ds.judgments("test")  # each test caption, with its one paired image
+probe = judgments[0]
+result = tt.query(index, best, ds.text_store.row(probe.query_id), k=5, query_id=probe.query_id)
+print(f"\nquery {probe.query_id} (true image {probe.correct_id}):")
 for rank, (image_id, score) in enumerate(result.hits, start=1):
-    marker = " <-- correct" if image_id == probe.image_id else ""
+    marker = " <-- correct" if image_id == probe.correct_id else ""
     print(f"  {rank}. {image_id}  cosine {score:.4f}{marker}")
 
 # %% score the whole held-out split
-judgments = [
-    tt.QueryJudgment(p.text_id, frozenset({p.image_id}), p.image_id)
-    for p in ds.pairs_for_split("test")
-]
 metrics = tt.evaluate(index, best, ds.text_store, judgments)
 print()
 print(tt.format_table([{"model": "heads-32", "dataset": "synth-test", **metrics.as_dict()}]))

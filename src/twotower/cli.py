@@ -52,6 +52,7 @@ from .data import (
     load_manifest,
     save_embeddings,
     save_manifest,
+    split_judgments,
     synth_dataset,
 )
 from .errors import (
@@ -279,10 +280,9 @@ def _write_dataset(cfg, out):
         ds = synth_dataset(**cfg["data"]["synth"], seed=cfg["seed"])
     save_embeddings(ds.image_store, out / "images.emb")
     save_embeddings(ds.text_store, out / "texts.emb")
-    text_ids, image_ids, splits = zip(*ds.pairs)
-    captions = [f"synthetic caption {t.split('#c')[-1]} of {i}" for t, i, _ in ds.pairs]
-    manifest = {"image_id": image_ids, "caption": captions, "lang": ["x-syn"] * len(captions),
-                "split": splits, "text_id": text_ids}
+    captions = [f"synthetic caption {t.split('#c')[-1]} of {i}" for t, i in zip(ds.text_ids, ds.image_ids)]
+    manifest = {"image_id": ds.image_ids, "caption": captions, "lang": ["x-syn"] * len(captions),
+                "split": ds.splits, "text_id": ds.text_ids}
     save_manifest(manifest, out / "manifest.jsonl")
     _write_json(
         out / "dataset.json",
@@ -329,7 +329,7 @@ def cmd_ingest(args):
         "counts": {
             "images": len(ds.image_store),
             "captions": len(ds.text_store),
-            "pairs": len(ds.pairs),
+            "pairs": len(ds.text_ids),
         },
         "splits": ds.split_sizes(),
         "dims": {"image": ds.image_store.dim, "text": ds.text_store.dim},
@@ -418,11 +418,17 @@ def cmd_query(args):
     print(json.dumps({"query": result.query_id, "k": result.k, "hits": hits}))
 
 
+def _judgment(o) -> QueryJudgment:
+    """One judgments line's value: an object whose ``relevant_ids`` is an array."""
+    if not isinstance(o, dict):
+        raise TypeError("expected a JSON object")
+    if not isinstance(relevant := o["relevant_ids"], list):
+        raise TypeError(f"query {o['query_id']!r}: relevant_ids must be a JSON array")
+    return QueryJudgment(query_id=o["query_id"], relevant_ids=relevant, correct_id=o["correct_id"])
+
+
 def _judgments(chunks) -> list:
-    judgments = (
-        QueryJudgment(query_id=o["query_id"], relevant_ids=o["relevant_ids"], correct_id=o["correct_id"])
-        for o in chain.from_iterable(chunks)
-    )
+    judgments = map(_judgment, chain.from_iterable(chunks))
     return list(judgments_by_id(judgments).values())  # consumed lazily: a duplicate names its line
 
 
@@ -457,16 +463,14 @@ def cmd_eval(args):
             if t in text_ids:
                 raise DataFormatError(f"{args.manifest}: text id {t!r} appears in more than one pair")
             text_ids.add(t)
-        judgments = [
-            QueryJudgment(query_id=t, relevant_ids=frozenset({i}), correct_id=i)
-            for t, i, s in zip(manifest["text_id"], manifest["image_id"], manifest["split"])
-            if s == split
-        ]
+        judgments = split_judgments(manifest["text_id"], manifest["image_id"], manifest["split"], split)
         if not judgments:
             raise DataFormatError(f"{args.manifest}: manifest has no pairs in split {split!r}")
     # the library scores an unindexed image as a miss; here it is a fault in the inputs
     truth = args.judgments if judged else args.manifest
     for j in judgments:
+        if j.query_id not in texts:
+            raise DataFormatError(f"{truth}: query {j.query_id!r} is not in text store {args.texts}")
         for i in sorted(j.relevant_ids):
             if i not in index:
                 raise DataFormatError(
@@ -574,27 +578,20 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser, holding only ``command``'s subparser when that names a command.
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, one subparser per command.
 
-    Any other ``command`` (None, ``--help``, an unknown word) gets every
-    subparser, so top-level help and the invalid-choice error list them all.
-    Each ``add_argument`` builds a help formatter, so a call that builds
-    one command's parser starts its work sooner, in a fresh process too.
     The parser names no handler: ``main`` looks it up in ``_COMMANDS``.
     """
     parser = _Parser(prog="twotower", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _, add_args) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            continue
         add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
-# One parser per command, built on a process's first call of that command and reused by
-# every later one: ``parse_args`` only reads a parser and makes a fresh namespace each call.
-# The key is a command's name or None, so the cache holds at most seven parsers.
+# Built on a process's first call and reused by every later one: ``parse_args`` only
+# reads a parser and makes a fresh namespace each call.
 _parser = functools.cache(build_parser)
 
 
@@ -630,9 +627,8 @@ def _check_outputs(inputs, outputs):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # a value that overflows is named by check_norms or the divergence guard,
         # in the one JSON line on stderr, not by a numpy warning before it
         with (

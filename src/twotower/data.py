@@ -1,9 +1,11 @@
 """Datasets: caption manifests, embedding stores, batching, synthesis.
 
 Each input is checked where it enters: manifests by ``load_manifest``, a
-column at a time, stores by ``EmbeddingStore``, pairs by ``PairedDataset``,
-which resolves them to the store rows that ``split_rows`` gives training and
-augmentation.
+column at a time, stores by ``EmbeddingStore``, pairs by ``PairedDataset``.
+A dataset's pairs are the manifest's three pair columns (text id, image id,
+split); it resolves them to the store rows that ``split_rows`` gives
+training and augmentation, and ``judgments`` gives a split's ground truth
+for evaluation.
 
 Each binary file is read once and parsed by ``_Reader``: a fault reads
 ``<file>: byte <offset>: <reason>``, the offset where the structure at fault
@@ -34,7 +36,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import (
     TruncatedFileError,
     value_errors_as,
 )
+from .metrics import QueryJudgment
 
 VALID_SPLITS = ("train", "val", "test")
 
@@ -249,17 +251,22 @@ class EmbeddingStore:
             raise ShapeError("embedding dim must be positive")
         self._row_of = dict(zip(self.ids, range(len(self.ids))))
         if len(self._row_of) != len(self.ids):
-            raise ValueError("ids must be unique")
+            seen = set()
+            r = next(r for r, i in enumerate(self.ids) if i in seen or seen.add(i))
+            raise ValueError(f"ids must be unique; id {self.ids[r]!r} repeats at row {r}")
         # every id a str (join raises TypeError for exactly the others), and
         # none empty: two passes that run in C
         try:
             "".join(self.ids)
+            bad = not all(self.ids)
         except TypeError:
-            raise ValueError("ids must be non-empty strings") from None
-        if not all(self.ids):
-            raise ValueError("ids must be non-empty strings")
+            bad = True
+        if bad:
+            r = next(r for r, i in enumerate(self.ids) if not (isinstance(i, str) and i))
+            raise ValueError(f"ids must be non-empty strings; row {r} holds {self.ids[r]!r}")
         if not np.isfinite(vec).all():
-            raise ValueError("vectors contain non-finite entries")
+            r = int(np.flatnonzero(~np.isfinite(vec).all(axis=1))[0])
+            raise ValueError(f"vectors contain non-finite entries; first at row {r}, id {self.ids[r]!r}")
         vec.setflags(write=False)
         self.vectors = vec
 
@@ -477,37 +484,45 @@ def load_embeddings(path) -> EmbeddingStore:
         return EmbeddingStore(ids=ids, vectors=vectors, kind=kind)
 
 
-class Pair(NamedTuple):
-    text_id: str
-    image_id: str
-    split: str
+def split_judgments(text_ids, image_ids, splits, split) -> list[QueryJudgment]:
+    """A judgment per pair of ``split``, in pair order: its image is the one relevant and correct."""
+    if split not in VALID_SPLITS:
+        raise ValueError(f"unknown split {split!r}; expected one of {VALID_SPLITS}")
+    return [QueryJudgment(t, frozenset({i}), i) for t, i, s in zip(text_ids, image_ids, splits)
+            if s == split]
 
 
 @dataclass
 class PairedDataset:
     """Aligned image/text stores plus the caption-to-image ground truth.
 
-    Each text id appears in exactly one pair (a caption has one true
-    image); an image id may appear in many pairs. Building the dataset
-    checks every pair and resolves it to its store rows; pairs and stores
-    are fixed from then on.
+    The ground truth is the manifest's three pair columns, of equal length:
+    pair k binds caption ``text_ids[k]`` to image ``image_ids[k]`` in split
+    ``splits[k]``. Each text id appears in exactly one pair (a caption has
+    one true image); an image id may appear in many pairs. Building the
+    dataset checks every pair and resolves it to its store rows; pairs and
+    stores are fixed from then on.
     """
 
     image_store: EmbeddingStore
     text_store: EmbeddingStore
-    pairs: list[Pair]
+    text_ids: list[str]
+    image_ids: list[str]
+    splits: list[str]
     _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.pairs = list(self.pairs)
-        text_ids, image_ids, splits = tuple(zip(*self.pairs)) or ((), (), ())
-        images = list(map(self.image_store._row_of.get, image_ids))
-        texts = list(map(self.text_store._row_of.get, text_ids))
-        if (None in images or None in texts or len(set(text_ids)) < len(text_ids)
-                or not set(splits).issubset(VALID_SPLITS)):
+        self.text_ids, self.image_ids, self.splits = map(list, (self.text_ids, self.image_ids, self.splits))
+        if not len(self.text_ids) == len(self.image_ids) == len(self.splits):
+            raise ValueError(f"pair columns differ in length: {len(self.text_ids)} text ids, "
+                             f"{len(self.image_ids)} image ids, {len(self.splits)} splits")
+        images = list(map(self.image_store._row_of.get, self.image_ids))
+        texts = list(map(self.text_store._row_of.get, self.text_ids))
+        if (None in images or None in texts or len(set(self.text_ids)) < len(self.text_ids)
+                or not set(self.splits).issubset(VALID_SPLITS)):
             self._first_bad_pair()
         rows = np.array([images, texts], dtype=np.intp)
-        of_split = np.array(list(map(VALID_SPLITS.index, splits)), dtype=np.intp)
+        of_split = np.array(list(map(VALID_SPLITS.index, self.splits)), dtype=np.intp)
         self._rows = {}
         for k, s in enumerate(VALID_SPLITS):
             both = rows.compress(of_split == k, axis=1)
@@ -516,21 +531,20 @@ class PairedDataset:
 
     def _first_bad_pair(self):
         seen_text = set()
-        for p in self.pairs:
-            if p.split not in VALID_SPLITS:
-                raise ValueError(f"pair {p.text_id!r}: bad split {p.split!r}")
-            if p.text_id in seen_text:
-                raise ValueError(f"text id {p.text_id!r} appears in more than one pair")
-            seen_text.add(p.text_id)
-            if p.text_id not in self.text_store:
-                raise ValueError(f"pair references unknown text id {p.text_id!r}")
-            if p.image_id not in self.image_store:
-                raise ValueError(f"pair references unknown image id {p.image_id!r}")
+        for text_id, image_id, split in zip(self.text_ids, self.image_ids, self.splits):
+            if split not in VALID_SPLITS:
+                raise ValueError(f"pair {text_id!r}: bad split {split!r}")
+            if text_id in seen_text:
+                raise ValueError(f"text id {text_id!r} appears in more than one pair")
+            seen_text.add(text_id)
+            if text_id not in self.text_store:
+                raise ValueError(f"pair references unknown text id {text_id!r}")
+            if image_id not in self.image_store:
+                raise ValueError(f"pair references unknown image id {image_id!r}")
 
-    def pairs_for_split(self, split) -> list[Pair]:
-        if split not in VALID_SPLITS:
-            raise ValueError(f"unknown split {split!r}; expected one of {VALID_SPLITS}")
-        return [p for p in self.pairs if p.split == split]
+    def judgments(self, split) -> list[QueryJudgment]:
+        """One singleton judgment per pair of ``split``, in pair order (see ``split_judgments``)."""
+        return split_judgments(self.text_ids, self.image_ids, self.splits, split)
 
     def split_rows(self, split) -> tuple[np.ndarray, np.ndarray]:
         """Image-store rows and text-store rows of a split's pairs, in pair order.
@@ -553,7 +567,7 @@ def build_pairs(
     captions_per_image=5,
     allow_ragged=False,
 ) -> PairedDataset:
-    """Pair manifest columns with their stores, validating the caption-count rule.
+    """The dataset of the manifest's pair columns over their stores, checking the caption-count rule.
 
     Images whose caption count differs from ``captions_per_image`` skew
     whole-dataset statistics, so they are rejected unless ``allow_ragged``.
@@ -568,9 +582,8 @@ def build_pairs(
                 f"{len(ragged)} image(s) do not have exactly {captions_per_image} "
                 f"captions: {shown}{more}; pass allow_ragged to accept"
             )
-    pairs = list(map(Pair, manifest["text_id"], image_ids, manifest["split"]))
     with value_errors_as(DataFormatError):
-        return PairedDataset(image_store=image_store, text_store=text_store, pairs=pairs)
+        return PairedDataset(image_store, text_store, manifest["text_id"], image_ids, manifest["split"])
 
 
 def make_batches(ds: PairedDataset, split, batch_size, seed) -> np.ndarray:
@@ -642,28 +655,17 @@ def synth_dataset(
 
     n_train = round(train_frac * n_images)
     n_val = round(val_frac * n_images)
-    order = shuffled(range(n_images), seed)
-    split_of = {}
-    for rank, i in enumerate(order):
-        if rank < n_train:
-            split_of[i] = "train"
-        elif rank < n_train + n_val:
-            split_of[i] = "val"
-        else:
-            split_of[i] = "test"
+    # the image at shuffle rank r takes the r-th split of this list (zip stops at n_images)
+    by_rank = ["train"] * n_train + ["val"] * n_val + ["test"] * n_images
+    split_of = dict(zip(shuffled(range(n_images), seed), by_rank))
 
-    text_ids = []
-    pairs = []
-    for i, img_id in enumerate(image_ids):
-        for j in range(captions_per_image):
-            text_id = f"{img_id}#c{j}"
-            text_ids.append(text_id)
-            pairs.append(Pair(text_id=text_id, image_id=img_id, split=split_of[i]))
-
+    text_ids = [f"{img_id}#c{j}" for img_id in image_ids for j in range(captions_per_image)]
     return PairedDataset(
         image_store=EmbeddingStore(ids=image_ids, vectors=img, kind="image_feature"),
         text_store=EmbeddingStore(ids=text_ids, vectors=txt, kind="text_feature"),
-        pairs=pairs,
+        text_ids=text_ids,
+        image_ids=[img_id for img_id in image_ids for _ in range(captions_per_image)],
+        splits=[split_of[i] for i in range(n_images) for _ in range(captions_per_image)],
     )
 
 
@@ -695,29 +697,27 @@ def augment_dataset(ds: PairedDataset, sigma, copies, seed) -> PairedDataset:
     if copies == 0:
         return ds
     images, texts = ds.image_store, ds.text_store
-    train_pairs = ds.pairs_for_split("train")
     image_rows, text_rows = ds.split_rows("train")
     train_images = np.unique(image_rows)  # store order
     draws = np.random.default_rng(seed).standard_normal((len(train_images) * copies, images.dim))
     image_replicas = np.repeat(images.vectors[train_images], copies, axis=0) + sigma * draws
     text_replicas = np.repeat(texts.vectors[text_rows], copies, axis=0)
+    new_text_ids = [f"{texts.ids[r]}#aug{k}" for r in text_rows.tolist() for k in range(copies)]
+    new_image_ids = [f"{images.ids[r]}#aug{k}" for r in image_rows.tolist() for k in range(copies)]
     image_store = EmbeddingStore(
         ids=images.ids + [f"{images.ids[r]}#aug{k}" for r in train_images for k in range(copies)],
         vectors=np.vstack([images.vectors, image_replicas]),
         kind=images.kind,
     )
     text_store = EmbeddingStore(
-        ids=texts.ids + [f"{p.text_id}#aug{k}" for p in train_pairs for k in range(copies)],
+        ids=texts.ids + new_text_ids,
         vectors=np.vstack([texts.vectors, text_replicas]),
         kind=texts.kind,
     )
-    new_pairs = [
-        Pair(text_id=f"{p.text_id}#aug{k}", image_id=f"{p.image_id}#aug{k}", split="train")
-        for p in train_pairs
-        for k in range(copies)
-    ]
     return PairedDataset(
         image_store=image_store,
         text_store=text_store,
-        pairs=list(ds.pairs) + new_pairs,
+        text_ids=ds.text_ids + new_text_ids,
+        image_ids=ds.image_ids + new_image_ids,
+        splits=ds.splits + ["train"] * len(new_text_ids),
     )

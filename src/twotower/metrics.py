@@ -28,9 +28,10 @@ class QueryJudgment:
             raise TypeError(f"query_id must be a str, got {type(self.query_id).__name__}")
         if isinstance(self.relevant_ids, str):
             raise TypeError(f"query {self.query_id!r}: relevant_ids must be a set, not a str")
-        object.__setattr__(self, "relevant_ids", frozenset(self.relevant_ids))
-        if not all(isinstance(i, str) for i in (self.correct_id, *self.relevant_ids)):
+        ids = [self.correct_id, *self.relevant_ids]  # checked before hashing: a list is no id
+        if not all(isinstance(i, str) for i in ids):
             raise TypeError(f"query {self.query_id!r}: relevant_ids and correct_id must be strings")
+        object.__setattr__(self, "relevant_ids", frozenset(ids[1:]))
         if not self.relevant_ids:
             raise ValueError(f"query {self.query_id!r}: relevant_ids must be non-empty")
         if self.correct_id not in self.relevant_ids:

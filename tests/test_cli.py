@@ -577,20 +577,43 @@ class TestEvalCommand:
         return ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(checkpoint),
                 "--texts", str(texts or pipeline / "ds" / "texts.emb"), "--judgments", str(judgments)]
 
-    def test_missing_query_id_exit_2(self, pipeline, tmp_path, capsys):
-        jpath = tmp_path / "j.jsonl"
-        jpath.write_text(json.dumps({"query_id": "nope", "relevant_ids": ["img00"],
-                                     "correct_id": "img00"}) + "\n")
-        code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
+    @pytest.mark.parametrize("source", ["judgments", "manifest"])
+    def test_missing_query_id_exit_2(self, pipeline, tmp_path, capsys, source):
+        truth, texts = tmp_path / "truth.jsonl", pipeline / "ds" / "texts.emb"
+        if source == "judgments":
+            truth.write_text(json.dumps({"query_id": "nope", "relevant_ids": ["img00"],
+                                         "correct_id": "img00"}) + "\n")
+        else:
+            rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]
+            next(r for r in rows if r["split"] == "test")["text_id"] = "nope"
+            truth.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(
+            ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+             "--texts", str(texts), f"--{source}", str(truth)],
+            capsys,
+        )
         assert code == 2
         assert json.loads(err) == {"error": "DataFormatError",
-                                   "message": "text store is missing query id 'nope'"}
+                                   "message": f"{truth}: query 'nope' is not in text store {texts}"}
 
     @pytest.mark.parametrize(
         "lines, message",
         [
             ([b'{"query_id": "img00#c0", "relevant_ids": "img00", "correct_id": "0"}'],
-             "line 1: query 'img00#c0': relevant_ids must be a set, not a str"),
+             "line 1: query 'img00#c0': relevant_ids must be a JSON array"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": {"img00": 1}, "correct_id": "img00"}'],
+             "line 1: query 'img00#c0': relevant_ids must be a JSON array"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": 5, "correct_id": "img00"}'],
+             "line 1: query 'img00#c0': relevant_ids must be a JSON array"),
+            ([b"", b'{"query_id": "img00#c0", "relevant_ids": null, "correct_id": "img00"}'],
+             "line 2: query 'img00#c0': relevant_ids must be a JSON array"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": true, "correct_id": "img00"}'],
+             "line 1: query 'img00#c0': relevant_ids must be a JSON array"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": [["img00"]], "correct_id": "img00"}'],
+             "line 1: query 'img00#c0': relevant_ids and correct_id must be strings"),
+            ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}',
+              b'["img00#c1", ["img00"], "img00"]'],
+             "line 2: expected a JSON object"),
             ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}'] * 2,
              "line 2: duplicate judgment for query 'img00#c0'"),
             ([b'{"query_id": "img00#c0", "relevant_ids": ["img00"], "correct_id": "img00"}'] * 2
@@ -603,7 +626,8 @@ class TestEvalCommand:
             ([b'{"query_id": "img00#c0", "relevant_ids": [1], "correct_id": 1}'],
              "line 1: query 'img00#c0': relevant_ids and correct_id must be strings"),
         ],
-        ids=["str-relevant-ids", "duplicate-query", "duplicate-query-mid-file", "not-utf8",
+        ids=["str-relevant-ids", "object-relevant-ids", "number-relevant-ids", "null-relevant-ids",
+             "bool-relevant-ids", "nested-relevant-ids", "array-line", "duplicate-query", "duplicate-query-mid-file", "not-utf8",
              "list-query-id", "int-ids"],
     )
     def test_bad_judgments_exit_2(self, pipeline, tmp_path, capsys, lines, message):
@@ -612,6 +636,28 @@ class TestEvalCommand:
         code, _, err = run(self.eval_args(pipeline, pipeline / "model.ckpt", jpath), capsys)
         assert code == 2
         assert json.loads(err) == {"error": "DataFormatError", "message": f"{jpath}: {message}"}
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_manifest_scores_as_its_judgments_file(self, pipeline, tmp_path, capsys, split):
+        # --manifest judges each caption of the split by its one paired image
+        rows = [json.loads(l) for l in (pipeline / "ds" / "manifest.jsonl").read_text().splitlines()]
+        jpath = tmp_path / "j.jsonl"
+        jpath.write_text("".join(
+            json.dumps({"query_id": r["text_id"], "relevant_ids": [r["image_id"]], "correct_id": r["image_id"]})
+            + "\n" for r in rows if r["split"] == split
+        ))
+        metrics = []
+        for truth in (["--manifest", str(pipeline / "ds" / "manifest.jsonl"), "--split", split],
+                      ["--judgments", str(jpath)]):
+            report = tmp_path / "eval.json"
+            code, _, err = run(
+                ["eval", "--index", str(pipeline / "idx.azi"), "--checkpoint", str(pipeline / "model.ckpt"),
+                 "--texts", str(pipeline / "ds" / "texts.emb"), "--report", str(report), *truth],
+                capsys,
+            )
+            assert code == 0, err
+            metrics.append(json.loads(report.read_text())["metrics"])
+        assert metrics[0] == metrics[1]
 
     @pytest.mark.parametrize("source", ["judgments", "manifest"])
     def test_unindexed_relevant_image_exit_2(self, pipeline, tmp_path, capsys, source):
@@ -1206,7 +1252,7 @@ def test_a_failed_synth_removes_the_directory_it_made(tmp_path, capsys, monkeypa
     argv = ["synth", "--out-dir", out_dir] + SMALL
     if fault == "overflowing noise":
         argv += ["--set", "data.synth.noise_sigma=1e308"]
-        expected = config_fault("vectors contain non-finite entries")
+        expected = config_fault("vectors contain non-finite entries; first at row 1, id 'img01'")
     else:  # after both stores are written
         monkeypatch.setattr(cli, "save_manifest", _disk_full)
         expected = 2, "OSError", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
@@ -1306,33 +1352,6 @@ COMMAND_HELP = {
 
 
 class TestParser:
-    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
-    def test_one_command_parser_parses_as_the_full_parser(self, argv):
-        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
-
-    @pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda a: " ".join(a) or "(none)")
-    def test_one_command_parser_refuses_as_the_full_parser(self, argv):
-        messages = []
-        for parser in (cli.build_parser(argv[0] if argv else None), cli.build_parser()):
-            with pytest.raises(cli._UsageError) as exc:
-                parser.parse_args(argv)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-
-    def test_a_command_builds_only_its_own_subparser(self, pipeline, capsys, monkeypatch):
-        built = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def spy(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-        cli._parser.cache_clear()  # an earlier test may have built query's parser already
-        code, _, _ = run(query_by_id(pipeline), capsys)
-        assert code == 0
-        assert built == ["query"]
-
     def test_a_second_call_of_a_command_builds_no_parser(self, pipeline, capsys, monkeypatch):
         assert run(query_by_id(pipeline), capsys)[0] == 0
         built = []
@@ -1341,9 +1360,31 @@ class TestParser:
         assert run(query_by_id(pipeline), capsys)[0] == 0
         assert built == []
 
+    def test_a_call_of_another_command_builds_no_parser(self, pipeline, capsys, monkeypatch):
+        # one parser serves every command: query's call built eval's subparser too
+        cli._parser.cache_clear()  # an earlier test may have run eval already
+        assert run(query_by_id(pipeline), capsys)[0] == 0
+        built = []
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda *a, **kw: built.append(a))
+        assert run(["eval"], capsys)[0] == 1  # a usage fault, after parsing with the cached parser
+        assert built == []
+
+    def test_the_parser_builds_each_command_once(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        cli.build_parser()
+        assert built == list(cli._COMMANDS) == list(COMMAND_HELP)
+
     def test_reused_parsers_read_as_fresh_ones(self, capsys, monkeypatch):
-        # every row twice, shuffled, so each cached parser is reused after other
-        # commands and after usage faults; the handlers record what main parsed
+        # every row twice, shuffled, so the cached parser is reused after every
+        # command and after usage faults; the handlers record what main parsed
         parsed = []
 
         def record(args):
@@ -1355,7 +1396,7 @@ class TestParser:
         rows = (VALID_ARGV + BAD_ARGV) * 2
         random.Random(0).shuffle(rows)
         for argv in rows:
-            fresh = cli.build_parser(argv[0] if argv else None)
+            fresh = cli.build_parser()
             try:
                 expected = (0, "", ""), fresh.parse_args(argv)
             except cli._UsageError as e:

@@ -12,7 +12,6 @@ from oracles import SplitMix64, reference_load_manifest
 from twotower import data
 from twotower.data import (
     EmbeddingStore,
-    Pair,
     PairedDataset,
     augment_dataset,
     build_pairs,
@@ -22,6 +21,7 @@ from twotower.data import (
     save_embeddings,
     save_manifest,
     shuffled,
+    split_judgments,
     splitmix64_below,
     synth_dataset,
 )
@@ -33,6 +33,17 @@ from twotower.errors import (
     ManifestError,
     TruncatedFileError,
 )
+from twotower.metrics import QueryJudgment
+
+
+def paired(image_store, text_store, triples):
+    """A dataset of ``(text_id, image_id, split)`` triples, passed as the three pair columns."""
+    return PairedDataset(image_store, text_store, *zip(*triples))
+
+
+def pairs_of(ds):
+    """A dataset's pairs as ``(text_id, image_id, split)`` triples, in pair order."""
+    return list(zip(ds.text_ids, ds.image_ids, ds.splits))
 
 
 class TestSplitMix64:
@@ -279,21 +290,31 @@ class TestEmbeddingStore:
     @pytest.mark.parametrize(
         "ids, vectors, message",
         [
-            (["a", "b", "a"], [[0.0], [1.0], [2.0]], "ids must be unique"),
-            ([7, 7], [[0.0], [1.0]], "ids must be unique"),
-            (["", ""], [[0.0], [1.0]], "ids must be unique"),  # uniqueness is checked first
-            (["a", ""], [[0.0], [1.0]], "ids must be non-empty strings"),
-            (["a", 7], [[0.0], [1.0]], "ids must be non-empty strings"),
-            (["a", b"b"], [[0.0], [1.0]], "ids must be non-empty strings"),
-            (["a", None], [[0.0], [1.0]], "ids must be non-empty strings"),
-            (["a", "b"], [[0.0], [np.nan]], "vectors contain non-finite entries"),
-            (["a", "b"], [[np.inf], [1.0]], "vectors contain non-finite entries"),
-            (["a", "b"], [[-np.inf], [np.inf]], "vectors contain non-finite entries"),
+            (["a", "b", "a"], [[0.0], [1.0], [2.0]], "ids must be unique; id 'a' repeats at row 2"),
+            # the first repeat in row order, not the first id that has one
+            (["a", "b", "b", "a"], [[0.0]] * 4, "ids must be unique; id 'b' repeats at row 2"),
+            ([7, 7], [[0.0], [1.0]], "ids must be unique; id 7 repeats at row 1"),
+            # uniqueness is checked first
+            (["", ""], [[0.0], [1.0]], "ids must be unique; id '' repeats at row 1"),
+            (["a", ""], [[0.0], [1.0]], "ids must be non-empty strings; row 1 holds ''"),
+            (["a", 7], [[0.0], [1.0]], "ids must be non-empty strings; row 1 holds 7"),
+            (["a", b"b"], [[0.0], [1.0]], "ids must be non-empty strings; row 1 holds b'b'"),
+            (["a", None], [[0.0], [1.0]], "ids must be non-empty strings; row 1 holds None"),
+            ([None, ""], [[0.0], [1.0]], "ids must be non-empty strings; row 0 holds None"),
+            (["a", "b"], [[0.0], [np.nan]],
+             "vectors contain non-finite entries; first at row 1, id 'b'"),
+            (["a", "b"], [[np.inf], [1.0]],
+             "vectors contain non-finite entries; first at row 0, id 'a'"),
+            (["a", "b"], [[-np.inf], [np.inf]],
+             "vectors contain non-finite entries; first at row 0, id 'a'"),
+            (["a", "b", "c"], [[0.0, 1.0], [2.0, np.nan], [np.inf, 0.0]],
+             "vectors contain non-finite entries; first at row 1, id 'b'"),
         ],
     )
     def test_rejections_name_the_fault(self, ids, vectors, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError) as fault:
             EmbeddingStore(ids=ids, vectors=np.array(vectors), kind="text_feature")
+        assert str(fault.value) == message
 
     class Tag(str):
         pass
@@ -368,21 +389,29 @@ class TestEmbeddingStore:
 class TestPairedDatasetInvariants:
     def test_caption_in_two_pairs_rejected(self):
         ds = toy_dataset(3)
-        pairs = list(ds.pairs) + [Pair("t0", "i1", "train")]
+        pairs = pairs_of(ds) + [("t0", "i1", "train")]
         with pytest.raises(ValueError, match="more than one pair"):
-            PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+            paired(ds.image_store, ds.text_store, pairs)
 
     def test_unknown_image_rejected(self):
         ds = toy_dataset(3)
-        pairs = [Pair("t0", "missing", "train")]
+        pairs = [("t0", "missing", "train")]
         with pytest.raises(ValueError, match="unknown image"):
-            PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+            paired(ds.image_store, ds.text_store, pairs)
 
     def test_bad_split_rejected(self):
         ds = toy_dataset(3)
-        pairs = [Pair("t0", "i0", "dev")]
+        pairs = [("t0", "i0", "dev")]
         with pytest.raises(ValueError, match="split"):
-            PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+            paired(ds.image_store, ds.text_store, pairs)
+
+    @pytest.mark.parametrize("short", ["text_ids", "image_ids", "splits"])
+    def test_columns_of_unequal_length_rejected(self, short):
+        ds = toy_dataset(3)
+        columns = {"text_ids": ds.text_ids, "image_ids": ds.image_ids, "splits": ds.splits}
+        columns[short] = columns[short][:2]
+        with pytest.raises(ValueError, match="pair columns differ in length"):
+            PairedDataset(ds.image_store, ds.text_store, **columns)
 
     def test_empty_image_id_rejected(self, tmp_path):
         p = tmp_path / "m.jsonl"
@@ -505,8 +534,8 @@ def toy_dataset(n_pairs=10):
     texts = EmbeddingStore(
         ids=[f"t{k}" for k in range(n)], vectors=rng.standard_normal((n, 2)), kind="text_feature"
     )
-    pairs = [Pair(f"t{k}", f"i{k}", "train") for k in range(n)]
-    return PairedDataset(image_store=images, text_store=texts, pairs=pairs)
+    pairs = [(f"t{k}", f"i{k}", "train") for k in range(n)]
+    return paired(images, texts, pairs)
 
 
 class TestMakeBatches:
@@ -547,8 +576,8 @@ class TestMakeBatches:
 
     def test_positions_follow_the_split(self):
         ds = toy_dataset(6)
-        pairs = [Pair(f"t{k}", f"i{k}", "val" if k % 2 else "train") for k in range(6)]
-        ds = PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+        pairs = [(f"t{k}", f"i{k}", "val" if k % 2 else "train") for k in range(6)]
+        ds = paired(ds.image_store, ds.text_store, pairs)
         batches = make_batches(ds, "val", 3, seed=0)
         image_rows, _ = ds.split_rows("val")
         assert sorted(image_rows[batches[0]].tolist()) == [1, 3, 5]
@@ -568,8 +597,8 @@ class TestSplitRows:
         images = EmbeddingStore(
             ids=ds.image_store.ids[::-1], vectors=ds.image_store.vectors[::-1], kind="image_feature"
         )
-        pairs = [Pair("t3", "i0", "train"), Pair("t1", "i4", "test"), Pair("t0", "i2", "train")]
-        ds = PairedDataset(image_store=images, text_store=ds.text_store, pairs=pairs)
+        pairs = [("t3", "i0", "train"), ("t1", "i4", "test"), ("t0", "i2", "train")]
+        ds = paired(images, ds.text_store, pairs)
         image_rows, text_rows = ds.split_rows("train")
         assert image_rows.tolist() == [4, 2]
         assert text_rows.tolist() == [3, 0]
@@ -606,9 +635,38 @@ class TestResolvedAtConstruction:
 
     def test_pair_missing_both_ids_reports_the_text_id(self):
         ds = toy_dataset(3)
-        pairs = [Pair("nope", "missing", "train")]
+        pairs = [("nope", "missing", "train")]
         with pytest.raises(ValueError, match="unknown text id 'nope'"):
-            PairedDataset(image_store=ds.image_store, text_store=ds.text_store, pairs=pairs)
+            paired(ds.image_store, ds.text_store, pairs)
+
+
+class TestJudgments:
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    @pytest.mark.parametrize("copies", [0, 2], ids=["synth", "augmented"])
+    def test_one_singleton_judgment_per_pair_in_pair_order(self, copies, split):
+        ds = synth_dataset(20, 3, latent_dim=2, img_dim=4, txt_dim=4, noise_sigma=0.1, seed=2)
+        ds = augment_dataset(ds, sigma=0.1, copies=copies, seed=5)
+        expected = [QueryJudgment(t, frozenset({i}), i) for t, i, s in pairs_of(ds) if s == split]
+        assert expected and ds.judgments(split) == expected
+        assert split_judgments(ds.text_ids, ds.image_ids, ds.splits, split) == expected
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_a_loaded_dataset_judges_as_the_one_saved(self, tmp_path, split):
+        # build_pairs passes the manifest's columns through in file order
+        ds = synth_dataset(20, 3, latent_dim=2, img_dim=4, txt_dim=4, noise_sigma=0.1, seed=2)
+        path = tmp_path / "manifest.jsonl"
+        save_manifest({"image_id": ds.image_ids, "caption": ds.text_ids, "lang": ["x"] * len(ds.text_ids),
+                       "split": ds.splits, "text_id": ds.text_ids}, path)
+        loaded = build_pairs(load_manifest(path), ds.image_store, ds.text_store, captions_per_image=3)
+        assert loaded.judgments(split) == ds.judgments(split)
+
+    def test_unknown_split_raises_as_split_rows_does(self):
+        ds = toy_dataset(3)
+        with pytest.raises(ValueError) as rows_fault:
+            ds.split_rows("dev")
+        with pytest.raises(ValueError) as judgments_fault:
+            ds.judgments("dev")
+        assert str(judgments_fault.value) == str(rows_fault.value)
 
 
 class TestSynthDataset:
@@ -616,7 +674,7 @@ class TestSynthDataset:
         ds = synth_dataset(100, 5, latent_dim=4, img_dim=8, txt_dim=6, noise_sigma=0.1, seed=0)
         assert len(ds.image_store) == 100
         assert len(ds.text_store) == 500
-        assert len(ds.pairs) == 500
+        assert len(ds.text_ids) == len(ds.image_ids) == len(ds.splits) == 500
 
     def test_deterministic(self):
         kw = dict(captions_per_image=2, latent_dim=3, img_dim=5, txt_dim=4, noise_sigma=0.2)
@@ -624,7 +682,7 @@ class TestSynthDataset:
         b = synth_dataset(20, seed=9, **kw)
         np.testing.assert_array_equal(a.image_store.vectors, b.image_store.vectors)
         np.testing.assert_array_equal(a.text_store.vectors, b.text_store.vectors)
-        assert a.pairs == b.pairs
+        assert pairs_of(a) == pairs_of(b)
 
     def test_noiseless_pairing_recoverable_by_regression(self):
         # with zero noise, text features are an exact linear image of the
@@ -633,22 +691,33 @@ class TestSynthDataset:
             80, 1, latent_dim=8, img_dim=16, txt_dim=12, noise_sigma=0.0, seed=4
         )
         txt = ds.text_store.vectors
-        img_of_pair = np.array([ds.image_store.row(p.image_id) for p in ds.pairs])
+        img_of_pair = ds.image_store.vectors[ds.image_store.index(ds.image_ids)]
         w, *_ = np.linalg.lstsq(txt, img_of_pair, rcond=None)
         pred = txt @ w
         d2 = ((pred[:, None, :] - ds.image_store.vectors[None, :, :]) ** 2).sum(axis=2)
         nearest = d2.argmin(axis=1)
-        truth = np.array([ds.image_store.ids.index(p.image_id) for p in ds.pairs])
+        truth = np.array([ds.image_store.ids.index(i) for i in ds.image_ids])
         assert (nearest == truth).all()
 
     def test_splits_by_image(self):
         ds = synth_dataset(50, 3, latent_dim=2, img_dim=4, txt_dim=4, noise_sigma=0.0, seed=1)
         split_of_image = {}
-        for p in ds.pairs:
-            split_of_image.setdefault(p.image_id, set()).add(p.split)
+        for image_id, split in zip(ds.image_ids, ds.splits):
+            split_of_image.setdefault(image_id, set()).add(split)
         assert all(len(s) == 1 for s in split_of_image.values())
         sizes = ds.split_sizes()
         assert sizes == {"train": 40 * 3, "val": 5 * 3, "test": 5 * 3}
+
+    # at n=7 the rounded counts, 4 and 4, exceed the images: val takes what is left
+    @pytest.mark.parametrize("n, train_frac, val_frac", [(50, 0.8, 0.1), (7, 0.5, 0.5), (3, 0.0, 0.0)])
+    def test_split_is_the_rank_in_the_seeded_shuffle(self, n, train_frac, val_frac):
+        ds = synth_dataset(n, 2, latent_dim=1, img_dim=2, txt_dim=2, noise_sigma=0.0, seed=3,
+                           train_frac=train_frac, val_frac=val_frac)
+        n_train, n_val = round(train_frac * n), round(val_frac * n)
+        rank = {i: r for r, i in enumerate(shuffled(range(n), 3))}
+        expected = ["train" if rank[i] < n_train else "val" if rank[i] < n_train + n_val else "test"
+                    for i in range(n) for _ in range(2)]
+        assert ds.splits == expected
 
     def test_latent_dim_bound(self):
         with pytest.raises(ValueError, match="latent_dim"):
@@ -683,18 +752,18 @@ class TestJitterAugment:
         out = augment_toy(2, sigma=0.1, copies=2, seed=0)
         assert out.image_store.ids == ["i0", "i1", "i0#aug0", "i0#aug1", "i1#aug0", "i1#aug1"]
         assert out.text_store.ids == ["t0", "t1", "t0#aug0", "t0#aug1", "t1#aug0", "t1#aug1"]
-        assert out.pairs[2:] == [
-            Pair("t0#aug0", "i0#aug0", "train"),
-            Pair("t0#aug1", "i0#aug1", "train"),
-            Pair("t1#aug0", "i1#aug0", "train"),
-            Pair("t1#aug1", "i1#aug1", "train"),
+        assert pairs_of(out)[2:] == [
+            ("t0#aug0", "i0#aug0", "train"),
+            ("t0#aug1", "i0#aug1", "train"),
+            ("t1#aug0", "i1#aug0", "train"),
+            ("t1#aug1", "i1#aug1", "train"),
         ]
 
     def test_deterministic(self):
         a = augment_toy(3, 0.3, 2, seed=11)
         b = augment_toy(3, 0.3, 2, seed=11)
         np.testing.assert_array_equal(a.image_store.vectors, b.image_store.vectors)
-        assert a.pairs == b.pairs
+        assert pairs_of(a) == pairs_of(b)
         c = augment_toy(3, 0.3, 2, seed=12)
         assert not np.array_equal(a.image_store.vectors, c.image_store.vectors)
 
@@ -716,12 +785,12 @@ class TestJitterAugment:
             ids=["t2", "t0", "t3", "t1"], vectors=rng.standard_normal((4, 2)), kind="text_feature"
         )
         pairs = [
-            Pair("t0", "i1", "train"),
-            Pair("t1", "i2", "val"),
-            Pair("t2", "i3", "train"),
-            Pair("t3", "i1", "train"),
+            ("t0", "i1", "train"),
+            ("t1", "i2", "val"),
+            ("t2", "i3", "train"),
+            ("t3", "i1", "train"),
         ]
-        ds = PairedDataset(image_store=images, text_store=texts, pairs=pairs)
+        ds = paired(images, texts, pairs)
         sigma, copies, seed = 0.25, 3, 8
         out = augment_dataset(ds, sigma=sigma, copies=copies, seed=seed)
         draws = np.random.default_rng(seed).standard_normal((2 * copies, 3))
@@ -733,10 +802,10 @@ class TestJitterAugment:
                     images.row(image_id) + sigma * draws[pos * copies + k],
                 )
         assert out.image_store.ids[4:] == [f"{i}#aug{k}" for i in train_images for k in range(3)]
-        for p in out.pairs[4:]:
-            src = p.text_id.rsplit("#aug", 1)[0]
-            np.testing.assert_array_equal(out.text_store.row(p.text_id), texts.row(src))
-            assert p.image_id.rsplit("#aug", 1)[0] == ds.pairs[int(src[1:])].image_id
+        for text_id, image_id, _ in pairs_of(out)[4:]:
+            src = text_id.rsplit("#aug", 1)[0]
+            np.testing.assert_array_equal(out.text_store.row(text_id), texts.row(src))
+            assert image_id.rsplit("#aug", 1)[0] == ds.image_ids[int(src[1:])]
 
 
 class TestBuildPairs:
@@ -765,7 +834,7 @@ class TestBuildPairs:
         )
         images, texts = self._stores(["a"], ["a#c0", "a#c1"])
         ds = build_pairs(recs, images, texts, captions_per_image=2)
-        assert [p.text_id for p in ds.pairs] == ["a#c0", "a#c1"]
+        assert ds.text_ids == ["a#c0", "a#c1"]
 
     def test_ragged_rejected(self, tmp_path):
         recs = self._records(
@@ -780,7 +849,7 @@ class TestBuildPairs:
         with pytest.raises(DataFormatError, match="'b'"):
             build_pairs(recs, images, texts, captions_per_image=2)
         ds = build_pairs(recs, images, texts, captions_per_image=2, allow_ragged=True)
-        assert len(ds.pairs) == 3
+        assert len(ds.text_ids) == 3
 
     def test_missing_embedding_detected(self, tmp_path):
         recs = self._records(
@@ -812,14 +881,17 @@ class TestAugmentDataset:
     def test_counts_and_invariants(self):
         ds = synth_dataset(10, 2, latent_dim=2, img_dim=4, txt_dim=4, noise_sigma=0.0, seed=0)
         out = augment_dataset(ds, sigma=0.1, copies=2, seed=5)
-        n_train = len(ds.pairs_for_split("train"))
-        assert len(out.pairs) == len(ds.pairs) + 2 * n_train
-        assert len(out.pairs_for_split("val")) == len(ds.pairs_for_split("val"))
+        n_train = ds.split_sizes()["train"]
+        assert len(out.text_ids) == len(ds.text_ids) + 2 * n_train
+        assert out.split_sizes()["val"] == ds.split_sizes()["val"]
+        assert [t for t, s in zip(out.text_ids, out.splits) if s == "val"] == \
+            [t for t, s in zip(ds.text_ids, ds.splits) if s == "val"]
         # each augmented caption is a verbatim copy of its source caption
-        for p in out.pairs_for_split("train"):
-            if "#aug" in p.text_id:
-                src = p.text_id.rsplit("#aug", 1)[0]
-                np.testing.assert_array_equal(out.text_store.row(p.text_id), ds.text_store.row(src))
+        for text_id, split in zip(out.text_ids, out.splits):
+            if "#aug" in text_id:
+                assert split == "train"
+                src = text_id.rsplit("#aug", 1)[0]
+                np.testing.assert_array_equal(out.text_store.row(text_id), ds.text_store.row(src))
 
     def test_copies_zero_is_identity(self):
         ds = synth_dataset(6, 1, latent_dim=2, img_dim=4, txt_dim=4, noise_sigma=0.0, seed=0)

@@ -238,7 +238,7 @@ class TestTrain:
         records = [json.loads(line) for line in log_path.read_text().splitlines()]
         steps = [r for r in records if "step" in r]
         epochs = [r for r in records if "step" not in r]
-        n_train = len(ds.pairs_for_split("train"))
+        n_train = ds.split_sizes()["train"]
         assert len(steps) == 2 * (n_train // cfg.batch_size)
         assert len(epochs) == 2
         assert set(steps[0]) == {"step", "epoch", "lr", "loss", "ce_term", "margin_term"}
@@ -336,9 +336,9 @@ class TestTrain:
         save_checkpoint(model_a, p)
         model_a = load_checkpoint(p)
 
-        batch = ds.pairs_for_split("train")[:8]
-        img = ds.image_store.vectors[ds.image_store.index([q.image_id for q in batch])]
-        txt = ds.text_store.vectors[ds.text_store.index([q.text_id for q in batch])]
+        image_rows, text_rows = ds.split_rows("train")
+        img = ds.image_store.vectors[image_rows[:8]]
+        txt = ds.text_store.vectors[text_rows[:8]]
         outs = []
         for model in (model_a, model_b):
             _, grads = loss_backward(img, txt, model, LossConfig())
@@ -498,7 +498,8 @@ def permuted_stores(ds, seed):
         )
 
     return PairedDataset(
-        image_store=permute(ds.image_store), text_store=permute(ds.text_store), pairs=ds.pairs
+        image_store=permute(ds.image_store), text_store=permute(ds.text_store),
+        text_ids=ds.text_ids, image_ids=ds.image_ids, splits=ds.splits,
     )
 
 

@@ -53,13 +53,12 @@
 # config or usage fault for each command that has one (synth --seed -1,
 # ingest data.captions_per_image=0, train train.epochs=0, query --k 0,
 # eval --split bogus; index has none). It compares the exit code, stdout
-# and stderr of every run in full: a call builds only its own command's
-# parser, help and usage errors must read as they did, and each fault must
-# still be reported before an input is opened. Then (usage_inproc.out) it
+# and stderr of every run in full: help and usage errors must read as they
+# did, and each fault must still be reported before an input is opened. Then (usage_inproc.out) it
 # runs the same help and usage lines again, one after another, through
 # twotower.cli.main in one Python process, and records each run's exit code
-# (a SystemExit's included), stdout and stderr: a process reuses each
-# command's parser, and a reused parser must read as a fresh one. Also
+# (a SystemExit's included), stdout and stderr: a process reuses its one
+# parser, and a reused parser must read as a fresh one. Also
 # once per tree, it runs each script in the tree's demos/ against its src
 # and compares the stdout (demos/<name>.out). Two parts of the quickstart's
 # output differ from run to run and are masked: its "artifacts under <dir>"
